@@ -29,7 +29,7 @@ from repro.sim import (
     SynchronousNetwork,
 )
 from repro.topology.base import Graph
-from repro.topology.properties import bfs_distances
+from repro.topology.properties import next_hops_toward
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
@@ -116,17 +116,9 @@ class _CentralNode(Node):
 
 def _routing(graph: Graph, root: int) -> tuple[list[int], dict[int, list[int]]]:
     """Next hops toward ``root`` and full root->origin paths, via BFS."""
-    dist = bfs_distances(graph, root)
-    if (dist < 0).any():
+    next_hop = next_hops_toward(graph, root)
+    if any(h == v != root for v, h in enumerate(next_hop)):
         raise ValueError("graph is disconnected")
-    next_hop = list(range(graph.n))
-    for v in graph.vertices():
-        if v == root:
-            continue
-        for u in graph.adj[v]:
-            if dist[u] == dist[v] - 1:
-                next_hop[v] = u
-                break
     down_paths: dict[int, list[int]] = {}
     for v in graph.vertices():
         path = []

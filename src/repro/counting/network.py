@@ -39,7 +39,7 @@ from repro.sim import (
     SynchronousNetwork,
 )
 from repro.topology.base import Graph
-from repro.topology.properties import bfs_distances
+from repro.topology.properties import next_hops_toward
 
 # A token's next destination: ("bal", balancer id) or ("wire", output index).
 Entity = tuple[str, int]
@@ -295,7 +295,7 @@ class _CNetNode(Node):
         return entity[1] % self.shared.n
 
     def _forward(self, origin: int, entity: tuple, dest: int, ctx: NodeContext) -> None:
-        nxt = self.shared.next_hop_toward(dest, self.node_id)
+        nxt = next_hops_toward(self.shared.graph, dest)[self.node_id]
         ctx.send(nxt, "cnet", payload=(origin, entity))
 
     def _process_local(self, origin: int, entity: tuple, ctx: NodeContext) -> None:
@@ -350,11 +350,12 @@ class _CNetNode(Node):
 
 
 class _SharedState:
-    """Read-only routing tables plus the (mutable) embedded network state.
+    """Shortest-path routing plus the (mutable) embedded network state.
 
-    Precomputed during the free initialization step; the balancer toggles
-    and output counters are the distributed state, each touched only by
-    its host node.
+    Routing tables are the free initialization step's knowledge of the
+    graph, cached on the graph itself; the balancer toggles and output
+    counters are the distributed state, each touched only by its host
+    node.
     """
 
     def __init__(self, graph: Graph, net: BitonicNetwork) -> None:
@@ -362,26 +363,6 @@ class _SharedState:
         self.n = graph.n
         self.graph = graph
         self.out_counts = [0] * net.width
-        self._toward: dict[int, list[int]] = {}
-
-    def next_hop_toward(self, dest: int, here: int) -> int:
-        par = self._toward.get(dest)
-        if par is None:
-            par = self._bfs_parents(dest)
-            self._toward[dest] = par
-        return par[here]
-
-    def _bfs_parents(self, dest: int) -> list[int]:
-        dist = bfs_distances(self.graph, dest)
-        par = list(range(self.n))
-        for v in self.graph.vertices():
-            if v == dest:
-                continue
-            for u in self.graph.adj[v]:
-                if dist[u] == dist[v] - 1:
-                    par[v] = u
-                    break
-        return par
 
 
 def run_counting_network(

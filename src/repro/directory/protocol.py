@@ -15,26 +15,9 @@ from typing import Any, Hashable, Iterable
 from repro.arrow.protocol import init_op, op_of
 from repro.sim import Message, Node, NodeContext, SynchronousNetwork
 from repro.topology.base import Graph
-from repro.topology.properties import bfs_distances
+from repro.topology.properties import next_hops_toward
 from repro.topology.spanning import SpanningTree
 from repro.tree import RootedTree
-
-
-def _shortest_path_next_hops(graph: Graph) -> dict[int, list[int]]:
-    """For each destination, the next-hop array (BFS parents toward it)."""
-    out: dict[int, list[int]] = {}
-    for dest in graph.vertices():
-        dist = bfs_distances(graph, dest)
-        par = list(range(graph.n))
-        for v in graph.vertices():
-            if v == dest:
-                continue
-            for u in graph.adj[v]:
-                if dist[u] == dist[v] - 1:
-                    par[v] = u
-                    break
-        out[dest] = par
-    return out
 
 
 class _DirectoryNode(Node):
@@ -56,7 +39,7 @@ class _DirectoryNode(Node):
         "object_for",
         "succ_of",
         "use_completed",
-        "next_hops",
+        "graph",
     )
 
     def __init__(
@@ -67,7 +50,7 @@ class _DirectoryNode(Node):
         tree_neighbors: frozenset[int],
         use_rounds: int,
         is_home: bool,
-        next_hops: dict[int, list[int]],
+        graph: Graph,
     ) -> None:
         super().__init__(node_id)
         self.link = link
@@ -79,7 +62,7 @@ class _DirectoryNode(Node):
         self.object_for: Hashable = init_op(node_id) if is_home else None
         self.succ_of: dict[Hashable, int] = {}
         self.use_completed: set[Hashable] = {init_op(node_id)} if is_home else set()
-        self.next_hops = next_hops
+        self.graph = graph
 
     # -- arrow on the tree ---------------------------------------------------
 
@@ -117,7 +100,7 @@ class _DirectoryNode(Node):
             if dest == self.node_id:
                 self._acquire(ctx)
             else:
-                ctx.send(self.next_hops[dest][self.node_id], "object", payload=dest)
+                self._send_object(dest, ctx)
         else:  # pragma: no cover - defensive
             raise ValueError(f"unexpected message kind {msg.kind!r}")
 
@@ -152,7 +135,10 @@ class _DirectoryNode(Node):
         if target == self.node_id:
             self._acquire(ctx)
         else:
-            ctx.send(self.next_hops[target][self.node_id], "object", payload=target)
+            self._send_object(target, ctx)
+
+    def _send_object(self, dest: int, ctx: NodeContext) -> None:
+        ctx.send(next_hops_toward(self.graph, dest)[self.node_id], "object", payload=dest)
 
 
 @dataclass(frozen=True)
@@ -235,7 +221,6 @@ def run_object_directory(
         tree_adj[p].add(c)
         tree_adj[c].add(p)
 
-    next_hops = _shortest_path_next_hops(graph)
     req = tuple(sorted(set(requests)))
     req_set = set(req)
     nodes = {
@@ -246,7 +231,7 @@ def run_object_directory(
             tree_neighbors=frozenset(tree_adj[v]),
             use_rounds=use_rounds,
             is_home=(v == home),
-            next_hops=next_hops,
+            graph=graph,
         )
         for v in range(tree.n)
     }

@@ -53,7 +53,9 @@ class Checkpoint:
         The deep copy spans the full object graph — nodes, contexts,
         queues, injector RNGs, trace, monitors — with shared references
         (e.g. a node's back-pointer into the engine) preserved as shared
-        references inside the copy.
+        references inside the copy.  An immutable
+        :class:`~repro.topology.Graph` a node refers to is shared, not
+        copied, and its cached routing tables are never pickled.
         """
         return cls(net.now, net.rounds_executed, copy.deepcopy(net))
 

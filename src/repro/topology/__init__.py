@@ -42,6 +42,7 @@ from repro.topology.spanning import (
 )
 from repro.topology.properties import (
     bfs_distances,
+    next_hops_toward,
     all_pairs_distances,
     eccentricity,
     diameter,
@@ -78,6 +79,7 @@ __all__ = [
     "embedded_mary_tree",
     "validate_spanning_tree",
     "bfs_distances",
+    "next_hops_toward",
     "all_pairs_distances",
     "eccentricity",
     "diameter",

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import Any, Iterable, Iterator, Mapping
 
 
 class TopologyError(ValueError):
@@ -17,7 +18,9 @@ class Graph:
     The representation is an immutable adjacency mapping with sorted
     neighbor tuples; all the library's graphs are built through
     :meth:`from_edges` which validates simplicity (no loops, no parallel
-    edges) and vertex labelling.
+    edges) and vertex labelling.  Being immutable, a graph is shared
+    rather than copied by :func:`copy.deepcopy`, and it carries a cache
+    of shortest-path routing tables that pickling leaves out.
 
     Attributes:
         adj: mapping vertex -> sorted tuple of neighbors.
@@ -78,6 +81,20 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted neighbors of ``v``."""
         return self.adj[v]
+
+    @cached_property
+    def _next_hops(self) -> dict[int, list[int]]:
+        """Routing tables by destination, filled lazily by
+        :func:`repro.topology.properties.next_hops_toward`."""
+        return {}
+
+    def __deepcopy__(self, memo: dict) -> "Graph":
+        return self
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_next_hops", None)
+        return state
 
     def __repr__(self) -> str:
         return f"Graph(name={self.name!r}, n={self.n}, m={self.m})"

@@ -1,35 +1,68 @@
-"""Graph property computations (distances, diameter, degrees).
+"""Graph property computations (distances, routing, diameter, degrees).
 
 Theorem 3.6 ties the counting lower bound to the diameter, so the
-experiment harness needs exact diameters; everything here is plain BFS
-with numpy-backed storage, fast enough for the n <= 10^4 instances the
-experiments use.
+experiment harness needs exact diameters; everything here is one
+level-by-level BFS over plain Python lists, fast enough for the
+n <= 10^4 instances the experiments use.  Distances are handed back
+as int64 numpy arrays; shortest-path routing tables are lists cached
+on the graph.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
 from repro.topology.base import Graph
 
 
+def _bfs(graph: Graph, source: int) -> list[int]:
+    """Hop distances from ``source`` as a list (-1 if unreachable)."""
+    adj = graph.adj
+    dist = [-1] * graph.n
+    dist[source] = 0
+    frontier = [source]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = d
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
 def bfs_distances(graph: Graph, source: int) -> np.ndarray:
     """Hop distances from ``source`` to every vertex (-1 if unreachable)."""
-    n = graph.n
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    dq: deque[int] = deque([source])
-    adj = graph.adj
-    while dq:
-        u = dq.popleft()
-        du = dist[u]
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = du + 1
-                dq.append(v)
-    return dist
+    return np.array(_bfs(graph, source), dtype=np.int64)
+
+
+def next_hops_toward(graph: Graph, dest: int) -> list[int]:
+    """Shortest-path next hops toward ``dest``: ``hops[v]`` for every ``v``.
+
+    ``hops[v]`` is the first neighbor in sorted ``adj[v]`` one hop closer
+    to ``dest``; ``hops[dest] == dest`` and so does every vertex that
+    cannot reach ``dest``.  The table is computed once per (graph,
+    destination) and cached on the graph, so callers must not mutate it.
+    """
+    tables = graph._next_hops
+    hops = tables.get(dest)
+    if hops is None:
+        dist = _bfs(graph, dest)
+        adj = graph.adj
+        hops = list(range(graph.n))
+        for v, dv in enumerate(dist):
+            if dv == 1:
+                hops[v] = dest  # the only vertex at distance 0
+            elif dv > 1:
+                for u in adj[v]:
+                    if dist[u] == dist[v] - 1:
+                        hops[v] = u
+                        break
+        tables[dest] = hops
+    return hops
 
 
 def all_pairs_distances(graph: Graph) -> np.ndarray:
@@ -54,25 +87,17 @@ def eccentricity(graph: Graph, v: int) -> int:
 
 
 def diameter(graph: Graph) -> int:
-    """The exact diameter (max eccentricity over all vertices).
+    """The exact diameter: the largest eccentricity, by BFS from every vertex.
 
-    Uses a double-sweep lower bound to pick a good starting vertex, then
-    verifies exactly with BFS from every vertex on the periphery level
-    set; falls back to all-pairs for tiny graphs.
+    Raises:
+        ValueError: if the graph is disconnected.
     """
-    n = graph.n
-    if n == 1:
-        return 0
-    # Exact: BFS from every vertex.  The library's instances are small
-    # enough (and BFS is linear) that exactness is worth more than speed.
     best = 0
-    for v in range(n):
+    for v in range(graph.n):
         dist = bfs_distances(graph, v)
         if (dist < 0).any():
             raise ValueError("diameter undefined: graph is disconnected")
-        m = int(dist.max())
-        if m > best:
-            best = m
+        best = max(best, int(dist.max()))
     return best
 
 

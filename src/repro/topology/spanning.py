@@ -74,20 +74,12 @@ def validate_spanning_tree(graph: Graph, tree: RootedTree) -> None:
 
 def bfs_spanning_tree(graph: Graph, root: int = 0) -> SpanningTree:
     """Breadth-first spanning tree rooted at ``root`` (shortest-path tree)."""
-    from repro.topology.properties import bfs_distances  # local: avoid cycle
+    from repro.topology.properties import next_hops_toward  # local: avoid cycle
 
-    dist = bfs_distances(graph, root)
-    if (dist < 0).any():
+    # Each vertex's parent is its smallest-id neighbor one level closer.
+    par = next_hops_toward(graph, root)
+    if any(p == v != root for v, p in enumerate(par)):
         raise TopologyError("graph is disconnected; no spanning tree")
-    par = list(range(graph.n))
-    # Assign each vertex the smallest-id neighbor one level closer.
-    for v in range(graph.n):
-        if v == root:
-            continue
-        for u in graph.adj[v]:
-            if dist[u] == dist[v] - 1:
-                par[v] = u
-                break
     tree = RootedTree(par, root=root)
     return SpanningTree(graph, tree, label=f"bfs(root={root})")
 

@@ -11,6 +11,7 @@ watchdog must turn hangs into diagnoses instead of round-limit errors.
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from repro import (
     run_arrow,
     run_central_counting,
     run_flood_counting,
+    run_object_directory,
     run_token_mutex,
     star_graph,
 )
@@ -39,10 +41,12 @@ from repro.resilience import (
     ArrowInvariant,
     Checkpoint,
     CountingInvariant,
+    InvariantMonitor,
     TokenInvariant,
 )
 from repro.sim import EventTrace, SynchronousNetwork
 from repro.sim.errors import InvariantViolation, ProtocolViolation, StallDetected
+from repro.topology import next_hops_toward
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -283,6 +287,13 @@ class TestWatchdog:
 # ------------------------------------------------------- checkpoint / restore
 
 
+class _FinalStats(InvariantMonitor):
+    """Keeps a copy of the engine's stats at quiescence."""
+
+    def on_finish(self, net):
+        self.stats = copy.copy(net.stats)
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize(
         "delay_model",
@@ -306,6 +317,45 @@ class TestCheckpoint:
             assert restored.trace.events == t_full.events, (
                 f"resume from round {cp.round} diverged"
             )
+
+    def test_warm_routing_cache_is_shared_not_copied(self, tmp_path):
+        """The directory routes on tables cached on the graph.  A
+        checkpoint shares that immutable graph instead of copying it,
+        resumes exactly, and saves no routing table."""
+
+        def run(graph, checkpointer=None):
+            t, final = EventTrace(), _FinalStats()
+            run_object_directory(
+                graph, bfs_spanning_tree(graph), range(0, 12, 3), trace=t,
+                monitors=MonitorSet(invariants=(final,), checkpointer=checkpointer),
+            )
+            return t.to_json(), final.stats
+
+        ref_trace, ref_stats = run(mesh_graph([3, 4]))
+        g = mesh_graph([3, 4])
+        for dest in g.vertices():
+            next_hops_toward(g, dest)
+        cpr = PeriodicCheckpointer(every=2, keep=50)
+        assert run(g, cpr) == (ref_trace, ref_stats)
+        assert len(cpr.checkpoints) > 2
+        for cp in cpr.checkpoints:
+            net = cp.restore()
+            assert net.node(0).graph is g
+            assert net.resume() == ref_stats
+            assert net.trace.to_json() == ref_trace
+
+        cold = mesh_graph([3, 4])
+        cpr = PeriodicCheckpointer(every=100, keep=1)
+        run(cold, cpr)
+        before = tmp_path / "before.ckpt"
+        cpr.latest().save(before)
+        for dest in cold.vertices():
+            next_hops_toward(cold, dest)
+        after = tmp_path / "after.ckpt"
+        cpr.latest().save(after)
+        assert after.stat().st_size == before.stat().st_size
+        loaded = Checkpoint.load(after).restore()
+        assert "_next_hops" not in vars(loaded.node(0).graph)
 
     def test_restore_twice_is_independent(self):
         cpr = PeriodicCheckpointer(every=4, keep=4)
