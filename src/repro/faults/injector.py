@@ -22,7 +22,7 @@ plan is exactly reproducible.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Container
 
 from repro.faults.plan import FaultPlan
 
@@ -93,6 +93,25 @@ class FaultInjector:
             if c.down(round_):
                 return c.end
         return round_ + 1  # pragma: no cover - callers check crashed() first
+
+    def down_but_recovering(self, round_: int, nodes: Container[int]) -> bool:
+        """Whether some node in ``nodes`` is down in ``round_`` and will recover.
+
+        Equal to ``any(crashed(v, round_) and recovery_round(v, round_) is
+        not None for v in nodes)``, but it looks only at the nodes that
+        have crash windows, so a crash-free plan answers at once.  The
+        watchdog asks this every round to pause its windows.
+        """
+        for node, crashes in self._crashes_by_node.items():
+            if node not in nodes:
+                continue
+            for c in crashes:
+                if c.down(round_):
+                    # recovery_round() answers from the first down window.
+                    if c.end is not None:
+                        return True
+                    break
+        return False
 
     def tick(self, round_: int, stats, trace, metrics=None) -> None:
         """Emit crash/recover boundaries scheduled at or before ``round_``.

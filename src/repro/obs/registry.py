@@ -19,6 +19,8 @@ The registry is deliberately engine-agnostic: :mod:`repro.sim` never
 imports this module, it only calls the small duck-typed surface
 (:meth:`MetricsRegistry.inc`, :meth:`~MetricsRegistry.set_gauge`,
 :meth:`~MetricsRegistry.observe`, :meth:`~MetricsRegistry.sample`).
+``observe`` takes an optional count, so the engine publishes each phase's
+link waits as one call per distinct value.
 """
 
 from __future__ import annotations
@@ -99,11 +101,11 @@ class Histogram:
         self.min: int | float | None = None
         self.max: int | float | None = None
 
-    def observe(self, value: int | float) -> None:
-        """Record one observation."""
-        self.counts[bisect_left(self.buckets, value)] += 1
-        self.count += 1
-        self.total += value
+    def observe(self, value: int | float, n: int = 1) -> None:
+        """Record ``n`` (default 1) observations of ``value``."""
+        self.counts[bisect_left(self.buckets, value)] += n
+        self.count += n
+        self.total += value * n
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
@@ -207,9 +209,13 @@ class MetricsRegistry:
         """Set gauge ``name`` to ``value``."""
         self.gauge(name).set(value)
 
-    def observe(self, name: str, value: int | float) -> None:
-        """Record ``value`` into histogram ``name`` (default buckets)."""
-        self.histogram(name).observe(value)
+    def observe(self, name: str, value: int | float, n: int = 1) -> None:
+        """Record ``value`` ``n`` times into histogram ``name`` (default buckets).
+
+        The count lets a publisher that tallies locally (the engine, once
+        per phase) emit one call per distinct value.
+        """
+        self.histogram(name).observe(value, n)
 
     def sample(self, name: str, t: int, value: int | float) -> None:
         """Append ``(t, value)`` to the time series called ``name``."""

@@ -152,6 +152,24 @@ class ArrowInvariant(InvariantMonitor):
 
     def __init__(self, queue_kind: str = "queue") -> None:
         self.queue_kind = queue_kind
+        #: The network :attr:`_rows` were resolved for (compared by
+        #: identity, so a restored checkpoint's copy re-resolves).
+        self._rows_net: Any = None
+        self._rows: list[tuple[int, Any, frozenset[int]]] = []
+        self._wrapped = False
+
+    def _resolve_rows(self, net: Any) -> list[tuple[int, Any, frozenset[int]]]:
+        """``(v, protocol node, neighbor set)`` per vertex, once per network."""
+        if self._rows_net is not net:
+            rows = []
+            wrapped = False
+            for v in net.node_ids:
+                raw = net.node(v)
+                node = _protocol_node(raw)
+                wrapped = wrapped or node is not raw
+                rows.append((v, node, net.neighbor_set(v)))
+            self._rows_net, self._rows, self._wrapped = net, rows, wrapped
+        return self._rows
 
     def _in_flight_queue_msgs(self, net: Any) -> int:
         links, outboxes = net._queued_messages()
@@ -168,16 +186,12 @@ class ArrowInvariant(InvariantMonitor):
 
     def on_round(self, net: Any) -> None:
         sinks: list[int] = []
-        wrapped = False
         preds: dict[Hashable, tuple[Hashable, int]] = {}
-        for v in net.node_ids:
-            raw = net.node(v)
-            node = _protocol_node(raw)
-            wrapped = wrapped or node is not raw
+        for v, node, nbrs in self._resolve_rows(net):
             link = getattr(node, "link", None)
             if link is None:
                 continue  # non-arrow node (mixed networks)
-            if link != v and link not in net.neighbor_set(v):
+            if link != v and link not in nbrs:
                 self._violate(
                     net, f"node {v}'s arrow points at non-neighbor {link}", (v,)
                 )
@@ -196,7 +210,7 @@ class ArrowInvariant(InvariantMonitor):
                 preds[pred] = (op, v)
         if not sinks:
             self._violate(net, "no node points at itself: the queue tail is lost")
-        if not wrapped:
+        if not self._wrapped:
             q = self._in_flight_queue_msgs(net)
             if len(sinks) != 1 + q:
                 self._violate(

@@ -152,11 +152,15 @@ class SynchronousNetwork:
             :mod:`repro.sim.delays` for the asynchronous extensions.
         trace: optional :class:`EventTrace` to record engine events into.
         metrics: optional :class:`repro.obs.MetricsRegistry` (duck-typed:
-            anything with ``inc``/``set_gauge``/``observe``/``sample``).
+            anything with ``inc``/``set_gauge``/``observe``/``sample``;
+            ``observe`` takes an optional count).
             When attached, the engine publishes message counters, per-op
             completion-delay and link-wait histograms, and per-round
-            in-flight/backlog gauges; when ``None`` (the default) every
-            instrumented call site reduces to one ``is not None`` check,
+            in-flight/backlog gauges.  The dense path publishes message
+            counters, link waits and backlogs from local tallies once per
+            phase or round, even when a handler raises; completions and
+            faults are published per event.  When ``None`` (the default)
+            every instrumented call site reduces to one ``is not None`` check,
             so the run is unobserved at zero cost.  ``RunStats`` stays
             the always-on thin aggregate view; an attached registry
             reproduces it exactly (``metrics.run_stats_view()``).
@@ -246,6 +250,17 @@ class SynchronousNetwork:
         # (see repro.faults.injector.FaultInjector) so the engine never
         # imports the faults package.
         self._injector = faults.injector() if faults is not None else None
+        # ``inj.crashed`` bound once, and only when the plan schedules a
+        # crash: a crash-free plan costs the phases no per-node call.
+        self._crashed = (
+            self._injector.crashed
+            if self._injector is not None and self._injector.has_crashes()
+            else None
+        )
+        #: Last outbox length since ``engine.send_backlog`` was published
+        #: (0: nothing to publish).  With metrics attached the dense path
+        #: publishes the gauge once per round, not per enqueue.
+        self._send_backlog_last = 0
         # Strict-mode send accounting: node -> (round, sends so far).
         self._send_budget: dict[int, tuple[int, int]] = {}
 
@@ -364,31 +379,38 @@ class SynchronousNetwork:
         prof = self.profiler
         mon = self.monitors
         t_run = prof.clock() if prof is not None else 0.0
-        if inj is not None:
-            inj.tick(0, self.stats, self.trace, met)
-        if prof is None:
-            for v in sorted(self._nodes):
-                self._nodes[v].on_start(self._ctx[v])
-        else:
-            t0 = prof.clock()
-            for v in sorted(self._nodes):
-                self._nodes[v].on_start(self._ctx[v])
-            prof.add("node.on_start", prof.clock() - t0)
-        if prof is None:
-            send_phase()
-        else:
-            t0 = prof.clock()
-            send_phase()
-            prof.add("send", prof.clock() - t0)
-        if mon is not None:
+        try:
+            if inj is not None:
+                inj.tick(0, self.stats, self.trace, met)
             if prof is None:
-                mon.on_round(self)
+                for v in sorted(self._nodes):
+                    self._nodes[v].on_start(self._ctx[v])
             else:
                 t0 = prof.clock()
-                mon.on_round(self)
-                prof.add("monitors", prof.clock() - t0)
+                for v in sorted(self._nodes):
+                    self._nodes[v].on_start(self._ctx[v])
+                prof.add("node.on_start", prof.clock() - t0)
+            if prof is None:
+                send_phase()
+            else:
+                t0 = prof.clock()
+                send_phase()
+                prof.add("send", prof.clock() - t0)
+            if met is not None:
+                self._publish_send_backlog(met)
+            if mon is not None:
+                if prof is None:
+                    mon.on_round(self)
+                else:
+                    t0 = prof.clock()
+                    mon.on_round(self)
+                    prof.add("monitors", prof.clock() - t0)
 
-        return self._loop(max_rounds, t_run)
+            return self._loop(max_rounds, t_run)
+        finally:
+            if met is not None:
+                # A handler raised mid-round: publish what it enqueued.
+                self._publish_send_backlog(met)
 
     def resume(self, max_rounds: int = 1_000_000) -> RunStats:
         """Continue a started network to quiescence.
@@ -409,7 +431,11 @@ class SynchronousNetwork:
             )
         prof = self.profiler
         t_run = prof.clock() if prof is not None else 0.0
-        return self._loop(max_rounds, t_run)
+        try:
+            return self._loop(max_rounds, t_run)
+        finally:
+            if self.metrics is not None:
+                self._publish_send_backlog(self.metrics)
 
     def _select_phases(self):
         """(receive, send, maybe_jump) phase callables for this path."""
@@ -467,6 +493,7 @@ class SynchronousNetwork:
                 send_phase()
                 prof.add("send", prof.clock() - t0)
             if met is not None:
+                self._publish_send_backlog(met)
                 met.set_gauge("engine.in_flight", self._in_flight)
                 met.sample("engine.in_flight", self.now, self._in_flight)
             if mon is not None:
@@ -579,10 +606,23 @@ class SynchronousNetwork:
         if backlog > stats.max_send_backlog:
             stats.max_send_backlog = backlog
         if self.metrics is not None:
-            self.metrics.set_gauge("engine.send_backlog", backlog)
+            self._send_backlog_last = backlog
         if self.trace is not None:
             self.trace.record("enqueue", self.now, src=src, dst=dst, kind=kind)
         return msg
+
+    def _publish_send_backlog(self, met: Any) -> None:
+        """Publish ``engine.send_backlog`` for the enqueues since the last call.
+
+        Two gauge writes, the run's peak and then the last outbox length,
+        leave the gauge's ``high`` and ``value`` exactly where one write
+        per enqueue would have.
+        """
+        last = self._send_backlog_last
+        if last:
+            met.set_gauge("engine.send_backlog", self.stats.max_send_backlog)
+            met.set_gauge("engine.send_backlog", last)
+            self._send_backlog_last = 0
 
     def _schedule_wakeup(self, node_id: int, round_: int) -> None:
         if round_ <= self.now:
@@ -625,12 +665,12 @@ class SynchronousNetwork:
                     due = self._wakeups.pop(nxt)
             if not due:
                 return
-        inj = self._injector
+        crashed = self._crashed
         for v in sorted(set(due)):
-            if inj is not None and inj.crashed(v, self.now):
+            if crashed is not None and crashed(v, self.now):
                 # Crashed nodes do not act; their wakeups fire at recovery
                 # (and are dropped for a permanent crash).
-                rec = inj.recovery_round(v, self.now)
+                rec = self._injector.recovery_round(v, self.now)
                 if rec is not None:
                     deferred = self._wakeups.get(rec)
                     if deferred is None:
@@ -809,18 +849,19 @@ class SynchronousNetwork:
 
     # ------------------------------------------------------ dense fast path
     #
-    # Mirror images of the generic phases over flat arrays.  Every
-    # externally visible effect (delivery order, stats totals, metrics
-    # calls, trace events) happens at the same point in the same order as
+    # Mirror images of the generic phases over flat arrays.  Delivery
+    # order and trace events happen at the same point in the same order as
     # the generic path — the equivalence suite diffs full event traces to
-    # keep it that way.
+    # keep it that way.  Stats and engine metrics are tallied locally and
+    # folded once per phase; the registry documents of both paths are
+    # equal (tests/test_obs.py::TestPerPhasePublishing).
 
     def _receive_phase_dense(self) -> None:
         active = self._recv_active
         if not active:
             return
         t = self.now
-        inj = self._injector
+        crashed = self._crashed
         met = self.metrics
         prof = self.profiler
         trace = self.trace
@@ -837,58 +878,67 @@ class SynchronousNetwork:
         active.clear()
         delivered = 0
         wait_total = 0
-        for v in order:
-            flags[v] = 0
-            heap = rheaps[v]
-            if inj is not None and inj.crashed(v, t):
-                # Crashed receiver: messages wait on their links.
+        # link wait -> deliveries this phase (only with metrics attached).
+        waits: dict[int, int] = {}
+        try:
+            for v in order:
+                flags[v] = 0
+                heap = rheaps[v]
+                if crashed is not None and crashed(v, t):
+                    # Crashed receiver: messages wait on their links.
+                    if heap:
+                        flags[v] = 1
+                        active.append(v)
+                    continue
+                node = nodes[v]
+                ctx = ctxs[v]
+                links_v = in_links[v]
+                budget = cap
+                while budget and heap:
+                    head = heap[0]
+                    if head[0] > t:
+                        break  # still traversing its link
+                    heappop(heap)
+                    src = head[2]
+                    q = links_v[src]
+                    msg = q.popleft()
+                    if q:
+                        nxt = q[0]
+                        ra = nxt.ready_at
+                        if ra <= t:
+                            ra = t + 1
+                        heappush(heap, (ra, nxt.seq, src))
+                    msg.delivered_at = t
+                    budget -= 1
+                    delivered += 1
+                    wait = t - msg.ready_at
+                    wait_total += wait
+                    if met is not None:
+                        waits[wait] = waits.get(wait, 0) + 1
+                    if trace is not None:
+                        trace.record("deliver", t, src=src, dst=v, kind=msg.kind, wait=wait)
+                    if prof is None:
+                        node.on_receive(msg, ctx)
+                    else:
+                        t0 = prof.clock()
+                        node.on_receive(msg, ctx)
+                        prof.add("node.on_receive", prof.clock() - t0)
                 if heap:
+                    if strict and heap[0][0] <= t:
+                        raise StrictModeViolation(v, t, "receive", cap)
                     flags[v] = 1
                     active.append(v)
-                continue
-            node = nodes[v]
-            ctx = ctxs[v]
-            links_v = in_links[v]
-            budget = cap
-            while budget and heap:
-                head = heap[0]
-                if head[0] > t:
-                    break  # still traversing its link
-                heappop(heap)
-                src = head[2]
-                q = links_v[src]
-                msg = q.popleft()
-                if q:
-                    nxt = q[0]
-                    ra = nxt.ready_at
-                    if ra <= t:
-                        ra = t + 1
-                    heappush(heap, (ra, nxt.seq, src))
-                msg.delivered_at = t
-                budget -= 1
-                delivered += 1
-                wait = t - msg.ready_at
-                wait_total += wait
-                if met is not None:
-                    met.inc("engine.messages_delivered")
-                    met.inc("engine.link_wait_total", wait)
-                    met.observe("msg.link_wait", wait)
-                if trace is not None:
-                    trace.record("deliver", t, src=src, dst=v, kind=msg.kind, wait=wait)
-                if prof is None:
-                    node.on_receive(msg, ctx)
-                else:
-                    t0 = prof.clock()
-                    node.on_receive(msg, ctx)
-                    prof.add("node.on_receive", prof.clock() - t0)
-            if heap:
-                if strict and heap[0][0] <= t:
-                    raise StrictModeViolation(v, t, "receive", cap)
-                flags[v] = 1
-                active.append(v)
-        self._in_flight -= delivered
-        self.stats.messages_delivered += delivered
-        self.stats.total_link_wait += wait_total
+        finally:
+            # Folded even when a handler raised, so stats and metrics
+            # count every delivery made, the raising one included.
+            self._in_flight -= delivered
+            self.stats.messages_delivered += delivered
+            self.stats.total_link_wait += wait_total
+            if met is not None and delivered:
+                met.inc("engine.messages_delivered", delivered)
+                met.inc("engine.link_wait_total", wait_total)
+                for wait, n in waits.items():
+                    met.observe("msg.link_wait", wait, n)
 
     def _send_phase_dense(self) -> None:
         active = self._send_active
@@ -896,6 +946,7 @@ class SynchronousNetwork:
             return
         t = self.now
         inj = self._injector
+        crashed = self._crashed
         met = self.metrics
         trace = self.trace
         cap = self.send_capacity
@@ -913,106 +964,103 @@ class SynchronousNetwork:
         active.clear()
         sent = 0
         moved = 0
+        lq = 0
         max_backlog = stats.max_recv_backlog
-        for u in order:
-            flags[u] = 0
-            box = outboxes[u]
-            if inj is not None and inj.crashed(u, t):
-                # Crashed sender: outbox frozen until recovery.
-                flags[u] = 1
-                active.append(u)
-                continue
-            for _ in range(cap if cap < len(box) else len(box)):
-                msg = box.popleft()
-                moved += 1
-                msg.sent_at = t
-                if inj is not None:
-                    verdict = inj.on_link_entry(msg, t)
-                    if verdict in ("drop", "outage"):
-                        # Lost on the wire: the send slot is consumed but
-                        # the message never enters the link.
-                        self._in_flight -= 1
-                        stats.messages_dropped += 1
-                        if met is not None:
-                            met.inc("engine.messages_dropped")
-                        if trace is not None:
-                            trace.record(
-                                "drop", t, src=u, dst=msg.dst, kind=msg.kind,
-                                reason=verdict,
-                            )
-                        continue
-                else:
-                    verdict = None
-                # Inlined link entry (the hot path).
-                dst = msg.dst
-                msg.ready_at = t + 1 if unit else t + delay_model(msg)
-                links_d = in_links[dst]
-                q = links_d.get(u)
-                if q is None:
-                    q = links_d[u] = deque()
-                q.append(msg)
-                lq = len(q)
-                if lq > max_backlog:
-                    max_backlog = lq
-                if lq == 1:
-                    heappush(rheaps[dst], (msg.ready_at, msg.seq, u))
-                    if not recv_flag[dst]:
-                        recv_flag[dst] = 1
-                        recv_active.append(dst)
-                sent += 1
-                if met is not None:
-                    met.inc("engine.messages_sent")
-                    met.set_gauge("engine.recv_backlog", lq)
-                if trace is not None:
-                    trace.record("send", t, src=u, dst=dst, kind=msg.kind)
-                if verdict == "duplicate":
-                    clone = Message(
-                        src=msg.src, dst=dst, kind=msg.kind,
-                        payload=msg.payload, seq=self._msg_seq,
-                    )
-                    self._msg_seq += 1
-                    clone.sent_at = t
-                    self._in_flight += 1
-                    stats.messages_duplicated += 1
-                    if met is not None:
-                        met.inc("engine.messages_duplicated")
-                    # Duplicate copies take the non-inlined tail so the
-                    # stats/metrics ordering matches the generic path.
-                    stats.max_recv_backlog = max_backlog
-                    stats.messages_sent += sent
-                    sent = 0
-                    self._link_entry_dense(clone, u, t)
-                    max_backlog = stats.max_recv_backlog
+        try:
+            for u in order:
+                flags[u] = 0
+                box = outboxes[u]
+                if crashed is not None and crashed(u, t):
+                    # Crashed sender: outbox frozen until recovery.
+                    flags[u] = 1
+                    active.append(u)
+                    continue
+                for _ in range(cap if cap < len(box) else len(box)):
+                    msg = box.popleft()
+                    moved += 1
+                    msg.sent_at = t
+                    if inj is not None:
+                        verdict = inj.on_link_entry(msg, t)
+                        if verdict in ("drop", "outage"):
+                            # Lost on the wire: the send slot is consumed but
+                            # the message never enters the link.
+                            self._in_flight -= 1
+                            stats.messages_dropped += 1
+                            if met is not None:
+                                met.inc("engine.messages_dropped")
+                            if trace is not None:
+                                trace.record(
+                                    "drop", t, src=u, dst=msg.dst, kind=msg.kind,
+                                    reason=verdict,
+                                )
+                            continue
+                    else:
+                        verdict = None
+                    # Inlined link entry (the hot path).
+                    dst = msg.dst
+                    msg.ready_at = t + 1 if unit else t + delay_model(msg)
+                    links_d = in_links[dst]
+                    q = links_d.get(u)
+                    if q is None:
+                        q = links_d[u] = deque()
+                    q.append(msg)
+                    lq = len(q)
+                    if lq > max_backlog:
+                        max_backlog = lq
+                    if lq == 1:
+                        heappush(rheaps[dst], (msg.ready_at, msg.seq, u))
+                        if not recv_flag[dst]:
+                            recv_flag[dst] = 1
+                            recv_active.append(dst)
+                    sent += 1
                     if trace is not None:
-                        trace.record("duplicate", t, src=u, dst=dst, kind=msg.kind)
-            if box:
-                flags[u] = 1
-                active.append(u)
-        stats.max_recv_backlog = max_backlog
-        stats.messages_sent += sent
-        self._outbox_pending -= moved
+                        trace.record("send", t, src=u, dst=dst, kind=msg.kind)
+                    if verdict == "duplicate":
+                        clone = Message(
+                            src=msg.src, dst=dst, kind=msg.kind,
+                            payload=msg.payload, seq=self._msg_seq,
+                        )
+                        self._msg_seq += 1
+                        clone.sent_at = t
+                        self._in_flight += 1
+                        stats.messages_duplicated += 1
+                        if met is not None:
+                            met.inc("engine.messages_duplicated")
+                        lq = self._link_entry_dense(clone, u, t)
+                        if lq > max_backlog:
+                            max_backlog = lq
+                        sent += 1
+                        if trace is not None:
+                            trace.record("send", t, src=u, dst=dst, kind=msg.kind)
+                            trace.record("duplicate", t, src=u, dst=dst, kind=msg.kind)
+                if box:
+                    flags[u] = 1
+                    active.append(u)
+        finally:
+            stats.max_recv_backlog = max_backlog
+            stats.messages_sent += sent
+            self._outbox_pending -= moved
+            if met is not None and sent:
+                met.inc("engine.messages_sent", sent)
+                # The run's peak, then the last link length: the gauge's
+                # high and value as one write per link entry leaves them.
+                met.set_gauge("engine.recv_backlog", max_backlog)
+                met.set_gauge("engine.recv_backlog", lq)
 
-    def _link_entry_dense(self, msg: Message, u: int, t: int) -> None:
-        """Dense-path link entry for the rare (fault duplicate) tail."""
+    def _link_entry_dense(self, msg: Message, u: int, t: int) -> int:
+        """Place a fault duplicate on its link; return the link's length."""
         msg.ready_at = t + self.delay_model(msg)
         links_d = self._in_links[msg.dst]
         q = links_d.get(u)
         if q is None:
             q = links_d[u] = deque()
         q.append(msg)
-        if len(q) > self.stats.max_recv_backlog:
-            self.stats.max_recv_backlog = len(q)
         if len(q) == 1:
             heapq.heappush(self._rheaps[msg.dst], (msg.ready_at, msg.seq, u))
             if not self._recv_flag[msg.dst]:
                 self._recv_flag[msg.dst] = 1
                 self._recv_active.append(msg.dst)
-        self.stats.messages_sent += 1
-        if self.metrics is not None:
-            self.metrics.inc("engine.messages_sent")
-            self.metrics.set_gauge("engine.recv_backlog", len(q))
-        if self.trace is not None:
-            self.trace.record("send", t, src=u, dst=msg.dst, kind=msg.kind)
+        return len(q)
 
 
 def run_protocol(

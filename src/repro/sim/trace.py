@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 
 @dataclass(slots=True, frozen=True)
@@ -33,10 +33,19 @@ class TraceEvent:
 
 
 class EventTrace:
-    """An append-only list of :class:`TraceEvent` with query helpers."""
+    """An append-only event log with query helpers.
+
+    :meth:`record` appends ``event, round_, data`` to one flat list.  The
+    garbage collector never walks it: the list holds only strings, ints
+    and kwargs dicts of atoms, which CPython leaves untracked, so a long
+    trace adds no work to collection passes.  :attr:`events` builds the
+    frozen :class:`TraceEvent` objects on read, incrementally, and caches
+    them, so an event read twice is the same object.
+    """
 
     def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
+        self._log: list[Any] = []
+        self._events: list[TraceEvent] = []
 
     def record(self, event: str, round_: int, **data: Any) -> None:
         """Append one event (called by the engine).
@@ -44,10 +53,29 @@ class EventTrace:
         ``event`` is the engine event type; ``data`` may carry a ``kind``
         key for the *message* kind without colliding.
         """
-        self.events.append(TraceEvent(event, round_, data))
+        self._log.extend((event, round_, data))
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """Every recorded event, in order.
+
+        The list is the trace's own cache: events recorded since the last
+        read are appended to it, earlier ones keep their identity.
+        """
+        events = self._events
+        log = self._log
+        i = 3 * len(events)
+        if i < len(log):
+            events.extend(map(TraceEvent, log[i::3], log[i + 1 :: 3], log[i + 2 :: 3]))
+        return events
+
+    @events.setter
+    def events(self, value: Iterable[TraceEvent]) -> None:
+        self._events = list(value)
+        self._log = [f for e in self._events for f in (e.kind, e.round, e.data)]
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._log) // 3
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
@@ -91,8 +119,10 @@ class EventTrace:
                 return {k: enc(v) for k, v in value.items()}
             return value
 
+        log = self._log
+        rows = zip(log[0::3], log[1::3], log[2::3])
         return json.dumps(
-            [[e.kind, e.round, enc(e.data)] for e in self.events],
+            [[kind, round_, enc(data)] for kind, round_, data in rows],
             separators=(",", ":"),
         )
 
@@ -124,7 +154,7 @@ class EventTrace:
 
     def last_round(self) -> int:
         """The latest round any event was recorded in (0 when empty)."""
-        return max((e.round for e in self.events), default=0)
+        return max(self._log[1::3], default=0)
 
     def deliveries_per_node_round(self) -> Counter[tuple[int, int]]:
         """Counter ``(node, round) -> deliveries`` for capacity checks."""

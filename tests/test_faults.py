@@ -9,6 +9,8 @@ dedup/retry behaviour including budget exhaustion.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     FaultPlan,
@@ -186,6 +188,45 @@ class TestFaultInjector:
         assert inj.crashed(3, 10**6)  # second, permanent window
         assert inj.recovery_round(3, 6) == 9
         assert inj.recovery_round(3, 25) is None
+
+    def test_down_but_recovering_pinned_cases(self):
+        # Permanent window listed first: recovery_round() answers None
+        # while both windows are down, so the node does not count.
+        inj = FaultPlan(crashes=(NodeCrash(2, 5, None), NodeCrash(2, 3, 10))).injector()
+        assert [inj.down_but_recovering(t, range(4)) for t in (2, 3, 4, 5, 12)] == [
+            False, True, True, False, False,
+        ]
+        assert not inj.down_but_recovering(4, {0, 1})  # node 2 outside the graph
+        assert not FaultPlan(drop_rate=0.1).injector().down_but_recovering(0, range(4))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        windows=st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.integers(0, 12),
+                st.one_of(st.none(), st.integers(1, 8)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        n=st.integers(1, 6),
+    )
+    def test_down_but_recovering_equals_per_node_scan(self, windows, n):
+        """Overlapping, permanent-plus-finite and out-of-graph windows: the
+        query equals the watchdog's former scan over every node."""
+        crashes = tuple(
+            NodeCrash(v, start, None if length is None else start + length)
+            for v, start, length in windows
+        )
+        inj = FaultPlan(crashes=crashes).injector()
+        nodes = range(n)
+        for t in range(0, 25):
+            old = any(
+                inj.crashed(v, t) and inj.recovery_round(v, t) is not None
+                for v in nodes
+            )
+            assert inj.down_but_recovering(t, nodes) == old, (t, crashes)
 
     def test_tick_emits_boundaries_with_scheduled_round(self):
         inj = FaultPlan(crashes=(NodeCrash(1, 2, 6),)).injector()

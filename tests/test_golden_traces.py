@@ -134,6 +134,69 @@ def _case_arrow_perfetto() -> Any:
     return _canonical(chrome_trace(tr, label="arrow path-8"))
 
 
+def _observed_metrics(run: Any, expected: int, invariant: Any) -> Any:
+    """``registry.to_dict()`` of one run with every hook attached.
+
+    The run gets a registry, an event trace and a monitor set (the
+    invariant plus a watchdog publishing into the same registry), as
+    ``repro trace`` and ``repro chaos`` attach them.  Pins the metric
+    names, values, gauge highs, histogram buckets and per-round series.
+    """
+    from repro.obs import MetricsRegistry
+    from repro.resilience import MonitorSet, Watchdog
+
+    reg = MetricsRegistry()
+    monitors = MonitorSet(
+        invariants=(invariant,),
+        watchdog=Watchdog(expected_completions=expected),
+        metrics=reg,
+    )
+    run(metrics=reg, trace=EventTrace(), monitors=monitors)
+    return _canonical(reg.to_dict())
+
+
+def _case_metrics_flood_path() -> Any:
+    from repro.resilience import CountingInvariant
+
+    g = path_graph(16)
+    return _observed_metrics(
+        lambda **hooks: run_flood_counting(g, range(16), **hooks),
+        16, CountingInvariant(expected=16),
+    )
+
+
+def _case_metrics_flood_ft_ring() -> Any:
+    from repro.faults import FaultPlan, NodeCrash, run_flood_counting_ft
+    from repro.resilience import CountingInvariant
+    from repro.topology import ring_graph
+
+    plan = FaultPlan(
+        seed=11, drop_rate=0.1, duplicate_rate=0.05, max_consecutive_drops=2,
+        crashes=(NodeCrash(node=5, start=3, end=12),),
+    )
+    g = ring_graph(16)
+    reqs = [0, 2, 3, 5, 8, 9, 12, 15]
+    return _observed_metrics(
+        lambda **hooks: run_flood_counting_ft(g, reqs, plan, **hooks),
+        len(reqs), CountingInvariant(expected=len(reqs)),
+    )
+
+
+def _case_metrics_arrow_ft_path() -> Any:
+    from repro.faults import FaultPlan, run_arrow_ft
+    from repro.resilience import ArrowInvariant
+
+    plan = FaultPlan(
+        seed=7, drop_rate=0.08, duplicate_rate=0.04, max_consecutive_drops=2
+    )
+    tree = path_spanning_tree(path_graph(64))
+    reqs = list(range(0, 64, 3))
+    return _observed_metrics(
+        lambda **hooks: run_arrow_ft(tree, reqs, plan, **hooks),
+        len(reqs), ArrowInvariant(),
+    )
+
+
 CASES = {
     "arrow": _case_arrow,
     "central_counting": _case_central_counting,
@@ -144,6 +207,9 @@ CASES = {
     "periodic": _case_periodic,
     "sweep": _case_sweep,
     "arrow_perfetto": _case_arrow_perfetto,
+    "metrics_flood_path": _case_metrics_flood_path,
+    "metrics_flood_ft_ring": _case_metrics_flood_ft_ring,
+    "metrics_arrow_ft_path": _case_metrics_arrow_ft_path,
 }
 
 

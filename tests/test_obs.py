@@ -19,6 +19,7 @@ from repro import (
     path_graph,
     path_spanning_tree,
     run_arrow,
+    run_central_counting,
     run_flood_counting,
     star_graph,
 )
@@ -126,6 +127,18 @@ class TestHistogram:
         h = Histogram("h", buckets=(1, 2))
         h.observe(100)
         assert h.percentile(0.9) == 100  # overflow bucket reports the max
+
+    def test_observe_count_equals_repeated_observes(self):
+        once, each = Histogram("h"), Histogram("h")
+        once.observe(3, 4)
+        once.observe(0, 2)
+        for v in (3, 3, 3, 3, 0, 0):
+            each.observe(v)
+        assert once.to_dict() == each.to_dict()
+        reg = MetricsRegistry()
+        reg.observe("w", 5, 3)
+        reg.observe("w", 9)
+        assert (reg.histograms["w"].count, reg.histograms["w"].total) == (4, 24)
 
 
 def _arrow_trace(n: int = 6) -> EventTrace:
@@ -260,6 +273,89 @@ class TestEngineInstrumentation:
         assert c["reliable.retransmits"].value > 0
         assert reg.series["faults.crash"] == [(2, 0)]
         assert reg.run_stats_view() == res.stats
+
+
+class TestPerPhasePublishing:
+    """The dense engine publishes its tallies once per phase (or round)."""
+
+    def test_counters_exact_after_a_raised_run(self, monkeypatch):
+        """A monitor raising inside ``on_receive`` leaves ``stats`` and the
+        registry equal, both counting every ``on_receive`` call made."""
+        import repro.counting.central as central_mod
+        from repro.resilience import CountingInvariant, InvariantMonitor, MonitorSet
+        from repro.sim.errors import InvariantViolation
+
+        received = []
+
+        class DupRank(central_mod._CentralNode):
+            def on_receive(self, msg, ctx):
+                received.append(msg)
+                super().on_receive(msg, ctx)
+
+            def _serve(self, origin, path, ctx):
+                self.counter += 1
+                value = min(self.counter, 2)  # ranks collide at 2
+                if origin == self.node_id:
+                    ctx.complete(origin, result=value)
+                else:
+                    ctx.send(path[0], "reply", payload=(origin, path[1:], value))
+
+        class Grab(InvariantMonitor):
+            def on_round(self, net):
+                self.net = net
+
+        monkeypatch.setattr(central_mod, "_CentralNode", DupRank)
+        grab, reg = Grab(), MetricsRegistry()
+        mon = MonitorSet(invariants=(grab, CountingInvariant(expected=5)))
+        with pytest.raises(InvariantViolation):
+            run_central_counting(star_graph(5), range(5), monitors=mon, metrics=reg)
+        stats = grab.net.stats
+        assert stats.messages_delivered == len(received) > 0
+        assert stats.total_link_wait == sum(m.link_wait() for m in received) > 0
+        assert reg.run_stats_view() == stats
+        assert reg.histograms["msg.link_wait"].count == len(received)
+
+    def test_send_backlog_published_when_start_raises(self):
+        from repro.sim import Node, SynchronousNetwork
+
+        class Burst(Node):
+            def on_start(self, ctx):
+                if self.node_id == 1:
+                    for _ in range(3):
+                        ctx.send(0, "x")
+                    raise RuntimeError("boom")
+
+        reg = MetricsRegistry()
+        net = SynchronousNetwork(
+            path_graph(2), {v: Burst(v) for v in range(2)}, metrics=reg
+        )
+        with pytest.raises(RuntimeError):
+            net.run()
+        assert net.stats.max_send_backlog == 3
+        assert reg.gauges["engine.send_backlog"].to_dict() == {"value": 3, "high": 3}
+        assert reg.run_stats_view() == net.stats
+
+    @pytest.mark.parametrize("crash", [False, True])
+    def test_generic_path_registry_equals_dense(self, crash):
+        """The generic fallback still publishes per message; its registry
+        document equals the dense path's per-phase one."""
+        from repro.faults import FaultPlan, NodeCrash, run_flood_counting_ft
+        from repro.sim.network import engine_fast_path
+        from repro.topology import ring_graph
+
+        plan = FaultPlan(
+            seed=4, drop_rate=0.1, duplicate_rate=0.1, max_consecutive_drops=2,
+            crashes=(NodeCrash(3, 2, 9),) if crash else (),
+        )
+        docs = []
+        for fast in (True, False):
+            reg = MetricsRegistry()
+            with engine_fast_path(fast):
+                res = run_flood_counting_ft(ring_graph(10), range(0, 10, 2), plan, metrics=reg)
+            assert reg.run_stats_view() == res.stats
+            docs.append(reg.to_dict())
+        assert docs[0] == docs[1]
+        assert docs[0]["counters"]["engine.messages_duplicated"] > 0
 
 
 class TestProfiler:

@@ -162,6 +162,39 @@ class TestArrowInvariant:
         r = run_arrow(path_spanning_tree(path_graph(8)), range(8), monitors=mon)
         assert sorted(r.order()) == list(range(8))
 
+    def test_rows_resolved_per_network(self):
+        """A non-neighbor link planted in a restored checkpoint's network
+        is caught by the invariant that already checked the original."""
+        inv = ArrowInvariant()
+        cpr = PeriodicCheckpointer(every=1, keep=50)
+        run_arrow(
+            path_spanning_tree(path_graph(8)), range(8),
+            monitors=MonitorSet(invariants=(inv,), checkpointer=cpr),
+        )
+        restored = cpr.checkpoints[-1].restore()
+        inv.on_round(restored)  # the captured state is healthy
+        restored.node(5).link = 0  # path neighbors of 5 are 4 and 6
+        with pytest.raises(InvariantViolation, match="non-neighbor 0"):
+            inv.on_round(restored)
+
+    def test_nodes_without_link_are_skipped(self):
+        from repro.sim import Node
+
+        class Plain(Node):
+            pass
+
+        nodes = {0: ArrowNode(0, link=0, requesting=False),
+                 1: ArrowNode(1, link=0, requesting=False),
+                 2: Plain(2), 3: Plain(3)}
+        inv = ArrowInvariant()
+        net = SynchronousNetwork(path_graph(4), nodes, monitors=MonitorSet(invariants=(inv,)))
+        net.run()
+        nodes[1].link = None  # a link that is unset this round is skipped too
+        inv.on_round(net)
+        nodes[1].link = 3
+        with pytest.raises(InvariantViolation, match="non-neighbor 3"):
+            inv.on_round(net)
+
 
 class TestTokenInvariant:
     def test_duplicated_token_caught(self, monkeypatch):

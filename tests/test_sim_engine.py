@@ -13,6 +13,7 @@ from repro.sim import (
     RoundLimitExceeded,
     SynchronousNetwork,
 )
+from repro.sim.trace import TraceEvent
 from repro.topology import complete_graph, path_graph, star_graph
 
 
@@ -394,3 +395,101 @@ class TestTraceSliceAndJson:
         back = EventTrace.from_json(tr.to_json())
         assert back.events == tr.events
         assert back.events[0].data["payload"][0] == ("op", 2)
+
+
+class TestFlatTraceLog:
+    """EventTrace stores a flat log and builds TraceEvents on read."""
+
+    @staticmethod
+    def _record(tr: EventTrace, n: int, start: int = 0) -> None:
+        for i in range(start, start + n):
+            tr.record("deliver", i, src=i % 7, dst=(i + 1) % 7, kind="msg", wait=0)
+
+    def test_atom_only_records_add_no_tracked_objects(self):
+        import gc
+
+        tr = EventTrace()
+        self._record(tr, 10)  # the log list exists and has grown once
+        gc.collect()
+        before = len(gc.get_objects())
+        self._record(tr, 10_000, start=10)
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+        assert len(tr) == 10_010
+        assert grown < 100, f"{grown} new GC-tracked objects for 10k events"
+
+    def test_events_are_built_incrementally_and_keep_identity(self):
+        tr = EventTrace()
+        self._record(tr, 5)
+        first = tr.events
+        kept = list(first)
+        self._record(tr, 3, start=5)
+        again = tr.events
+        assert [e.round for e in again] == list(range(8))
+        assert all(a is b for a, b in zip(kept, again))
+        assert again[0] == TraceEvent("deliver", 0, {"src": 0, "dst": 1, "kind": "msg", "wait": 0})
+
+    def test_len_and_iteration(self):
+        tr = EventTrace()
+        assert len(tr) == 0 and list(tr) == []
+        self._record(tr, 4)
+        assert len(tr) == 4
+        assert list(tr) == tr.events
+        assert tr.last_round() == 3
+
+    def test_slice_shares_events_built_on_read(self):
+        tr = EventTrace()
+        self._record(tr, 6)
+        window = tr.slice(2, 3)
+        assert len(window) == 2
+        assert window.events[0] is tr.events[2]
+        assert window.events[1] is tr.events[3]
+
+    def test_json_round_trip_with_tuple_op_ids(self):
+        tr = EventTrace()
+        tr.record("complete", 4, node=1, op=("op", 1))
+        tr.record("deliver", 5, src=0, dst=1, kind="queue", payload=[("op", 2), 3])
+        text = tr.to_json()
+        back = EventTrace.from_json(text)
+        assert back.events == tr.events
+        assert back.events[0].data["op"] == ("op", 1)
+        assert back.to_json() == text
+        back.record("complete", 6, node=2, op=("op", 3))
+        assert len(back) == 3 and back.events[-1].round == 6
+
+    def test_events_setter_replaces_the_log(self):
+        tr = EventTrace()
+        self._record(tr, 3)
+        events = [TraceEvent("crash", 9, {"node": 4})]
+        tr.events = events
+        assert len(tr) == 1
+        assert tr.events[0] is events[0]
+        assert tr.to_json() == '[["crash",9,{"node":4}]]'
+        tr.record("recover", 12, node=4)
+        assert [e.kind for e in tr] == ["crash", "recover"]
+
+    def test_checkpoint_copies_a_partly_read_trace(self):
+        """A trace read mid-run, deep-copied by a checkpoint, resumes to
+        the uninterrupted run's JSON."""
+        from repro import MonitorSet, PeriodicCheckpointer, run_central_counting
+        from repro.resilience import InvariantMonitor
+
+        class ReadsTrace(InvariantMonitor):
+            def on_round(self, net):
+                net.trace.events  # builds the cache the checkpoint copies
+
+        full = EventTrace()
+        run_central_counting(star_graph(8), range(8), trace=full)
+        cpr = PeriodicCheckpointer(every=3, keep=20)
+        tr = EventTrace()
+        run_central_counting(
+            star_graph(8), range(8), trace=tr,
+            monitors=MonitorSet(invariants=(ReadsTrace(),), checkpointer=cpr),
+        )
+        assert tr.to_json() == full.to_json()
+        assert len(cpr.checkpoints) > 2
+        for cp in cpr.checkpoints:
+            net = cp.restore()
+            net.resume()
+            assert net.trace.to_json() == full.to_json()
+            assert net.trace.events == full.events
