@@ -83,18 +83,6 @@ class _FloodNode(Node):
 
     # -- helpers ---------------------------------------------------------
 
-    def _needy_neighbor(self, ctx: NodeContext) -> int | None:
-        nbrs = self.nbrs
-        k = len(nbrs)
-        size = len(self.bits)
-        sent = self.sent_size
-        for off in range(k):
-            u = nbrs[(self.rr + off) % k]
-            if sent.get(u, 0) < size:
-                self.rr = (self.rr + off + 1) % k
-                return u
-        return None
-
     def _maybe_complete(self, ctx: NodeContext) -> None:
         if self.done or not self.requesting:
             return
@@ -105,15 +93,35 @@ class _FloodNode(Node):
             ctx.complete(self.node_id, result=rank)
 
     def _gossip_step(self, ctx: NodeContext) -> None:
-        u = self._needy_neighbor(ctx)
-        if u is not None:
-            sent = self.sent_size.get(u, 0)
-            self.sent_size[u] = len(self.bits)
-            ctx.send(u, "gossip", payload=self.order[sent:])
-        if self._needy_neighbor_exists(ctx):
-            if not self.wake_pending:
-                self.wake_pending = True
-                ctx.schedule_wakeup(ctx.now + 1)
+        """Send to the next needy neighbor in cyclic order from ``rr``.
+
+        One scan finds that neighbor and whether a second one exists.
+        After the send the first is up to date and the neighbors before
+        it were already, so "a second needy neighbor" is exactly "some
+        neighbor is still needy": gossip again next round.
+        """
+        nbrs = self.nbrs
+        k = len(nbrs)
+        size = len(self.order)
+        sent = self.sent_size
+        rr = self.rr
+        target = None
+        more = False
+        for off in range(k):
+            u = nbrs[(rr + off) % k]
+            if sent.get(u, 0) < size:
+                if target is not None:
+                    more = True
+                    break
+                target = u
+                self.rr = (rr + off + 1) % k
+        if target is not None:
+            start = sent.get(target, 0)
+            sent[target] = size
+            ctx.send(target, "gossip", payload=self.order[start:])
+        if more and not self.wake_pending:
+            self.wake_pending = True
+            ctx.schedule_wakeup(ctx.now + 1)
 
     def _needy_neighbor_exists(self, ctx: NodeContext) -> bool:
         size = len(self.bits)
@@ -142,10 +150,13 @@ class _FloodNode(Node):
         order = self.order
         my_id = self.node_id
         below = self.below_known
-        for u, b in msg.payload:
+        for pair in msg.payload:
+            # Append the sender's pair object itself: a run allocates one
+            # (vertex, bit) pair per vertex, not one per node that learns it.
+            u = pair[0]
             if u not in bits:
-                bits[u] = b
-                order.append((u, b))
+                bits[u] = pair[1]
+                order.append(pair)
                 if u < my_id:
                     below += 1
         self.below_known = below

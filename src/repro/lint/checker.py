@@ -41,7 +41,8 @@ from repro.lint.rules import Finding
 
 #: Engine attributes protocol code must never touch, even via ``self``.
 _ENGINE_ONLY_ATTRS = frozenset(
-    {"_network", "_enqueue_send", "_record_completion", "_schedule_wakeup"}
+    {"_network", "_enqueue_send", "_record_completion", "_schedule_wakeup",
+     "_enqueue", "_wakeup"}
 )
 #: Additional private engine state flagged when accessed on anything that
 #: is not ``self`` (a protocol may legitimately name its own ``_ready``).

@@ -20,6 +20,7 @@ e.g. the reliable-delivery wrapper) to the protocol state underneath.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Hashable, Iterable
 
 from repro.sim.errors import InvariantViolation, StallDetected
@@ -152,15 +153,18 @@ class ArrowInvariant(InvariantMonitor):
 
     def __init__(self, queue_kind: str = "queue") -> None:
         self.queue_kind = queue_kind
-        #: The network :attr:`_rows` were resolved for (compared by
-        #: identity, so a restored checkpoint's copy re-resolves).
-        self._rows_net: Any = None
+        #: Weak reference to the network :attr:`_rows` were resolved for
+        #: (compared by identity, so a restored checkpoint's copy
+        #: re-resolves).  Weak, because the network holds this monitor:
+        #: a strong reference would keep every finished network alive
+        #: until a cyclic-GC pass.
+        self._rows_net: weakref.ref | None = None
         self._rows: list[tuple[int, Any, frozenset[int]]] = []
         self._wrapped = False
 
     def _resolve_rows(self, net: Any) -> list[tuple[int, Any, frozenset[int]]]:
         """``(v, protocol node, neighbor set)`` per vertex, once per network."""
-        if self._rows_net is not net:
+        if self._rows_net is None or self._rows_net() is not net:
             rows = []
             wrapped = False
             for v in net.node_ids:
@@ -168,8 +172,15 @@ class ArrowInvariant(InvariantMonitor):
                 node = _protocol_node(raw)
                 wrapped = wrapped or node is not raw
                 rows.append((v, node, net.neighbor_set(v)))
-            self._rows_net, self._rows, self._wrapped = net, rows, wrapped
+            self._rows_net, self._rows, self._wrapped = weakref.ref(net), rows, wrapped
         return self._rows
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Copies and pickles leave the row cache out (a weak reference
+        # cannot be pickled); it is re-resolved on the next round.
+        state = dict(self.__dict__)
+        state.update(_rows_net=None, _rows=[], _wrapped=False)
+        return state
 
     def _in_flight_queue_msgs(self, net: Any) -> int:
         links, outboxes = net._queued_messages()

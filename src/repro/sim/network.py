@@ -57,6 +57,7 @@ from repro.sim.message import Message
 from repro.sim.metrics import DelayRecorder
 from repro.sim.node import Node, NodeContext
 from repro.sim.trace import EventTrace
+from repro.topology.base import Graph
 
 #: Process-wide default for the dense fast path.  The fast path is
 #: semantically identical to the generic one, so this stays True; tests
@@ -115,13 +116,16 @@ class RunStats:
     node_crashes: int = 0
 
 
-def _as_adjacency(graph: Any) -> dict[int, tuple[int, ...]]:
-    """Normalize a graph-like input to a sorted adjacency dict.
+def _as_adjacency(graph: Any) -> Mapping[int, tuple[int, ...]]:
+    """Normalize a graph-like input to a sorted adjacency mapping.
 
-    Accepts a :class:`repro.topology.Graph` (anything with an ``adj``
-    mapping), a plain mapping ``{node: neighbors}``, or an iterable of
-    edges ``(u, v)``.
+    Accepts a :class:`repro.topology.Graph`, anything else with an
+    ``adj`` mapping, a plain mapping ``{node: neighbors}``, or an
+    iterable of edges ``(u, v)``.  A ``Graph``'s ``adj`` already maps
+    every vertex to a sorted tuple, so it is used as is, not re-sorted.
     """
+    if isinstance(graph, Graph):
+        return graph.adj
     if hasattr(graph, "adj"):
         raw: Mapping[int, Sequence[int]] = graph.adj
         return {v: tuple(sorted(raw[v])) for v in raw}
@@ -288,12 +292,7 @@ class SynchronousNetwork:
             self._send_flag = bytearray(n)
             self._recv_active: list[int] = []
             self._recv_flag = bytearray(n)
-            #: messages sitting in outboxes (not yet on a link).
-            self._outbox_pending = 0
             self._nodes_l: list[Node] = [self._nodes[v] for v in range(n)]
-            # Shadow the generic method so NodeContext.send hits the flat
-            # arrays without a per-call dense check.
-            self._enqueue_send = self._enqueue_send_dense  # type: ignore[method-assign]
         else:
             # Generic dict-keyed state: arbitrary hashable vertex ids.
             # Per directed link (u, v): FIFO queue of messages in transit
@@ -517,6 +516,11 @@ class SynchronousNetwork:
             mon.on_finish(self)
         if prof is not None:
             prof.wall += prof.clock() - t_run
+        # Quiescent: nothing can act any more.  Detaching the contexts
+        # breaks the network <-> context cycles, so the finished network
+        # is freed by reference counting, not by a cyclic-GC pass.
+        for ctx in self._ctx.values():
+            ctx._network = ctx._enqueue = ctx._wakeup = None
         return self.stats
 
     def _pending_nodes(self) -> tuple[int, ...]:
@@ -596,7 +600,6 @@ class SynchronousNetwork:
         msg = Message(src, dst, kind, payload, -1, -1, -1, seq)
         box = self._outboxes[src]
         box.append(msg)
-        self._outbox_pending += 1
         if not self._send_flag[src]:
             self._send_flag[src] = 1
             self._send_active.append(src)
@@ -666,7 +669,11 @@ class SynchronousNetwork:
             if not due:
                 return
         crashed = self._crashed
-        for v in sorted(set(due)):
+        if self._dense:
+            nodes, ctxs = self._nodes_l, self._ctx_l
+        else:
+            nodes, ctxs = self._nodes, self._ctx
+        for v in due if len(due) == 1 else sorted(set(due)):
             if crashed is not None and crashed(v, self.now):
                 # Crashed nodes do not act; their wakeups fire at recovery
                 # (and are dropped for a permanent crash).
@@ -679,7 +686,7 @@ class SynchronousNetwork:
                     else:
                         deferred.append(v)
                 continue
-            self._nodes[v].on_wake(self._ctx[v])
+            nodes[v].on_wake(ctxs[v])
 
     def _maybe_jump(self, max_rounds: int) -> None:
         """Skip idle rounds: with long link delays nothing may be
@@ -706,8 +713,8 @@ class SynchronousNetwork:
         ready heap, so the scan is O(active), not O(n)."""
         if self._in_flight == 0:
             return
-        if self._outbox_pending:
-            return  # something enters a link next round
+        if self._send_active:
+            return  # an outbox holds messages (crashed senders included)
         nxt = None
         rheaps = self._rheaps
         for v in self._recv_active:
@@ -963,7 +970,6 @@ class SynchronousNetwork:
         order = sorted(active)
         active.clear()
         sent = 0
-        moved = 0
         lq = 0
         max_backlog = stats.max_recv_backlog
         try:
@@ -977,7 +983,6 @@ class SynchronousNetwork:
                     continue
                 for _ in range(cap if cap < len(box) else len(box)):
                     msg = box.popleft()
-                    moved += 1
                     msg.sent_at = t
                     if inj is not None:
                         verdict = inj.on_link_entry(msg, t)
@@ -1039,7 +1044,6 @@ class SynchronousNetwork:
         finally:
             stats.max_recv_backlog = max_backlog
             stats.messages_sent += sent
-            self._outbox_pending -= moved
             if met is not None and sent:
                 met.inc("engine.messages_sent", sent)
                 # The run's peak, then the last link length: the gauge's

@@ -19,15 +19,28 @@ class NodeContext:
     operation completion — goes through it, which keeps protocol code free
     of engine internals and makes the model rules (neighbors only,
     capacities, unit delay) enforceable in one place.
+
+    A context is valid only until its run quiesces.  At quiescence the
+    engine detaches every context from the network (``send``, ``now``,
+    ``complete`` and ``schedule_wakeup`` then fail), so a finished
+    network holds no reference cycle and is freed by reference counting
+    as soon as the runner drops it.  A run that raises keeps its
+    contexts attached for post-mortems.
     """
 
-    __slots__ = ("_network", "_node_id", "_neighbors", "_nbr_set")
+    __slots__ = ("_network", "_node_id", "_neighbors", "_nbr_set", "_enqueue", "_wakeup")
 
     def __init__(self, network: "SynchronousNetwork", node_id: int) -> None:
         self._network = network
         self._node_id = node_id
         self._neighbors = network.neighbors(node_id)
         self._nbr_set = network.neighbor_set(node_id)
+        # The engine's enqueue for this network's path and its wakeup
+        # scheduler, bound once: one call per ctx.send/schedule_wakeup.
+        self._enqueue = (
+            network._enqueue_send_dense if network._dense else network._enqueue_send
+        )
+        self._wakeup = network._schedule_wakeup
 
     @property
     def node_id(self) -> int:
@@ -58,7 +71,7 @@ class NodeContext:
             raise ProtocolViolation(
                 f"node {self._node_id} tried to send to non-neighbor {dst}"
             )
-        return self._network._enqueue_send(self._node_id, dst, kind, payload)
+        return self._enqueue(self._node_id, dst, kind, payload)
 
     def complete(self, op_id: Any, result: Any = None) -> None:
         """Report that operation ``op_id`` received its response this round.
@@ -80,7 +93,7 @@ class NodeContext:
             ProtocolViolation: if ``round_`` is not strictly after the
                 current round.
         """
-        self._network._schedule_wakeup(self._node_id, round_)
+        self._wakeup(self._node_id, round_)
 
 
 class Node:

@@ -158,6 +158,22 @@ class TestFlood:
             r = run_flood_counting(complete_graph(n), range(n))
             assert r.total_delay >= theorem35_lower_bound(n)
 
+    def test_knowledge_pairs_allocated_once(self):
+        """Every node's knowledge holds the originator's own pair object."""
+        inner = {}
+
+        def keep(node):
+            inner[node.node_id] = node
+            return node
+
+        n = 64
+        run_flood_counting(path_graph(n), range(0, n, 2), node_wrapper=keep)
+        assert len(inner) == n
+        for node in inner.values():
+            assert len(node.order) == n
+            for pair in node.order:
+                assert pair is inner[pair[0]].order[0]
+
 
 class TestCountingNetwork:
     def test_counts_valid_full_load(self):

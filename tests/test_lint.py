@@ -55,6 +55,17 @@ class InternalsNode(Node):
 """
 
 
+SRC_R1_SLOTS = """\
+from repro.sim import Node
+
+
+class SlotsNode(Node):
+    def on_start(self, ctx):
+        ctx._enqueue(self.node_id, 5, "x", None)  # MARK-ENQUEUE
+        ctx._wakeup(self.node_id, 3)  # MARK-WAKEUP
+"""
+
+
 class TestR1EngineInternals:
     def test_flags_private_engine_access(self):
         findings = findings_for(SRC_R1)
@@ -62,6 +73,13 @@ class TestR1EngineInternals:
         assert r1, f"no R1 finding in {findings}"
         assert marked_line(SRC_R1, "MARK-R1") in {f.line for f in r1}
         assert all(f.path == "fixture.py" for f in r1)
+
+    def test_flags_context_bound_engine_slots(self):
+        """The context's pre-bound enqueue and wakeup skip its checks."""
+        findings = findings_for(SRC_R1_SLOTS)
+        lines = {f.line for f in findings if f.rule_id == "R1"}
+        assert marked_line(SRC_R1_SLOTS, "MARK-ENQUEUE") in lines
+        assert marked_line(SRC_R1_SLOTS, "MARK-WAKEUP") in lines
 
 
 # --------------------------------------------------------------------- R2

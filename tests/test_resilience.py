@@ -177,6 +177,21 @@ class TestArrowInvariant:
         with pytest.raises(InvariantViolation, match="non-neighbor 0"):
             inv.on_round(restored)
 
+    def test_checkpoint_with_invariant_saves_and_resumes(self, tmp_path):
+        """The invariant's weak network reference stays out of a saved
+        checkpoint; the loaded copy re-resolves its rows and finishes."""
+        cpr = PeriodicCheckpointer(every=4, keep=1)
+        ref = run_arrow(
+            path_spanning_tree(path_graph(16)), [15],
+            monitors=MonitorSet(invariants=(ArrowInvariant(),), checkpointer=cpr),
+        )
+        assert cpr.latest().round > 0  # taken after the rows were resolved
+        path = tmp_path / "arrow.ckpt"
+        cpr.latest().save(path)
+        net = Checkpoint.load(path).restore()
+        net.resume()
+        assert net.stats == ref.stats
+
     def test_nodes_without_link_are_skipped(self):
         from repro.sim import Node
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import (
@@ -13,8 +16,39 @@ from repro.sim import (
     RoundLimitExceeded,
     SynchronousNetwork,
 )
+from repro.arrow import run_arrow
+from repro.counting import (
+    run_central_counting,
+    run_combining_counting,
+    run_counting_network,
+    run_flood_counting,
+    run_periodic_counting,
+    run_sweep_counting,
+)
+from repro.faults import (
+    FaultPlan,
+    run_arrow_ft,
+    run_central_counting_ft,
+    run_flood_counting_ft,
+)
+from repro.obs import MetricsRegistry
+from repro.resilience import (
+    ArrowInvariant,
+    CountingInvariant,
+    MonitorSet,
+    PeriodicCheckpointer,
+    Watchdog,
+)
 from repro.sim.trace import TraceEvent
-from repro.topology import complete_graph, path_graph, star_graph
+from repro.topology import (
+    bfs_spanning_tree,
+    complete_graph,
+    mesh_graph,
+    path_graph,
+    path_spanning_tree,
+    ring_graph,
+    star_graph,
+)
 
 
 class Sender(Node):
@@ -493,3 +527,117 @@ class TestFlatTraceLog:
             net.resume()
             assert net.trace.to_json() == full.to_json()
             assert net.trace.events == full.events
+
+
+
+def _lossy_plan(seed):
+    return FaultPlan(seed=seed, drop_rate=0.05, duplicate_rate=0.02, max_consecutive_drops=2)
+
+
+def _observed(invariant, k):
+    """A registry, a trace and monitors (invariant plus watchdog) as kwargs."""
+    return dict(
+        metrics=MetricsRegistry(),
+        trace=EventTrace(),
+        monitors=MonitorSet(
+            invariants=(invariant,),
+            watchdog=Watchdog(stall_window=500, expected_completions=k),
+        ),
+    )
+
+
+#: One finishing run per runner; the result is dropped on return.
+RUNNERS = {
+    "flood": lambda: run_flood_counting(path_graph(16), range(0, 16, 2)),
+    "central": lambda: run_central_counting(star_graph(9), range(9)),
+    "combining": lambda: run_combining_counting(
+        bfs_spanning_tree(mesh_graph([3, 3])), range(9)
+    ),
+    "arrow": lambda: run_arrow(path_spanning_tree(path_graph(8)), range(8)),
+    "counting_network": lambda: run_counting_network(complete_graph(8), range(8)),
+    "periodic": lambda: run_periodic_counting(complete_graph(8), range(8)),
+    "sweep": lambda: run_sweep_counting(path_graph(8), range(8)),
+    "flood_ft": lambda: run_flood_counting_ft(
+        ring_graph(16), range(0, 16, 2), _lossy_plan(1),
+        **_observed(CountingInvariant(expected=8), 8),
+    ),
+    "central_ft": lambda: run_central_counting_ft(
+        star_graph(12), range(12), _lossy_plan(2),
+        **_observed(CountingInvariant(expected=12), 12),
+    ),
+    "arrow_ft": lambda: run_arrow_ft(
+        path_spanning_tree(path_graph(16)), range(0, 16, 4), _lossy_plan(3),
+        **_observed(ArrowInvariant(), 4),
+    ),
+}
+
+
+class TestFinishedRunsFreed:
+    """A finished run holds no reference cycle: reference counting frees
+    its network (nodes, contexts, queues) as soon as the runner returns,
+    without waiting for a cyclic-GC pass."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Weak references to every network constructed from here on."""
+        refs = []
+        init = SynchronousNetwork.__init__
+
+        def tracking_init(net, *args, **kwargs):
+            init(net, *args, **kwargs)
+            refs.append(weakref.ref(net))
+
+        monkeypatch.setattr(SynchronousNetwork, "__init__", tracking_init)
+        return refs
+
+    @staticmethod
+    def _without_gc(fn):
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn()
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("runner", list(RUNNERS))
+    def test_network_dead_after_runner_returns(self, built, runner):
+        def check():
+            RUNNERS[runner]()
+            assert built, "the runner built no network"
+            return [r() is None for r in built]
+
+        assert all(self._without_gc(check))
+
+    def test_restored_checkpoint_dead_after_resume(self):
+        cpr = PeriodicCheckpointer(every=4, keep=2)
+        run_flood_counting(path_graph(12), range(12), monitors=MonitorSet(checkpointer=cpr))
+        cp = cpr.latest()
+
+        def check():
+            net = cp.restore()
+            ref = weakref.ref(net)
+            net.resume()
+            del net
+            return ref() is None
+
+        assert self._without_gc(check)
+
+    @pytest.mark.parametrize("ids", [range(3), (0, 2, 5)], ids=["dense", "generic"])
+    def test_context_detached_at_quiescence(self, ids):
+        a, b, c = ids
+        nodes = {v: Sender(v) for v in ids}
+        nodes[a].sends = [(b, "x")]
+        net = SynchronousNetwork({a: [b], b: [a, c], c: [b]}, nodes)
+        ctx = net.context(a)
+        net.run()
+        assert nodes[b].recv_rounds == [1]
+        assert ctx._network is None
+
+    def test_raised_run_keeps_its_contexts(self):
+        nodes = {v: RelayNode(v, nxt=v + 1 if v + 1 < 6 else None) for v in range(6)}
+        net = SynchronousNetwork(path_graph(6), nodes)
+        with pytest.raises(RoundLimitExceeded):
+            net.run(max_rounds=2)
+        assert net.context(0)._network is net
