@@ -18,14 +18,22 @@ update from us predates our current knowledge.  New knowledge reactivates
 a dormant node.  Quiescence is reached when all nodes know all bits and
 have propagated them.
 
+The gossip step is O(1) because of a cyclic-run invariant.  Every
+neighbor was last sent at most the old knowledge, so when a node learns
+anything, *all* its neighbors become needy.  Sends then go round-robin
+from the cursor ``rr``, so the neighbors still needing the current
+knowledge are always the cyclic run of ``fresh`` neighbors starting at
+``rr``: the target is ``nbrs[rr]``, no scan is needed, and "gossip again
+next round" is ``fresh > 1``.  Growth resets ``fresh`` to the degree.
+
 Gossip messages carry *deltas*, not snapshots: because links are FIFO, by
-the time neighbor ``u`` receives our k-th gossip message it has already
-received the first k-1, so it knows the first ``sent_size[u]`` entries of
-our knowledge (in our insertion order) and only the suffix needs to go on
-the wire.  The message *schedule* is unchanged — who sends to whom in
-which round depends only on knowledge sizes, which deltas preserve — so
-traces and stats are identical to the snapshot version, while the work
-per message drops from O(n) to O(new bits).  Knowledge union is
+the time neighbor ``nbrs[i]`` receives our k-th gossip message it has
+already received the first k-1, so it knows the first ``sent_size[i]``
+entries of our knowledge (in our insertion order) and only the suffix
+needs to go on the wire.  The message *schedule* is unchanged — who
+sends to whom in which round depends only on knowledge sizes, which
+deltas preserve — so traces and stats are identical to the snapshot
+version, while the work per message drops from O(n) to O(new bits).  Knowledge union is
 commutative and idempotent, so duplicated or reordered deliveries (the
 fault-tolerant wrapper's retry path) remain correct.
 """
@@ -61,18 +69,22 @@ class _FloodNode(Node):
     """
 
     __slots__ = (
-        "requesting", "bits", "order", "sent_size", "rr", "wake_pending",
-        "done", "nbrs", "below_known",
+        "requesting", "bits", "order", "sent_size", "rr", "fresh",
+        "wake_pending", "done", "nbrs", "below_known",
     )
 
     def __init__(self, node_id: int, requesting: bool) -> None:
         super().__init__(node_id)
         self.requesting = requesting
         self.bits: dict[int, bool] = {node_id: requesting}
-        #: knowledge in insertion order; ``sent_size[u]`` indexes into it.
+        #: knowledge in insertion order; ``sent_size[i]`` indexes into it.
         self.order: list[tuple[int, bool]] = [(node_id, requesting)]
-        self.sent_size: dict[int, int] = {}
+        #: per neighbor, aligned with ``nbrs``: knowledge size last sent.
+        self.sent_size: list[int] = []
+        #: round-robin cursor into ``nbrs``: the next gossip target.
         self.rr = 0
+        #: neighbors from ``rr`` on (cyclically) still needing our knowledge.
+        self.fresh = 0
         self.wake_pending = False
         self.done = False
         #: neighbor tuple, cached from the context in ``on_start``.
@@ -93,48 +105,32 @@ class _FloodNode(Node):
             ctx.complete(self.node_id, result=rank)
 
     def _gossip_step(self, ctx: NodeContext) -> None:
-        """Send to the next needy neighbor in cyclic order from ``rr``.
+        """Send to the next needy neighbor, ``nbrs[rr]`` (module docstring).
 
-        One scan finds that neighbor and whether a second one exists.
-        After the send the first is up to date and the neighbors before
-        it were already, so "a second needy neighbor" is exactly "some
-        neighbor is still needy": gossip again next round.
+        Gossip again next round while another neighbor is still needy.
         """
-        nbrs = self.nbrs
-        k = len(nbrs)
-        size = len(self.order)
-        sent = self.sent_size
+        fresh = self.fresh
+        if not fresh:
+            return
         rr = self.rr
-        target = None
-        more = False
-        for off in range(k):
-            u = nbrs[(rr + off) % k]
-            if sent.get(u, 0) < size:
-                if target is not None:
-                    more = True
-                    break
-                target = u
-                self.rr = (rr + off + 1) % k
-        if target is not None:
-            start = sent.get(target, 0)
-            sent[target] = size
-            ctx.send(target, "gossip", payload=self.order[start:])
-        if more and not self.wake_pending:
+        order = self.order
+        sent = self.sent_size
+        start = sent[rr]
+        sent[rr] = len(order)
+        self.fresh = fresh - 1
+        nxt = rr + 1
+        self.rr = nxt if nxt < len(sent) else 0
+        ctx.send(self.nbrs[rr], "gossip", payload=order[start:])
+        if fresh > 1 and not self.wake_pending:
             self.wake_pending = True
             ctx.schedule_wakeup(ctx.now + 1)
-
-    def _needy_neighbor_exists(self, ctx: NodeContext) -> bool:
-        size = len(self.bits)
-        sent = self.sent_size
-        for u in self.nbrs:
-            if sent.get(u, 0) < size:
-                return True
-        return False
 
     # -- engine hooks ------------------------------------------------------
 
     def on_start(self, ctx: NodeContext) -> None:
-        self.nbrs = ctx.neighbors
+        nbrs = self.nbrs = ctx.neighbors
+        self.sent_size = [0] * len(nbrs)
+        self.fresh = len(nbrs)
         self._maybe_complete(ctx)
         self._gossip_step(ctx)
 
@@ -161,8 +157,11 @@ class _FloodNode(Node):
                     below += 1
         self.below_known = below
         if len(bits) > before:
+            # Growth makes every neighbor needy (module docstring); a
+            # node that receives has a neighbor, so it gossips next round.
+            self.fresh = len(self.nbrs)
             self._maybe_complete(ctx)
-            if not self.wake_pending and self._needy_neighbor_exists(ctx):
+            if not self.wake_pending:
                 self.wake_pending = True
                 ctx.schedule_wakeup(ctx.now + 1)
 

@@ -59,6 +59,9 @@ from repro.sim.node import Node, NodeContext
 from repro.sim.trace import EventTrace
 from repro.topology.base import Graph
 
+#: Builds a bare ``Message`` for the dense enqueue (see there).
+_new_message = object.__new__
+
 #: Process-wide default for the dense fast path.  The fast path is
 #: semantically identical to the generic one, so this stays True; tests
 #: and benchmarks flip it with :func:`engine_fast_path` to compare paths.
@@ -286,12 +289,11 @@ class SynchronousNetwork:
             self._in_links: list[dict[int, deque[Message]]] = [{} for _ in range(n)]
             #: per node: heap of (ready_at, seq, src) over link heads.
             self._rheaps: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-            # Maintained active sets: node is listed exactly once while its
-            # outbox / ready heap is non-empty (flag == membership).
+            # Maintained active sets: a node is listed exactly once while
+            # its outbox / ready heap is non-empty (crashed nodes included),
+            # so it is appended when that container turns non-empty.
             self._send_active: list[int] = []
-            self._send_flag = bytearray(n)
             self._recv_active: list[int] = []
-            self._recv_flag = bytearray(n)
             self._nodes_l: list[Node] = [self._nodes[v] for v in range(n)]
         else:
             # Generic dict-keyed state: arbitrary hashable vertex ids.
@@ -314,7 +316,6 @@ class SynchronousNetwork:
         if self._dense:
             self._ctx_l: list[NodeContext] = [self._ctx[v] for v in range(n)]
         self._msg_seq = 0
-        self._in_flight = 0
         self._started = False
         self._wakeups: dict[int, list[int]] = {}
         #: Shared next-event heap over wakeup rounds.  Contains every
@@ -328,6 +329,17 @@ class SynchronousNetwork:
         self.rounds_executed = 0
 
     # ---------------------------------------------------------------- API
+
+    @property
+    def _in_flight(self) -> int:
+        """Messages enqueued but neither delivered nor dropped yet.
+
+        Every message, fault duplicates included, takes one ``_msg_seq``
+        number and then sits in an outbox or on a link until it is
+        delivered or dropped, so the count is derived, not maintained.
+        """
+        stats = self.stats
+        return self._msg_seq - stats.messages_delivered - stats.messages_dropped
 
     @property
     def uses_fast_path(self) -> bool:
@@ -579,7 +591,6 @@ class SynchronousNetwork:
         if box is None:
             box = self._outbox[src] = deque()
         box.append(msg)
-        self._in_flight += 1
         if len(box) > self.stats.max_send_backlog:
             self.stats.max_send_backlog = len(box)
         if self.metrics is not None:
@@ -597,15 +608,26 @@ class SynchronousNetwork:
                 raise StrictModeViolation(src, self.now, "send", self.send_capacity)
         seq = self._msg_seq
         self._msg_seq = seq + 1
-        msg = Message(src, dst, kind, payload, -1, -1, -1, seq)
+        # Built without the class call: on CPython 3.11 (timeit, 2-vCPU
+        # VM) Message(...) costs ~390 ns, as does a hand-written
+        # __init__, while a bare object plus the eight slot stores costs
+        # ~225 ns.  Every slot equals Message(src, dst, kind, payload,
+        # -1, -1, -1, seq).
+        msg = _new_message(Message)
+        msg.src = src
+        msg.dst = dst
+        msg.kind = kind
+        msg.payload = payload
+        msg.sent_at = -1
+        msg.ready_at = -1
+        msg.delivered_at = -1
+        msg.seq = seq
         box = self._outboxes[src]
         box.append(msg)
-        if not self._send_flag[src]:
-            self._send_flag[src] = 1
-            self._send_active.append(src)
-        self._in_flight += 1
-        stats = self.stats
         backlog = len(box)
+        if backlog == 1:
+            self._send_active.append(src)
+        stats = self.stats
         if backlog > stats.max_send_backlog:
             stats.max_send_backlog = backlog
         if self.metrics is not None:
@@ -666,6 +688,11 @@ class SynchronousNetwork:
                 if nxt is not None and nxt > self.now:
                     self.now = nxt
                     due = self._wakeups.pop(nxt)
+                    # The loop ticked the faults for the round it left;
+                    # tick the landing round too, before anyone wakes, so
+                    # crash/recover boundaries jumped over are emitted.
+                    if self._injector is not None:
+                        self._injector.tick(nxt, self.stats, self.trace, self.metrics)
             if not due:
                 return
         crashed = self._crashed
@@ -765,7 +792,6 @@ class SynchronousNetwork:
                     nxt = q[0]
                     heapq.heappush(heap, (max(nxt.ready_at, t + 1), nxt.seq, src))
                 msg.delivered_at = t
-                self._in_flight -= 1
                 budget -= 1
                 self.stats.messages_delivered += 1
                 wait = msg.link_wait()
@@ -804,7 +830,6 @@ class SynchronousNetwork:
                     if verdict in ("drop", "outage"):
                         # Lost on the wire: the send slot is consumed but
                         # the message never enters the link.
-                        self._in_flight -= 1
                         self.stats.messages_dropped += 1
                         if self.metrics is not None:
                             self.metrics.inc("engine.messages_dropped")
@@ -822,7 +847,6 @@ class SynchronousNetwork:
                     )
                     self._msg_seq += 1
                     clone.sent_at = t
-                    self._in_flight += 1
                     self.stats.messages_duplicated += 1
                     if self.metrics is not None:
                         self.metrics.inc("engine.messages_duplicated")
@@ -880,7 +904,6 @@ class SynchronousNetwork:
         ctxs = self._ctx_l
         in_links = self._in_links
         rheaps = self._rheaps
-        flags = self._recv_flag
         order = sorted(active)
         active.clear()
         delivered = 0
@@ -889,13 +912,10 @@ class SynchronousNetwork:
         waits: dict[int, int] = {}
         try:
             for v in order:
-                flags[v] = 0
                 heap = rheaps[v]
                 if crashed is not None and crashed(v, t):
                     # Crashed receiver: messages wait on their links.
-                    if heap:
-                        flags[v] = 1
-                        active.append(v)
+                    active.append(v)
                     continue
                 node = nodes[v]
                 ctx = ctxs[v]
@@ -933,12 +953,10 @@ class SynchronousNetwork:
                 if heap:
                     if strict and heap[0][0] <= t:
                         raise StrictModeViolation(v, t, "receive", cap)
-                    flags[v] = 1
                     active.append(v)
         finally:
             # Folded even when a handler raised, so stats and metrics
             # count every delivery made, the raising one included.
-            self._in_flight -= delivered
             self.stats.messages_delivered += delivered
             self.stats.total_link_wait += wait_total
             if met is not None and delivered:
@@ -963,9 +981,7 @@ class SynchronousNetwork:
         in_links = self._in_links
         rheaps = self._rheaps
         recv_active = self._recv_active
-        recv_flag = self._recv_flag
         heappush = heapq.heappush
-        flags = self._send_flag
         stats = self.stats
         order = sorted(active)
         active.clear()
@@ -974,22 +990,22 @@ class SynchronousNetwork:
         max_backlog = stats.max_recv_backlog
         try:
             for u in order:
-                flags[u] = 0
                 box = outboxes[u]
                 if crashed is not None and crashed(u, t):
                     # Crashed sender: outbox frozen until recovery.
-                    flags[u] = 1
                     active.append(u)
                     continue
-                for _ in range(cap if cap < len(box) else len(box)):
+                budget = cap
+                while budget and box:
+                    budget -= 1
                     msg = box.popleft()
                     msg.sent_at = t
+                    duplicate = False
                     if inj is not None:
                         verdict = inj.on_link_entry(msg, t)
                         if verdict in ("drop", "outage"):
                             # Lost on the wire: the send slot is consumed but
                             # the message never enters the link.
-                            self._in_flight -= 1
                             stats.messages_dropped += 1
                             if met is not None:
                                 met.inc("engine.messages_dropped")
@@ -999,11 +1015,11 @@ class SynchronousNetwork:
                                     reason=verdict,
                                 )
                             continue
-                    else:
-                        verdict = None
+                        duplicate = verdict == "duplicate"
                     # Inlined link entry (the hot path).
                     dst = msg.dst
-                    msg.ready_at = t + 1 if unit else t + delay_model(msg)
+                    ready_at = t + 1 if unit else t + delay_model(msg)
+                    msg.ready_at = ready_at
                     links_d = in_links[dst]
                     q = links_d.get(u)
                     if q is None:
@@ -1013,25 +1029,28 @@ class SynchronousNetwork:
                     if lq > max_backlog:
                         max_backlog = lq
                     if lq == 1:
-                        heappush(rheaps[dst], (msg.ready_at, msg.seq, u))
-                        if not recv_flag[dst]:
-                            recv_flag[dst] = 1
+                        heap = rheaps[dst]
+                        if not heap:
                             recv_active.append(dst)
+                        heappush(heap, (ready_at, msg.seq, u))
                     sent += 1
                     if trace is not None:
                         trace.record("send", t, src=u, dst=dst, kind=msg.kind)
-                    if verdict == "duplicate":
+                    if duplicate:
                         clone = Message(
                             src=msg.src, dst=dst, kind=msg.kind,
                             payload=msg.payload, seq=self._msg_seq,
                         )
                         self._msg_seq += 1
                         clone.sent_at = t
-                        self._in_flight += 1
                         stats.messages_duplicated += 1
                         if met is not None:
                             met.inc("engine.messages_duplicated")
-                        lq = self._link_entry_dense(clone, u, t)
+                        # Right behind its original on the same link, so
+                        # the link's head is already in the ready heap.
+                        clone.ready_at = t + delay_model(clone)
+                        q.append(clone)
+                        lq += 1
                         if lq > max_backlog:
                             max_backlog = lq
                         sent += 1
@@ -1039,7 +1058,6 @@ class SynchronousNetwork:
                             trace.record("send", t, src=u, dst=dst, kind=msg.kind)
                             trace.record("duplicate", t, src=u, dst=dst, kind=msg.kind)
                 if box:
-                    flags[u] = 1
                     active.append(u)
         finally:
             stats.max_recv_backlog = max_backlog
@@ -1050,21 +1068,6 @@ class SynchronousNetwork:
                 # high and value as one write per link entry leaves them.
                 met.set_gauge("engine.recv_backlog", max_backlog)
                 met.set_gauge("engine.recv_backlog", lq)
-
-    def _link_entry_dense(self, msg: Message, u: int, t: int) -> int:
-        """Place a fault duplicate on its link; return the link's length."""
-        msg.ready_at = t + self.delay_model(msg)
-        links_d = self._in_links[msg.dst]
-        q = links_d.get(u)
-        if q is None:
-            q = links_d[u] = deque()
-        q.append(msg)
-        if len(q) == 1:
-            heapq.heappush(self._rheaps[msg.dst], (msg.ready_at, msg.seq, u))
-            if not self._recv_flag[msg.dst]:
-                self._recv_flag[msg.dst] = 1
-                self._recv_active.append(msg.dst)
-        return len(q)
 
 
 def run_protocol(

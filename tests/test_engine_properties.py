@@ -8,15 +8,22 @@ the model's invariants must hold regardless of what the protocol does:
 * every message sent is delivered exactly once (conservation);
 * per-link delivery order equals send order (FIFO);
 * no message is delivered before ``sent_at + delay``.
+
+A monitor also checks, every round, the bookkeeping the engine's hot
+loops rely on: the dense path's active lists name exactly the nodes with
+a non-empty outbox / ready heap, and the derived in-flight count equals
+the messages actually queued.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultPlan, NodeCrash
 from repro.sim import EventTrace, Message, Node, SynchronousNetwork, UniformDelay
 from repro.sim.timeline import message_flow_summary, render_timeline
 from repro.topology.base import Graph
@@ -107,6 +114,84 @@ class TestEngineInvariants:
         # their *send*, which for a single sender equals enqueue order
         for link, seqs in per_link_seqs.items():
             assert seqs == sorted(seqs), f"FIFO violated on {link}"
+
+
+class BookkeepingMonitor:
+    """End-of-round check of the engine's derived and maintained state.
+
+    Duck-types the ``monitors=`` hook (``on_round``/``on_complete``/
+    ``on_finish``).
+    """
+
+    def __init__(self) -> None:
+        self.rounds_checked = 0
+
+    def on_round(self, net: SynchronousNetwork) -> None:
+        links, outboxes = net._queued_messages()
+        queued = sum(len(q) for q in links) + sum(len(box) for box in outboxes)
+        assert net._in_flight == queued
+        if net.uses_fast_path:
+            n = len(net._outboxes)
+            # sorted() == the non-empty ones: listed exactly once, no others.
+            assert sorted(net._send_active) == [
+                v for v in range(n) if net._outboxes[v]
+            ]
+            assert sorted(net._recv_active) == [
+                v for v in range(n) if net._rheaps[v]
+            ]
+        self.rounds_checked += 1
+
+    def on_complete(self, net, op_id, result, node_id) -> None:
+        pass
+
+    def on_finish(self, net: SynchronousNetwork) -> None:
+        self.on_round(net)
+
+
+@st.composite
+def fault_plans(draw, n: int):
+    """Drop/duplicate rates and finite crash windows over ``n`` nodes."""
+    crashes = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1), st.integers(0, 12), st.integers(1, 8)
+            ),
+            max_size=3,
+        )
+    )
+    return FaultPlan(
+        seed=draw(st.integers(0, 10**6)),
+        drop_rate=draw(st.sampled_from([0.0, 0.1, 0.3])),
+        duplicate_rate=draw(st.sampled_from([0.0, 0.1, 0.3])),
+        crashes=tuple(NodeCrash(v, start, start + span) for v, start, span in crashes),
+    )
+
+
+class TestEngineBookkeeping:
+    @pytest.mark.parametrize("fast_path", [True, False])
+    @given(setup=chatter_setup(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_active_lists_and_in_flight_every_round(self, fast_path, setup, data):
+        n, edges, seed, send_cap, recv_cap, delay_hi, fanout = setup
+        plan = data.draw(st.none() | fault_plans(n))
+        g = Graph.from_edges(n, edges, name="chatter")
+        rng = random.Random(seed)
+        nodes = {v: ChatterNode(v, rng, fanout) for v in range(n)}
+        monitor = BookkeepingMonitor()
+        net = SynchronousNetwork(
+            g,
+            nodes,
+            send_capacity=send_cap,
+            recv_capacity=recv_cap,
+            delay_model=UniformDelay(1, delay_hi, seed=seed),
+            faults=plan,
+            monitors=monitor,
+            fast_path=fast_path,
+        )
+        net.run(max_rounds=100_000)
+        assert net.uses_fast_path == fast_path
+        assert monitor.rounds_checked >= 2  # round 0 and the finish
+        assert net._in_flight == 0
 
 
 class TestTimeline:

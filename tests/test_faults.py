@@ -26,7 +26,7 @@ from repro import (
 )
 from repro.faults.injector import DELIVER, DROP, DUPLICATE, OUTAGE, FaultInjector
 from repro.faults.reliable import RetryBudgetExceeded, unwrap, wrap_reliable
-from repro.sim import EventTrace, Message, RunStats
+from repro.sim import EventTrace, Message, Node, RunStats, SynchronousNetwork
 from repro.sim.errors import RoundLimitExceeded
 from repro.topology.spanning import path_spanning_tree
 
@@ -263,6 +263,50 @@ class TestEngineFaultEffects:
         assert res.stats.rounds >= 30  # the run had to outlive the outage
         assert len(trace.of_kind("crash")) == 1
         assert len(trace.of_kind("recover")) == 1
+
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_idle_wake_jump_emits_skipped_crash_boundaries(self, fast_path):
+        # Node 0 sleeps until round 100 and nothing is in flight, so the
+        # wake phase jumps the clock from round 1 straight to 100, over
+        # node 1's crash window [50, 60).  The jump must not lose the
+        # window's boundaries: the run reports exactly what a run whose
+        # traffic visits every round reports.
+        class Sleeper(Node):
+            def on_start(self, ctx):
+                if self.node_id == 0:
+                    ctx.schedule_wakeup(100)
+
+        class Ticker(Node):
+            def on_start(self, ctx):
+                if self.node_id == 0:
+                    ctx.schedule_wakeup(1)
+
+            def on_wake(self, ctx):
+                if ctx.now < 100:
+                    ctx.schedule_wakeup(ctx.now + 1)
+
+        def run(node_type):
+            plan = FaultPlan(crashes=(NodeCrash(node=1, start=50, end=60),))
+            trace = EventTrace()
+            net = SynchronousNetwork(
+                path_graph(3), {v: node_type(v) for v in range(3)},
+                faults=plan, trace=trace, fast_path=fast_path,
+            )
+            stats = net.run()
+            events = [
+                (e.kind, e.round, e.data["node"])
+                for e in trace.events if e.kind in ("crash", "recover")
+            ]
+            return stats, events, net.rounds_executed
+
+        jumped, jumped_events, jumped_executed = run(Sleeper)
+        visited, visited_events, visited_executed = run(Ticker)
+        assert jumped_executed < visited_executed  # the jump did happen
+        assert visited.rounds == jumped.rounds == 100
+        assert visited.node_crashes == jumped.node_crashes == 1
+        assert visited_events == jumped_events == [
+            ("crash", 50, 1), ("recover", 60, 1),
+        ]
 
     def test_round_limit_diagnostics_name_pending_nodes(self):
         with pytest.raises(RoundLimitExceeded) as exc:

@@ -66,6 +66,29 @@ class SlotsNode(Node):
 """
 
 
+SRC_R1_DENSE = """\
+from repro.sim import Node
+
+
+class DenseStateNode(Node):
+    def __init__(self, node_id, net):
+        super().__init__(node_id)
+        self.net = net
+
+    def on_start(self, ctx):
+        net = self.net
+        net._outbox.clear()  # MARK-GENERIC-OUTBOX
+        net._outboxes[0].clear()  # MARK-OUTBOXES
+        net._in_links[0].clear()  # MARK-IN-LINKS
+        net._rheaps[0].clear()  # MARK-RHEAPS
+        net._send_active.clear()  # MARK-SEND-ACTIVE
+        net._recv_active.clear()  # MARK-RECV-ACTIVE
+        net._nodes_l[0].on_wake(ctx)  # MARK-NODES-L
+        net._ctx_l[0].send(1, "x")  # MARK-CTX-L
+        net._wake_heap.clear()  # MARK-WAKE-HEAP
+"""
+
+
 class TestR1EngineInternals:
     def test_flags_private_engine_access(self):
         findings = findings_for(SRC_R1)
@@ -73,6 +96,17 @@ class TestR1EngineInternals:
         assert r1, f"no R1 finding in {findings}"
         assert marked_line(SRC_R1, "MARK-R1") in {f.line for f in r1}
         assert all(f.path == "fixture.py" for f in r1)
+
+    def test_flags_dense_path_state(self):
+        """The dense path's arrays are as private as the generic path's."""
+        findings = findings_for(SRC_R1_DENSE)
+        lines = {f.line for f in findings if f.rule_id == "R1"}
+        for marker in (
+            "MARK-GENERIC-OUTBOX", "MARK-OUTBOXES", "MARK-IN-LINKS", "MARK-RHEAPS",
+            "MARK-SEND-ACTIVE", "MARK-RECV-ACTIVE", "MARK-NODES-L",
+            "MARK-CTX-L", "MARK-WAKE-HEAP",
+        ):
+            assert marked_line(SRC_R1_DENSE, marker) in lines, marker
 
     def test_flags_context_bound_engine_slots(self):
         """The context's pre-bound enqueue and wakeup skip its checks."""

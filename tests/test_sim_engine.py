@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import weakref
 
 import pytest
@@ -641,3 +643,87 @@ class TestFinishedRunsFreed:
         with pytest.raises(RoundLimitExceeded):
             net.run(max_rounds=2)
         assert net.context(0)._network is net
+
+
+class EchoNode(Node):
+    """Bounces a hop counter along its path; keeps every sent message
+    and a constructor-built twin made right after ``ctx.send`` returned."""
+
+    def __init__(self, node_id, hops=0):
+        super().__init__(node_id)
+        self.hops = hops
+        self.sent: list[tuple[Message, Message, dict]] = []
+        self.received: list[Message] = []
+
+    def _send(self, ctx, dst, payload):
+        msg = ctx.send(dst, "echo", payload=payload)
+        twin = Message(self.node_id, dst, "echo", payload, -1, -1, -1, msg.seq)
+        slots = {name: getattr(msg, name) for name in Message.__slots__}
+        self.sent.append((msg, twin, slots))
+
+    def on_start(self, ctx):
+        if self.hops:
+            for dst in ctx.neighbors:
+                self._send(ctx, dst, (self.node_id, self.hops))
+
+    def on_receive(self, msg, ctx):
+        self.received.append(msg)
+        origin, hops = msg.payload
+        if hops > 1:
+            self._send(ctx, msg.src, (origin, hops - 1))
+
+
+def _echo_net(trace=None, monitors=None):
+    nodes = {v: EchoNode(v, hops=9 if v in (0, 3) else 0) for v in range(5)}
+    net = SynchronousNetwork(path_graph(5), nodes, trace=trace, monitors=monitors)
+    return net, nodes
+
+
+class TestEngineBuiltMessages:
+    """The dense enqueue builds messages without the class call; they must
+    be indistinguishable from constructor-built ones."""
+
+    def test_equal_to_constructor_built_when_send_returns(self):
+        net, nodes = _echo_net()
+        assert net.uses_fast_path
+        net.run()
+        sent = [entry for node in nodes.values() for entry in node.sent]
+        assert sent
+        for msg, twin, slots in sent:
+            assert type(msg) is Message
+            assert slots == {name: getattr(twin, name) for name in Message.__slots__}
+            assert slots["sent_at"] == slots["ready_at"] == slots["delivered_at"] == -1
+        # creation numbers are unique and dense
+        assert sorted(msg.seq for msg, _, _ in sent) == list(range(len(sent)))
+
+    def test_delivered_messages_behave_like_constructor_built(self):
+        net, nodes = _echo_net()
+        net.run()
+        for node in nodes.values():
+            for msg in node.received:
+                twin = Message(msg.src, msg.dst, msg.kind, msg.payload,
+                               msg.sent_at, msg.ready_at, msg.delivered_at, msg.seq)
+                assert msg == twin and repr(msg) == repr(twin)
+                assert msg.link_wait() == twin.link_wait() >= 0
+                assert pickle.loads(pickle.dumps(msg)) == msg
+                assert copy.deepcopy(msg) == msg
+                assert repr(copy.deepcopy(msg)) == repr(msg)
+        assert sum(len(n.received) for n in nodes.values()) == net.stats.messages_delivered
+
+    def test_mid_run_checkpoint_restores_resumes_and_pickles(self):
+        ref_trace = EventTrace()
+        ref, _ = _echo_net(trace=ref_trace)
+        ref_stats = ref.run()
+
+        cpr = PeriodicCheckpointer(every=3, keep=10)
+        trace = EventTrace()
+        net, _ = _echo_net(trace=trace, monitors=MonitorSet(checkpointer=cpr))
+        assert net.run() == ref_stats
+        mid = [cp for cp in cpr.checkpoints if 0 < cp.round < ref_stats.rounds]
+        assert mid, "no checkpoint was taken mid-run"
+        for cp in mid:
+            for copy_ in (cp, pickle.loads(pickle.dumps(cp))):
+                restored = copy_.restore()
+                assert restored._in_flight > 0
+                assert restored.resume() == ref_stats
+                assert restored.trace.to_json() == ref_trace.to_json()
