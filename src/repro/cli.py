@@ -431,11 +431,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.perf import compare_benchmarks, render_bench, run_bench
 
     try:
-        doc = run_bench(
-            repeats=args.repeats,
-            fallback=not args.no_fallback,
-            names=args.cells or None,
-        )
+        doc = run_bench(repeats=args.repeats, names=args.cells or None)
     except KeyError as exc:
         raise SystemExit(f"bench: {exc}")
     print(render_bench(doc))
@@ -656,8 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="timings per cell; the best is kept (default: 1)")
     bench.add_argument("--cells", action="append", default=[], metavar="NAME",
                        help="run only this cell (repeatable), e.g. flood/path/512")
-    bench.add_argument("--no-fallback", action="store_true",
-                       help="skip the generic-path timings (fast path only)")
     bench.add_argument("--compare", default="", metavar="BASELINE",
                        help="exit 1 on normalised throughput regression vs a "
                             "baseline document (see docs/PERFORMANCE.md)")

@@ -47,12 +47,14 @@ _ENGINE_ONLY_ATTRS = frozenset(
 #: Additional private engine state flagged when accessed on anything that
 #: is not ``self`` (a protocol may legitimately name its own ``_ready``).
 _ENGINE_PRIVATE_ATTRS = _ENGINE_ONLY_ATTRS | frozenset(
-    {"_links", "_outbox", "_ready", "_wakeups", "_nodes", "_ctx",
+    {"_wakeups", "_nodes", "_ctx",
      "_msg_seq", "_in_flight", "_adj", "_nbr_sets",
      "_receive_phase", "_send_phase", "_wake_phase",
-     # the dense path's state, which every run on 0..n-1 ids uses
      "_outboxes", "_in_links", "_rheaps", "_send_active", "_recv_active",
-     "_nodes_l", "_ctx_l", "_wake_heap"}
+     "_wake_heap",
+     # names of earlier engine layouts, still flagged: code written
+     # against them is just as wrong
+     "_links", "_outbox", "_ready", "_nodes_l", "_ctx_l"}
 )
 
 #: The engine callbacks protocol logic is allowed to originate from.

@@ -1,6 +1,7 @@
 """The synchronous round-based execution engine.
 
-The engine implements the model of Section 2.1 of the paper exactly:
+The engine implements the model of Section 2.1 of the paper exactly
+(``docs/MODEL.md`` states it rule by rule):
 
 * unit link delay: a message sent in round ``t`` is receivable from round
   ``t + 1`` on;
@@ -8,10 +9,11 @@ The engine implements the model of Section 2.1 of the paper exactly:
   messages from its outbox onto links per round (excess messages wait in
   FIFO order — *send contention*);
 * per-round receive capacity: each node processes at most
-  ``recv_capacity`` messages per round, in deterministic
-  ``(sent_at, creation seq)`` order across its incoming links, with FIFO
-  order preserved per link (excess messages wait on the link — *receive
-  contention*);
+  ``recv_capacity`` messages per round, each link at most one.  A link's
+  head is eligible from ``max(ready_at, round after the link's previous
+  delivery)``, and eligible heads are served by ``(eligible round,
+  creation seq)``; excess messages wait on their link in FIFO order
+  (*receive contention*);
 * all remaining computation is local and free.
 
 The engine is event-driven within the round structure: per round it only
@@ -20,31 +22,22 @@ proportional to the total number of message-rounds, not ``rounds x n``.
 This matters because the paper's contention bounds make some protocols run
 for Theta(n^2) rounds.
 
-Two interchangeable executions of the same semantics exist (see
-``docs/PERFORMANCE.md``):
-
-* the **dense fast path** — used automatically when the vertex ids are
-  the contiguous range ``0..n-1`` (true for every ``repro.topology``
-  generator).  Link queues, outboxes, and ready heaps live in flat
-  list-indexed arrays, the per-round "who is active" snapshots are
-  maintained incrementally instead of re-derived with ``sorted()`` over
-  dicts, and idle-round detection uses a shared next-event heap;
-* the **generic fallback** — dict-keyed structures that accept arbitrary
-  hashable vertex ids.
-
-Both paths produce event-for-event identical executions: the same trace
-events in the same order, the same stats, the same delivery schedule.
-The golden-trace suite and ``tests/test_fast_path_equivalence.py`` pin
-this equivalence.
+Vertex ids must be the contiguous range ``0..n-1`` (true for every
+``repro.topology`` generator), so link queues, outboxes and ready heaps
+live in flat list-indexed arrays, the per-round "who is active" lists are
+maintained incrementally, and idle stretches are skipped with a
+next-event heap (see ``docs/PERFORMANCE.md``).  ``tests/oracle.py``
+restates the model as a naive loop over every node and link in every
+round; ``tests/test_oracle.py`` diffs this engine's traces, stats and
+completions against it.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.sim.delays import ConstantDelay, DelayModel
 from repro.sim.errors import (
@@ -59,31 +52,8 @@ from repro.sim.node import Node, NodeContext
 from repro.sim.trace import EventTrace
 from repro.topology.base import Graph
 
-#: Builds a bare ``Message`` for the dense enqueue (see there).
+#: Builds a bare ``Message`` for the enqueue (see there).
 _new_message = object.__new__
-
-#: Process-wide default for the dense fast path.  The fast path is
-#: semantically identical to the generic one, so this stays True; tests
-#: and benchmarks flip it with :func:`engine_fast_path` to compare paths.
-_FAST_PATH_DEFAULT = True
-
-
-@contextmanager
-def engine_fast_path(enabled: bool) -> Iterator[None]:
-    """Temporarily force the engine's dense fast path on or off.
-
-    Networks constructed inside the ``with`` block (without an explicit
-    ``fast_path=`` argument) use ``enabled`` as their default.  Used by
-    the equivalence tests and ``repro bench`` to time the generic
-    fallback against the fast path on identical inputs.
-    """
-    global _FAST_PATH_DEFAULT
-    prev = _FAST_PATH_DEFAULT
-    _FAST_PATH_DEFAULT = bool(enabled)
-    try:
-        yield
-    finally:
-        _FAST_PATH_DEFAULT = prev
 
 
 @dataclass(slots=True)
@@ -146,7 +116,7 @@ class SynchronousNetwork:
 
     Args:
         graph: the communication graph (see :func:`_as_adjacency` for the
-            accepted forms).
+            accepted forms); its vertex ids must be ``0..n-1``.
         nodes: mapping from node id to the :class:`Node` protocol object
             for that id; must cover every vertex of the graph and contain
             no entries for vertices outside it.
@@ -163,7 +133,7 @@ class SynchronousNetwork:
             ``observe`` takes an optional count).
             When attached, the engine publishes message counters, per-op
             completion-delay and link-wait histograms, and per-round
-            in-flight/backlog gauges.  The dense path publishes message
+            in-flight/backlog gauges.  The engine publishes message
             counters, link waits and backlogs from local tallies once per
             phase or round, even when a handler raises; completions and
             faults are published per event.  When ``None`` (the default)
@@ -195,10 +165,6 @@ class SynchronousNetwork:
             :class:`~repro.sim.errors.StallDetected` is raised); when
             ``None`` (the default) each hook site is one ``is not None``
             check, and traces stay byte-identical.
-        fast_path: force the dense fast path on/off; ``None`` (default)
-            auto-selects — dense when the vertex ids are exactly
-            ``0..n-1``, generic otherwise.  Both paths are execution-
-            equivalent; see ``docs/PERFORMANCE.md``.
 
     Typical use::
 
@@ -221,13 +187,19 @@ class SynchronousNetwork:
         strict: bool = False,
         faults: Any | None = None,
         monitors: Any | None = None,
-        fast_path: bool | None = None,
     ) -> None:
         if send_capacity < 1:
             raise CapacityError(f"send_capacity must be >= 1, got {send_capacity}")
         if recv_capacity < 1:
             raise CapacityError(f"recv_capacity must be >= 1, got {recv_capacity}")
         self._adj = _as_adjacency(graph)
+        n = len(self._adj)
+        # Keys are unique, so min/max pin the range (the empty graph has none).
+        if n and not (min(self._adj) == 0 and max(self._adj) == n - 1):
+            first = next(v for v in range(n) if v not in self._adj)
+            raise ProtocolViolation(
+                f"vertex ids must be 0..{n - 1}; id {first} is missing"
+            )
         missing = set(self._adj) - set(nodes)
         if missing:
             raise ProtocolViolation(f"no Node object for vertices {sorted(missing)[:5]}...")
@@ -236,7 +208,7 @@ class SynchronousNetwork:
             raise ProtocolViolation(
                 f"Node objects for vertices not in the graph: {sorted(extra)[:5]}"
             )
-        self._nodes: dict[int, Node] = dict(nodes)
+        self._nodes: list[Node] = [nodes[v] for v in range(n)]
         self._nbr_sets = {v: frozenset(nbrs) for v, nbrs in self._adj.items()}
         self.send_capacity = send_capacity
         self.recv_capacity = recv_capacity
@@ -265,63 +237,34 @@ class SynchronousNetwork:
             else None
         )
         #: Last outbox length since ``engine.send_backlog`` was published
-        #: (0: nothing to publish).  With metrics attached the dense path
+        #: (0: nothing to publish).  With metrics attached the engine
         #: publishes the gauge once per round, not per enqueue.
         self._send_backlog_last = 0
         # Strict-mode send accounting: node -> (round, sends so far).
         self._send_budget: dict[int, tuple[int, int]] = {}
 
-        n = len(self._adj)
-        if fast_path is None:
-            fast_path = _FAST_PATH_DEFAULT
-        # Dense ids 0..n-1 (keys are unique, so min/max pin the range).
-        self._dense = bool(fast_path) and n > 0 and (
-            min(self._adj) == 0 and max(self._adj) == n - 1
-        )
         self._unit_delay = (
             type(self.delay_model) is ConstantDelay and self.delay_model.delay == 1
         )
-
-        if self._dense:
-            # Flat list-indexed engine state (the fast path).
-            self._outboxes: list[deque[Message]] = [deque() for _ in range(n)]
-            #: per destination: incoming-link FIFO queues keyed by source.
-            self._in_links: list[dict[int, deque[Message]]] = [{} for _ in range(n)]
-            #: per node: heap of (ready_at, seq, src) over link heads.
-            self._rheaps: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-            # Maintained active sets: a node is listed exactly once while
-            # its outbox / ready heap is non-empty (crashed nodes included),
-            # so it is appended when that container turns non-empty.
-            self._send_active: list[int] = []
-            self._recv_active: list[int] = []
-            self._nodes_l: list[Node] = [self._nodes[v] for v in range(n)]
-        else:
-            # Generic dict-keyed state: arbitrary hashable vertex ids.
-            # Per directed link (u, v): FIFO queue of messages in transit
-            # or waiting to be received at v.
-            self._links: dict[tuple[int, int], deque[Message]] = {}
-            # Per node: FIFO outbox of messages not yet on a link.
-            self._outbox: dict[int, deque[Message]] = {}
-            # Per node: heap of (ready_at, seq, src) for head-of-line
-            # messages on its incoming links.  Only heads are in the heap
-            # so arbitration is O(log deg) per delivery even on the star's
-            # hub.  A promoted head is never receivable before the round
-            # after its predecessor (per-link throughput is one message
-            # per round).
-            self._ready: dict[int, list[tuple[int, int, int]]] = {}
-
-        self._ctx: dict[int, NodeContext] = {
-            v: NodeContext(self, v) for v in self._adj
-        }
-        if self._dense:
-            self._ctx_l: list[NodeContext] = [self._ctx[v] for v in range(n)]
+        self._outboxes: list[deque[Message]] = [deque() for _ in range(n)]
+        #: per destination: incoming-link FIFO queues keyed by source.
+        self._in_links: list[dict[int, deque[Message]]] = [{} for _ in range(n)]
+        #: per node: heap of (eligible round, seq, src) over link heads.
+        #: Only heads are in the heap, so arbitration is O(log deg) per
+        #: delivery even on the star's hub.
+        self._rheaps: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        # Maintained active sets: a node is listed exactly once while
+        # its outbox / ready heap is non-empty (crashed nodes included),
+        # so it is appended when that container turns non-empty.
+        self._send_active: list[int] = []
+        self._recv_active: list[int] = []
+        self._ctx: list[NodeContext] = [NodeContext(self, v) for v in range(n)]
         self._msg_seq = 0
         self._started = False
         self._wakeups: dict[int, list[int]] = {}
         #: Shared next-event heap over wakeup rounds.  Contains every
         #: round that currently has (or once had) scheduled wakeups; rounds
-        #: no longer in ``_wakeups`` are discarded lazily on peek.  This
-        #: replaces the former ``min(self._wakeups)`` linear scans.
+        #: no longer in ``_wakeups`` are discarded lazily on peek.
         self._wake_heap: list[int] = []
         #: Rounds the run loop actually iterated (idle stretches that the
         #: clock jumped over are not counted).  ``stats.rounds`` stays the
@@ -341,11 +284,6 @@ class SynchronousNetwork:
         stats = self.stats
         return self._msg_seq - stats.messages_delivered - stats.messages_dropped
 
-    @property
-    def uses_fast_path(self) -> bool:
-        """Whether this network runs on the dense fast path."""
-        return self._dense
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted neighbors of ``v``."""
         return self._adj[v]
@@ -357,7 +295,7 @@ class SynchronousNetwork:
     @property
     def node_ids(self) -> list[int]:
         """All vertex ids, sorted."""
-        return sorted(self._adj)
+        return list(range(len(self._nodes)))
 
     def node(self, v: int) -> Node:
         """The protocol object at vertex ``v``."""
@@ -383,7 +321,6 @@ class SynchronousNetwork:
             raise ProtocolViolation("a SynchronousNetwork can only be run once")
         self._started = True
 
-        _, send_phase, _ = self._select_phases()
         self.now = 0
         inj = self._injector
         met = self.metrics
@@ -393,29 +330,12 @@ class SynchronousNetwork:
         try:
             if inj is not None:
                 inj.tick(0, self.stats, self.trace, met)
-            if prof is None:
-                for v in sorted(self._nodes):
-                    self._nodes[v].on_start(self._ctx[v])
-            else:
-                t0 = prof.clock()
-                for v in sorted(self._nodes):
-                    self._nodes[v].on_start(self._ctx[v])
-                prof.add("node.on_start", prof.clock() - t0)
-            if prof is None:
-                send_phase()
-            else:
-                t0 = prof.clock()
-                send_phase()
-                prof.add("send", prof.clock() - t0)
+            self._timed("node.on_start", self._start_nodes)
+            self._timed("send", self._send_phase)
             if met is not None:
                 self._publish_send_backlog(met)
             if mon is not None:
-                if prof is None:
-                    mon.on_round(self)
-                else:
-                    t0 = prof.clock()
-                    mon.on_round(self)
-                    prof.add("monitors", prof.clock() - t0)
+                self._timed("monitors", mon.on_round, self)
 
             return self._loop(max_rounds, t_run)
         finally:
@@ -448,22 +368,32 @@ class SynchronousNetwork:
             if self.metrics is not None:
                 self._publish_send_backlog(self.metrics)
 
-    def _select_phases(self):
-        """(receive, send, maybe_jump) phase callables for this path."""
-        if self._dense:
-            # Under the paper's unit delay every link head is receivable
-            # by round now+1, so while messages are in flight the clock
-            # can never jump — skip the scan entirely.
-            return (
-                self._receive_phase_dense,
-                self._send_phase_dense,
-                self._maybe_jump_dense if not self._unit_delay else None,
-            )
-        return self._receive_phase, self._send_phase, self._maybe_jump
+    def _start_nodes(self) -> None:
+        for node, ctx in zip(self._nodes, self._ctx):
+            node.on_start(ctx)
+
+    def _timed(self, phase: str, fn: Callable[..., Any], *args: Any) -> None:
+        """Call ``fn(*args)``, timed as ``phase`` when a profiler is attached.
+
+        For the once-per-run and monitor sites; the per-round phases and
+        the per-message ``on_receive`` keep their own inline split.
+        """
+        prof = self.profiler
+        if prof is None:
+            fn(*args)
+            return
+        t0 = prof.clock()
+        fn(*args)
+        prof.add(phase, prof.clock() - t0)
 
     def _loop(self, max_rounds: int, t_run: float = 0.0) -> RunStats:
         """The round loop: rounds ``now+1 ...`` until quiescence."""
-        receive_phase, send_phase, maybe_jump = self._select_phases()
+        receive_phase = self._receive_phase
+        send_phase = self._send_phase
+        # Under the paper's unit delay every link head is receivable by
+        # round now+1, so while messages are in flight the clock can never
+        # jump: skip the scan entirely.
+        maybe_jump = None if self._unit_delay else self._maybe_jump
         inj = self._injector
         met = self.metrics
         prof = self.profiler
@@ -481,10 +411,11 @@ class SynchronousNetwork:
                     pending_nodes=self._pending_nodes(),
                     oldest=self._oldest_undelivered(),
                 )
+            # Per round, so the unprofiled phases pay one branch, not four.
             if prof is None:
                 if inj is not None:
                     inj.tick(self.now, self.stats, self.trace, met)
-                self._wake_phase()
+                self._wake_phase(max_rounds)
                 receive_phase()
                 send_phase()
             else:
@@ -495,7 +426,7 @@ class SynchronousNetwork:
                     t1 = prof.clock()
                     prof.add("faults.tick", t1 - t0)
                     t0 = t1
-                self._wake_phase()
+                self._wake_phase(max_rounds)
                 t1 = prof.clock()
                 prof.add("wake", t1 - t0)
                 receive_phase()
@@ -511,12 +442,7 @@ class SynchronousNetwork:
                 # Sync the executed-round counter so monitors (and any
                 # checkpoint they capture) see a consistent engine.
                 self.rounds_executed = executed
-                if prof is None:
-                    mon.on_round(self)
-                else:
-                    t0 = prof.clock()
-                    mon.on_round(self)
-                    prof.add("monitors", prof.clock() - t0)
+                self._timed("monitors", mon.on_round, self)
             if maybe_jump is not None:
                 maybe_jump(max_rounds)
 
@@ -531,32 +457,24 @@ class SynchronousNetwork:
         # Quiescent: nothing can act any more.  Detaching the contexts
         # breaks the network <-> context cycles, so the finished network
         # is freed by reference counting, not by a cyclic-GC pass.
-        for ctx in self._ctx.values():
+        for ctx in self._ctx:
             ctx._network = ctx._enqueue = ctx._wakeup = None
         return self.stats
 
     def _pending_nodes(self) -> tuple[int, ...]:
         """Nodes with unsent outbound or undelivered inbound messages."""
-        if self._dense:
-            pending = {u for u, box in enumerate(self._outboxes) if box}
-            for dst, links in enumerate(self._in_links):
-                if any(links.values()):
-                    pending.add(dst)
-            return tuple(sorted(pending))
-        pending = {u for u, box in self._outbox.items() if box}
-        for (_, dst), q in self._links.items():
-            if q:
+        pending = {u for u, box in enumerate(self._outboxes) if box}
+        for dst, links in enumerate(self._in_links):
+            if any(links.values()):
                 pending.add(dst)
         return tuple(sorted(pending))
 
     def _queued_messages(self) -> tuple[Iterator[deque[Message]], Iterator[deque[Message]]]:
         """(link queues, outboxes) iterators for diagnostics."""
-        if self._dense:
-            return (
-                (q for links in self._in_links for q in links.values()),
-                iter(self._outboxes),
-            )
-        return iter(self._links.values()), iter(self._outbox.values())
+        return (
+            (q for links in self._in_links for q in links.values()),
+            iter(self._outboxes),
+        )
 
     def _oldest_undelivered(self) -> tuple[str, int, int, int] | None:
         """``(kind, src, dst, sent_at)`` of the oldest queued message."""
@@ -578,28 +496,6 @@ class SynchronousNetwork:
     # ------------------------------------------------------------ engine
 
     def _enqueue_send(self, src: int, dst: int, kind: str, payload: Any) -> Message:
-        if self.strict:
-            last_round, count = self._send_budget.get(src, (-1, 0))
-            count = count + 1 if last_round == self.now else 1
-            self._send_budget[src] = (self.now, count)
-            if count > self.send_capacity:
-                raise StrictModeViolation(src, self.now, "send", self.send_capacity)
-        seq = self._msg_seq
-        self._msg_seq = seq + 1
-        msg = Message(src, dst, kind, payload, -1, -1, -1, seq)
-        box = self._outbox.get(src)
-        if box is None:
-            box = self._outbox[src] = deque()
-        box.append(msg)
-        if len(box) > self.stats.max_send_backlog:
-            self.stats.max_send_backlog = len(box)
-        if self.metrics is not None:
-            self.metrics.set_gauge("engine.send_backlog", len(box))
-        if self.trace is not None:
-            self.trace.record("enqueue", self.now, src=src, dst=dst, kind=kind)
-        return msg
-
-    def _enqueue_send_dense(self, src: int, dst: int, kind: str, payload: Any) -> Message:
         if self.strict:
             last_round, count = self._send_budget.get(src, (-1, 0))
             count = count + 1 if last_round == self.now else 1
@@ -666,8 +562,7 @@ class SynchronousNetwork:
         """The earliest round with scheduled wakeups, via the event heap.
 
         Lazily discards heap entries whose round has already fired (the
-        ``_wakeups`` key was popped).  O(log w) amortised, replacing the
-        O(w) ``min()`` scans over the wakeup dict.
+        ``_wakeups`` key was popped).  O(log w) amortised.
         """
         heap = self._wake_heap
         wakeups = self._wakeups
@@ -678,28 +573,26 @@ class SynchronousNetwork:
             heapq.heappop(heap)
         return None
 
-    def _wake_phase(self) -> None:
+    def _wake_phase(self, max_rounds: int) -> None:
         due = self._wakeups.pop(self.now, None)
         if not due:
             # If nothing is in flight, jump the clock to the next wakeup so
-            # idle stretches of a long-lived schedule cost no work.
+            # idle stretches of a long-lived schedule cost no work.  The
+            # jump stops at the budget; the loop then raises a round later.
             if self._in_flight == 0 and self._wakeups:
                 nxt = self._next_wakeup()
                 if nxt is not None and nxt > self.now:
-                    self.now = nxt
-                    due = self._wakeups.pop(nxt)
+                    self.now = min(nxt, max_rounds)
+                    due = self._wakeups.pop(self.now, None)
                     # The loop ticked the faults for the round it left;
                     # tick the landing round too, before anyone wakes, so
                     # crash/recover boundaries jumped over are emitted.
                     if self._injector is not None:
-                        self._injector.tick(nxt, self.stats, self.trace, self.metrics)
+                        self._injector.tick(self.now, self.stats, self.trace, self.metrics)
             if not due:
                 return
         crashed = self._crashed
-        if self._dense:
-            nodes, ctxs = self._nodes_l, self._ctx_l
-        else:
-            nodes, ctxs = self._nodes, self._ctx
+        nodes, ctxs = self._nodes, self._ctx
         for v in due if len(due) == 1 else sorted(set(due)):
             if crashed is not None and crashed(v, self.now):
                 # Crashed nodes do not act; their wakeups fire at recovery
@@ -716,25 +609,9 @@ class SynchronousNetwork:
             nodes[v].on_wake(ctxs[v])
 
     def _maybe_jump(self, max_rounds: int) -> None:
-        """Skip idle rounds: with long link delays nothing may be
-        receivable for a while; advance the clock to the next event."""
-        if self._in_flight == 0:
-            return
-        if any(box for box in self._outbox.values()):
-            return  # something enters a link next round
-        nxt = None
-        for heap in self._ready.values():
-            if heap and (nxt is None or heap[0][0] < nxt):
-                nxt = heap[0][0]
-        if self._wakeups:
-            w = self._next_wakeup()
-            if w is not None:
-                nxt = w if nxt is None else min(nxt, w)
-        if nxt is not None and nxt > self.now + 1:
-            self.now = min(nxt - 1, max_rounds)
-
-    def _maybe_jump_dense(self, max_rounds: int) -> None:
-        """Dense-path idle-round jump (only reachable with non-unit delays).
+        """Skip idle rounds (only reachable with non-unit delays): with long
+        link delays nothing may be receivable for a while, so advance the
+        clock to the round before the next event.
 
         The active receiver set holds exactly the nodes with a non-empty
         ready heap, so the scan is O(active), not O(n)."""
@@ -765,129 +642,12 @@ class SynchronousNetwork:
         if self.monitors is not None:
             self.monitors.on_complete(self, op_id, result, node_id)
 
-    # --------------------------------------------- generic (fallback) path
+    # ------------------------------------------------------------ phases
+    #
+    # Stats and engine metrics are tallied locally and folded once per
+    # phase, even when a handler raises.
 
     def _receive_phase(self) -> None:
-        t = self.now
-        inj = self._injector
-        met = self.metrics
-        prof = self.profiler
-        # Snapshot: only nodes with a non-empty ready heap can receive.
-        receivers = sorted(v for v, h in self._ready.items() if h)
-        for v in receivers:
-            if inj is not None and inj.crashed(v, t):
-                continue  # crashed receiver: messages wait on their links
-            heap = self._ready[v]
-            node = self._nodes[v]
-            ctx = self._ctx[v]
-            budget = self.recv_capacity
-            while budget > 0 and heap:
-                ready_at, _seq, src = heap[0]
-                if ready_at > t:
-                    break  # still traversing its link
-                heapq.heappop(heap)
-                q = self._links[(src, v)]
-                msg = q.popleft()
-                if q:
-                    nxt = q[0]
-                    heapq.heappush(heap, (max(nxt.ready_at, t + 1), nxt.seq, src))
-                msg.delivered_at = t
-                budget -= 1
-                self.stats.messages_delivered += 1
-                wait = msg.link_wait()
-                self.stats.total_link_wait += wait
-                if met is not None:
-                    met.inc("engine.messages_delivered")
-                    met.inc("engine.link_wait_total", wait)
-                    met.observe("msg.link_wait", wait)
-                if self.trace is not None:
-                    self.trace.record(
-                        "deliver", t, src=src, dst=v, kind=msg.kind, wait=wait
-                    )
-                if prof is None:
-                    node.on_receive(msg, ctx)
-                else:
-                    t0 = prof.clock()
-                    node.on_receive(msg, ctx)
-                    prof.add("node.on_receive", prof.clock() - t0)
-            if self.strict and heap and heap[0][0] <= t:
-                raise StrictModeViolation(v, t, "receive", self.recv_capacity)
-
-    def _send_phase(self) -> None:
-        t = self.now
-        inj = self._injector
-        senders = sorted(v for v, box in self._outbox.items() if box)
-        for u in senders:
-            if inj is not None and inj.crashed(u, t):
-                continue  # crashed sender: outbox frozen until recovery
-            box = self._outbox[u]
-            for _ in range(min(self.send_capacity, len(box))):
-                msg = box.popleft()
-                msg.sent_at = t
-                verdict = None
-                if inj is not None:
-                    verdict = inj.on_link_entry(msg, t)
-                    if verdict in ("drop", "outage"):
-                        # Lost on the wire: the send slot is consumed but
-                        # the message never enters the link.
-                        self.stats.messages_dropped += 1
-                        if self.metrics is not None:
-                            self.metrics.inc("engine.messages_dropped")
-                        if self.trace is not None:
-                            self.trace.record(
-                                "drop", t, src=u, dst=msg.dst, kind=msg.kind,
-                                reason=verdict,
-                            )
-                        continue
-                self._link_entry(msg, u, t)
-                if verdict == "duplicate":
-                    clone = Message(
-                        src=msg.src, dst=msg.dst, kind=msg.kind,
-                        payload=msg.payload, seq=self._msg_seq,
-                    )
-                    self._msg_seq += 1
-                    clone.sent_at = t
-                    self.stats.messages_duplicated += 1
-                    if self.metrics is not None:
-                        self.metrics.inc("engine.messages_duplicated")
-                    self._link_entry(clone, u, t)
-                    if self.trace is not None:
-                        self.trace.record(
-                            "duplicate", t, src=u, dst=msg.dst, kind=msg.kind
-                        )
-
-    def _link_entry(self, msg: Message, u: int, t: int) -> None:
-        """Place ``msg`` on its link (the fault-free tail of the send phase)."""
-        msg.ready_at = t + self.delay_model(msg)
-        key = (u, msg.dst)
-        q = self._links.get(key)
-        if q is None:
-            q = self._links[key] = deque()
-        q.append(msg)
-        if len(q) > self.stats.max_recv_backlog:
-            self.stats.max_recv_backlog = len(q)
-        if len(q) == 1:
-            heap = self._ready.get(msg.dst)
-            if heap is None:
-                heap = self._ready[msg.dst] = []
-            heapq.heappush(heap, (msg.ready_at, msg.seq, u))
-        self.stats.messages_sent += 1
-        if self.metrics is not None:
-            self.metrics.inc("engine.messages_sent")
-            self.metrics.set_gauge("engine.recv_backlog", len(q))
-        if self.trace is not None:
-            self.trace.record("send", t, src=u, dst=msg.dst, kind=msg.kind)
-
-    # ------------------------------------------------------ dense fast path
-    #
-    # Mirror images of the generic phases over flat arrays.  Delivery
-    # order and trace events happen at the same point in the same order as
-    # the generic path — the equivalence suite diffs full event traces to
-    # keep it that way.  Stats and engine metrics are tallied locally and
-    # folded once per phase; the registry documents of both paths are
-    # equal (tests/test_obs.py::TestPerPhasePublishing).
-
-    def _receive_phase_dense(self) -> None:
         active = self._recv_active
         if not active:
             return
@@ -900,8 +660,8 @@ class SynchronousNetwork:
         cap = self.recv_capacity
         heappop = heapq.heappop
         heappush = heapq.heappush
-        nodes = self._nodes_l
-        ctxs = self._ctx_l
+        nodes = self._nodes
+        ctxs = self._ctx
         in_links = self._in_links
         rheaps = self._rheaps
         order = sorted(active)
@@ -944,6 +704,7 @@ class SynchronousNetwork:
                         waits[wait] = waits.get(wait, 0) + 1
                     if trace is not None:
                         trace.record("deliver", t, src=src, dst=v, kind=msg.kind, wait=wait)
+                    # Per message, so the unprofiled call stays a bare call.
                     if prof is None:
                         node.on_receive(msg, ctx)
                     else:
@@ -965,7 +726,7 @@ class SynchronousNetwork:
                 for wait, n in waits.items():
                     met.observe("msg.link_wait", wait, n)
 
-    def _send_phase_dense(self) -> None:
+    def _send_phase(self) -> None:
         active = self._send_active
         if not active:
             return

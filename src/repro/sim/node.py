@@ -35,11 +35,9 @@ class NodeContext:
         self._node_id = node_id
         self._neighbors = network.neighbors(node_id)
         self._nbr_set = network.neighbor_set(node_id)
-        # The engine's enqueue for this network's path and its wakeup
-        # scheduler, bound once: one call per ctx.send/schedule_wakeup.
-        self._enqueue = (
-            network._enqueue_send_dense if network._dense else network._enqueue_send
-        )
+        # The engine's enqueue and wakeup scheduler, bound once: one call
+        # per ctx.send/schedule_wakeup.
+        self._enqueue = network._enqueue_send
         self._wakeup = network._schedule_wakeup
 
     @property

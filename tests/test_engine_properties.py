@@ -10,16 +10,15 @@ the model's invariants must hold regardless of what the protocol does:
 * no message is delivered before ``sent_at + delay``.
 
 A monitor also checks, every round, the bookkeeping the engine's hot
-loops rely on: the dense path's active lists name exactly the nodes with
-a non-empty outbox / ready heap, and the derived in-flight count equals
-the messages actually queued.
+loops rely on: the active lists name exactly the nodes with a non-empty
+outbox / ready heap, and the derived in-flight count equals the messages
+actually queued.
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,15 +129,10 @@ class BookkeepingMonitor:
         links, outboxes = net._queued_messages()
         queued = sum(len(q) for q in links) + sum(len(box) for box in outboxes)
         assert net._in_flight == queued
-        if net.uses_fast_path:
-            n = len(net._outboxes)
-            # sorted() == the non-empty ones: listed exactly once, no others.
-            assert sorted(net._send_active) == [
-                v for v in range(n) if net._outboxes[v]
-            ]
-            assert sorted(net._recv_active) == [
-                v for v in range(n) if net._rheaps[v]
-            ]
+        n = len(net._outboxes)
+        # sorted() == the non-empty ones: listed exactly once, no others.
+        assert sorted(net._send_active) == [v for v in range(n) if net._outboxes[v]]
+        assert sorted(net._recv_active) == [v for v in range(n) if net._rheaps[v]]
         self.rounds_checked += 1
 
     def on_complete(self, net, op_id, result, node_id) -> None:
@@ -168,10 +162,9 @@ def fault_plans(draw, n: int):
 
 
 class TestEngineBookkeeping:
-    @pytest.mark.parametrize("fast_path", [True, False])
     @given(setup=chatter_setup(), data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_active_lists_and_in_flight_every_round(self, fast_path, setup, data):
+    def test_active_lists_and_in_flight_every_round(self, setup, data):
         n, edges, seed, send_cap, recv_cap, delay_hi, fanout = setup
         plan = data.draw(st.none() | fault_plans(n))
         g = Graph.from_edges(n, edges, name="chatter")
@@ -186,10 +179,8 @@ class TestEngineBookkeeping:
             delay_model=UniformDelay(1, delay_hi, seed=seed),
             faults=plan,
             monitors=monitor,
-            fast_path=fast_path,
         )
         net.run(max_rounds=100_000)
-        assert net.uses_fast_path == fast_path
         assert monitor.rounds_checked >= 2  # round 0 and the finish
         assert net._in_flight == 0
 

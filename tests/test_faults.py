@@ -264,8 +264,7 @@ class TestEngineFaultEffects:
         assert len(trace.of_kind("crash")) == 1
         assert len(trace.of_kind("recover")) == 1
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_idle_wake_jump_emits_skipped_crash_boundaries(self, fast_path):
+    def test_idle_wake_jump_emits_skipped_crash_boundaries(self):
         # Node 0 sleeps until round 100 and nothing is in flight, so the
         # wake phase jumps the clock from round 1 straight to 100, over
         # node 1's crash window [50, 60).  The jump must not lose the
@@ -290,7 +289,7 @@ class TestEngineFaultEffects:
             trace = EventTrace()
             net = SynchronousNetwork(
                 path_graph(3), {v: node_type(v) for v in range(3)},
-                faults=plan, trace=trace, fast_path=fast_path,
+                faults=plan, trace=trace,
             )
             stats = net.run()
             events = [

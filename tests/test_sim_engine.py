@@ -131,6 +131,16 @@ class TestBasics:
         with pytest.raises(ProtocolViolation, match="not in the graph"):
             SynchronousNetwork(g, nodes)
 
+    def test_non_contiguous_ids_rejected(self):
+        adj = {0: [2], 2: [0, 5], 5: [2]}
+        with pytest.raises(ProtocolViolation, match=r"ids must be 0\.\.2; id 1 is missing"):
+            SynchronousNetwork(adj, {v: Sender(v) for v in adj})
+
+    def test_empty_graph_runs_zero_rounds(self):
+        net = SynchronousNetwork({}, {})
+        assert net.run().rounds == 0
+        assert net.node_ids == []
+
     def test_invalid_capacities_rejected(self):
         g, nodes = line(2)
         with pytest.raises(CapacityError):
@@ -296,8 +306,7 @@ class TestWakeups:
         SynchronousNetwork(g, nodes).run()
         assert all(nodes[v].woke == [2] for v in range(3))
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_long_idle_schedule_executes_few_rounds(self, fast_path):
+    def test_long_idle_schedule_executes_few_rounds(self):
         """A sparse wakeup schedule must cost work per *event*, not per round.
 
         The engine's next-event heap jumps the clock over idle stretches:
@@ -309,7 +318,7 @@ class TestWakeups:
         marks = [1_000, 1_000_000, 1_000_000_000]
         g = path_graph(2)
         nodes = {0: WakerNode(0, at=marks), 1: WakerNode(1)}
-        net = SynchronousNetwork(g, nodes, fast_path=fast_path)
+        net = SynchronousNetwork(g, nodes)
         stats = net.run(max_rounds=2_000_000_000)
         assert nodes[0].woke == marks
         assert stats.rounds == marks[-1]
@@ -317,12 +326,19 @@ class TestWakeups:
         # once per jump target), not one per clock tick.
         assert net.rounds_executed <= len(marks) + 1
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_rounds_executed_counts_busy_rounds(self, fast_path):
+    def test_wakeup_past_the_round_budget_never_runs(self):
+        """The idle jump stops at ``max_rounds``: a run whose next wakeup
+        lies beyond the budget raises instead of waking and finishing."""
+        nodes = {0: WakerNode(0, at=[41]), 1: WakerNode(1)}
+        with pytest.raises(RoundLimitExceeded):
+            SynchronousNetwork(path_graph(2), nodes).run(max_rounds=40)
+        assert nodes[0].woke == []
+
+    def test_rounds_executed_counts_busy_rounds(self):
         n = 6
         g = path_graph(n)
         nodes = {v: RelayNode(v, nxt=v + 1 if v + 1 < n else None) for v in range(n)}
-        net = SynchronousNetwork(g, nodes, fast_path=fast_path)
+        net = SynchronousNetwork(g, nodes)
         stats = net.run()
         # A relay chain is busy every round: no jumps, executed == clock.
         assert net.rounds_executed == stats.rounds == n - 1
@@ -631,7 +647,12 @@ class TestFinishedRunsFreed:
         a, b, c = ids
         nodes = {v: Sender(v) for v in ids}
         nodes[a].sends = [(b, "x")]
-        net = SynchronousNetwork({a: [b], b: [a, c], c: [b]}, nodes)
+        adj = {a: [b], b: [a, c], c: [b]}
+        if c != 2:  # ids other than 0..n-1 are rejected
+            with pytest.raises(ProtocolViolation):
+                SynchronousNetwork(adj, nodes)
+            return
+        net = SynchronousNetwork(adj, nodes)
         ctx = net.context(a)
         net.run()
         assert nodes[b].recv_rounds == [1]
@@ -680,12 +701,11 @@ def _echo_net(trace=None, monitors=None):
 
 
 class TestEngineBuiltMessages:
-    """The dense enqueue builds messages without the class call; they must
-    be indistinguishable from constructor-built ones."""
+    """The engine's enqueue builds messages without the class call; they
+    must be indistinguishable from constructor-built ones."""
 
     def test_equal_to_constructor_built_when_send_returns(self):
         net, nodes = _echo_net()
-        assert net.uses_fast_path
         net.run()
         sent = [entry for node in nodes.values() for entry in node.sent]
         assert sent
