@@ -75,7 +75,6 @@ from repro.faults import (
     run_arrow_ft,
     run_central_counting_ft,
     run_flood_counting_ft,
-    wrap_reliable,
 )
 from repro.multicast import run_counting_multicast, run_queuing_multicast
 from repro.mutex import run_token_mutex
@@ -138,7 +137,6 @@ __all__ = [
     "LinkOutage",
     "NodeCrash",
     "RetryPolicy",
-    "wrap_reliable",
     "run_arrow_ft",
     "run_central_counting_ft",
     "run_flood_counting_ft",

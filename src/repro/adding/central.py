@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Any, Mapping
 
 from repro.adding.combining import AdditionResult
 from repro.counting.central import _routing
-from repro.sim import Message, Node, NodeContext, SynchronousNetwork
+from repro.sim import Message, Node, NodeContext, run_protocol
 from repro.topology.base import Graph
 
 
@@ -65,10 +65,12 @@ def run_central_addition(
     increments: Mapping[int, int],
     *,
     root: int = 0,
-    delay_model=None,
-    max_rounds: int = 50_000_000,
+    **options: Any,
 ) -> AdditionResult:
-    """Run central-server fetch-and-add; the result is verified."""
+    """Run central-server fetch-and-add; the result is verified.
+
+    ``options`` are run options, forwarded to :func:`repro.sim.run_protocol`.
+    """
     for v in increments:
         if not (0 <= v < graph.n):
             raise ValueError(f"vertex {v} out of range")
@@ -80,10 +82,7 @@ def run_central_addition(
         for v in graph.vertices()
     }
     nodes[root]._down_paths = down_paths
-    net = SynchronousNetwork(
-        graph, nodes, send_capacity=1, recv_capacity=1, delay_model=delay_model
-    )
-    net.run(max_rounds=max_rounds)
+    net = run_protocol(graph, nodes, send_capacity=1, recv_capacity=1, **options)
     result = AdditionResult(
         algorithm=f"central-add(root={root})",
         increments=dict(increments),

@@ -13,9 +13,9 @@ value, not just their number).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Any, Mapping
 
-from repro.sim import Message, Node, NodeContext, RunStats, SynchronousNetwork
+from repro.sim import Message, Node, NodeContext, RunStats, run_protocol
 from repro.topology.spanning import SpanningTree
 
 
@@ -152,8 +152,7 @@ def run_combining_addition(
     increments: Mapping[int, int],
     *,
     capacity: int = 1,
-    delay_model=None,
-    max_rounds: int = 50_000_000,
+    **options: Any,
 ) -> AdditionResult:
     """Run combining-tree fetch-and-add; the result is verified.
 
@@ -162,8 +161,8 @@ def run_combining_addition(
         increments: mapping vertex -> integer increment (vertices absent
             from the mapping do not participate).
         capacity: per-round message budget (1 = strict model).
-        delay_model: optional link-delay model.
-        max_rounds: engine safety limit.
+        **options: run options, forwarded to
+            :func:`repro.sim.run_protocol`.
     """
     tree = spanning.tree
     for v in increments:
@@ -178,14 +177,10 @@ def run_combining_addition(
         )
         for v in range(tree.n)
     }
-    net = SynchronousNetwork(
-        spanning.as_graph(),
-        nodes,
-        send_capacity=capacity,
-        recv_capacity=capacity,
-        delay_model=delay_model,
+    net = run_protocol(
+        spanning.as_graph(), nodes,
+        send_capacity=capacity, recv_capacity=capacity, **options,
     )
-    net.run(max_rounds=max_rounds)
 
     prior = {v: int(s) for v, s in net.delays.result_by_op().items()}
     # The induced order is the DFS order of participants: recover it by

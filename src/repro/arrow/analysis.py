@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable
 
 from repro.arrow.runner import ArrowResult, run_arrow
 from repro.topology.spanning import SpanningTree
@@ -50,14 +50,15 @@ def arrow_vs_tsp(
     requests: Iterable[int],
     *,
     tail: int | None = None,
-    max_rounds: int = 10_000_000,
+    **options: Any,
 ) -> ArrowTspComparison:
     """Run arrow and compute the NN tour on identical inputs.
 
     The tour starts at the tail node (the initial position of the queue),
-    matching the setup of Theorem 4.1.
+    matching the setup of Theorem 4.1.  ``options`` are run options for
+    :func:`repro.arrow.run_arrow`.
     """
     req = sorted(set(requests))
-    result = run_arrow(spanning, req, tail=tail, max_rounds=max_rounds)
+    result = run_arrow(spanning, req, tail=tail, **options)
     tour = nearest_neighbor_tour(spanning.tree, req, start=result.tail)
     return ArrowTspComparison(arrow=result, tour=tour)

@@ -15,12 +15,12 @@ wakeup mechanism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Any, Hashable, Mapping
 
 import numpy as np
 
 from repro.arrow.protocol import ArrowNode, op_of
-from repro.sim import NodeContext, RunStats, SynchronousNetwork
+from repro.sim import NodeContext, RunStats, run_protocol
 from repro.topology.spanning import SpanningTree
 from repro.tree import RootedTree
 
@@ -93,7 +93,7 @@ def run_arrow_longlived(
     *,
     tail: int | None = None,
     capacity: int | None = None,
-    max_rounds: int = 10_000_000,
+    **options: Any,
 ) -> LongLivedResult:
     """Run arrow with per-vertex issue rounds.
 
@@ -103,7 +103,8 @@ def run_arrow_longlived(
             from the mapping issue nothing.
         tail: initial tail node (default: tree root).
         capacity: per-round message budget (default: tree max degree).
-        max_rounds: engine safety limit.
+        **options: run options, forwarded to
+            :func:`repro.sim.run_protocol`.
     """
     tree = spanning.tree
     if tail is None:
@@ -129,10 +130,10 @@ def run_arrow_longlived(
         )
         for v in range(tree.n)
     }
-    net = SynchronousNetwork(
-        spanning.as_graph(), nodes, send_capacity=capacity, recv_capacity=capacity
+    net = run_protocol(
+        spanning.as_graph(), nodes,
+        send_capacity=capacity, recv_capacity=capacity, **options,
     )
-    stats = net.run(max_rounds=max_rounds)
 
     predecessors: dict[Hashable, Hashable] = {}
     for v in range(tree.n):
@@ -142,7 +143,7 @@ def run_arrow_longlived(
         issue_times=dict(issue_times),
         completion=net.delays.delay_by_op(),
         predecessors=predecessors,
-        stats=stats,
+        stats=net.stats,
     )
 
 

@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
+from typing import Any, Hashable, Iterable
 
 from repro.arrow.protocol import ArrowNode, init_op
-from repro.sim import DelayModel, EventTrace, Node, RunStats, SynchronousNetwork
+from repro.sim import RunStats, run_protocol
 from repro.topology.spanning import SpanningTree
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.plan import FaultPlan
 
 
 @dataclass(frozen=True)
@@ -79,15 +76,7 @@ def run_arrow(
     *,
     tail: int | None = None,
     capacity: int | None = None,
-    delay_model: DelayModel | None = None,
-    max_rounds: int = 10_000_000,
-    trace: EventTrace | None = None,
-    metrics: Any | None = None,
-    profiler: Any | None = None,
-    strict: bool = False,
-    node_wrapper: Callable[[Node], Node] | None = None,
-    faults: "FaultPlan | None" = None,
-    monitors: Any | None = None,
+    **options: Any,
 ) -> ArrowResult:
     """Run the one-shot concurrent arrow protocol.
 
@@ -101,23 +90,8 @@ def run_arrow(
         capacity: per-round send/receive message budget per node; defaults
             to the tree's maximum degree, the paper's expanded-time-step
             convention (Section 4).  Pass 1 for the strict model.
-        delay_model: per-message link-delay model (default: the paper's
-            unit delay; see :mod:`repro.sim.delays` for async adversaries).
-        max_rounds: engine safety limit.
-        trace: optional :class:`EventTrace` recording engine events (used
-            by the determinism sanitizer).
-        metrics: optional :class:`repro.obs.MetricsRegistry` the engine
-            publishes counters/gauges/histograms into.
-        profiler: optional :class:`repro.obs.PhaseProfiler` timing the
-            engine phases.
-        strict: enable the engine's strict per-round budget assertions.
-        node_wrapper: optional adapter applied to every protocol node
-            before the run (e.g. :func:`repro.faults.wrap_reliable`); the
-            per-operation results are still read off the inner nodes.
-        faults: optional :class:`repro.faults.FaultPlan` injected into
-            the engine.
-        monitors: optional :class:`repro.resilience.MonitorSet` running
-            end-of-round invariant checks against the live network.
+        **options: run options (``max_rounds``, ``trace``, ``faults``,
+            ``reliable``, ...), forwarded to :func:`repro.sim.run_protocol`.
 
     Returns:
         An :class:`ArrowResult` with per-operation delays and the induced
@@ -150,23 +124,10 @@ def run_arrow(
         v: ArrowNode(v, link=parent_toward_tail[v], requesting=(v in req_set))
         for v in range(tree.n)
     }
-    sim_nodes: dict[int, Node] = (
-        {v: node_wrapper(n) for v, n in nodes.items()} if node_wrapper else nodes
+    net = run_protocol(
+        spanning.as_graph(), nodes,
+        send_capacity=capacity, recv_capacity=capacity, **options,
     )
-    net = SynchronousNetwork(
-        spanning.as_graph(),
-        sim_nodes,
-        send_capacity=capacity,
-        recv_capacity=capacity,
-        delay_model=delay_model,
-        trace=trace,
-        metrics=metrics,
-        profiler=profiler,
-        strict=strict,
-        faults=faults,
-        monitors=monitors,
-    )
-    stats = net.run(max_rounds=max_rounds)
 
     predecessors: dict[Hashable, Hashable] = {}
     for v in range(tree.n):
@@ -177,7 +138,7 @@ def run_arrow(
         tail=tail,
         delays=net.delays.delay_by_op(),
         predecessors=predecessors,
-        stats=stats,
+        stats=net.stats,
     )
 
 

@@ -55,6 +55,7 @@ import argparse
 import sys
 
 from repro.experiments import ALL_EXPERIMENTS, render_experiment
+from repro.protocols import PROTOCOLS
 from repro.sim.errors import StrictModeViolation
 
 
@@ -141,11 +142,6 @@ def _fault_plan(args: argparse.Namespace):
         )
     except ValueError as exc:
         raise SystemExit(f"bad fault spec: {exc}")
-    if args.strict:
-        raise SystemExit(
-            "--strict is incompatible with fault injection: acks and "
-            "retransmits legitimately exceed the per-round budgets"
-        )
     return None if plan.is_empty() else plan
 
 
@@ -186,35 +182,46 @@ def _print_fault_summary(plan, stats) -> None:
               "completion was not guaranteed")
 
 
-def cmd_arrow(args: argparse.Namespace) -> int:
-    from repro import run_arrow
-    from repro.topology.spanning import bfs_spanning_tree, path_spanning_tree
+def _proto_runner(args: argparse.Namespace, name: str):
+    """``(graph, plan, runner)`` for one run of registered protocol ``name``.
 
+    The runner accepts further run options (``trace``, ``metrics``,
+    ``profiler``) and honours ``--strict`` and ``--faults``/``--crash``/
+    ``--outage``; a fault plan adds reliable delivery.  Option errors
+    (such as ``--strict`` with faults) exit with the runner's message.
+    """
     g = _build_graph(args.graph, args.n)
-    try:
-        st = path_spanning_tree(g)
-    except Exception:
-        st = bfs_spanning_tree(g)
+    options = {"strict": args.strict}
     plan = _fault_plan(args)
     if plan is not None:
-        from repro.faults import run_arrow_ft
+        from repro.faults import RetryPolicy
 
-        def runner(**kw):
-            return run_arrow_ft(st, range(g.n), plan, **kw)
-    else:
-        def runner(**kw):
-            return run_arrow(st, range(g.n), strict=args.strict, **kw)
+        options.update(faults=plan, reliable=RetryPolicy())
+    run = PROTOCOLS[name].run
 
+    def runner(**kw):
+        try:
+            return run(g, range(g.n), **options, **kw)
+        except ValueError as exc:
+            raise SystemExit(f"{name}: {exc}")
+
+    return g, plan, runner
+
+
+def _cmd_protocol(args: argparse.Namespace, name: str) -> int:
+    """Run one registered protocol and print its delays (``arrow``/``count``)."""
+    g, plan, runner = _proto_runner(args, name)
     registry = _metrics_registry(args)
     try:
-        res = runner(metrics=registry) if registry is not None else runner()
+        res = runner(metrics=registry)
     except StrictModeViolation as exc:
         print(f"strict mode violation: {exc}")
         return 1
-    print(f"{g.name}: arrow on {st.label} tree")
+    print(f"{g.name}: {getattr(res, 'algorithm', name)}")
     print(f"  total delay : {res.total_delay}")
     print(f"  max delay   : {res.max_delay}")
-    print(f"  order       : {res.order()[:12]}{'...' if g.n > 12 else ''}")
+    if not PROTOCOLS[name].counting:
+        print(f"  order       : {res.order()[:12]}{'...' if g.n > 12 else ''}")
     if args.stats:
         _print_stats(res.stats)
     if plan is not None:
@@ -223,69 +230,14 @@ def cmd_arrow(args: argparse.Namespace) -> int:
     if args.sanitize:
         return _sanitize(lambda trace: runner(trace=trace))
     return 0
+
+
+def cmd_arrow(args: argparse.Namespace) -> int:
+    return _cmd_protocol(args, "arrow")
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    from repro import (
-        run_central_counting,
-        run_combining_counting,
-        run_counting_network,
-        run_flood_counting,
-    )
-    from repro.counting import run_periodic_counting
-    from repro.topology.spanning import bfs_spanning_tree
-
-    g = _build_graph(args.graph, args.n)
-    runners = {
-        "combining": lambda **kw: run_combining_counting(
-            bfs_spanning_tree(g), range(g.n), **kw
-        ),
-        "central": lambda **kw: run_central_counting(g, range(g.n), **kw),
-        "flood": lambda **kw: run_flood_counting(g, range(g.n), **kw),
-        "cnet": lambda **kw: run_counting_network(g, range(g.n), **kw),
-        "periodic": lambda **kw: run_periodic_counting(g, range(g.n), **kw),
-    }
-    if args.algorithm not in runners:
-        raise SystemExit(f"unknown algorithm {args.algorithm!r}")
-    plan = _fault_plan(args)
-    if plan is not None:
-        from repro.faults import run_central_counting_ft, run_flood_counting_ft
-
-        ft_runners = {
-            "central": lambda **kw: run_central_counting_ft(
-                g, range(g.n), plan, **kw
-            ),
-            "flood": lambda **kw: run_flood_counting_ft(g, range(g.n), plan, **kw),
-        }
-        if args.algorithm not in ft_runners:
-            raise SystemExit(
-                f"fault injection supports algorithms "
-                f"{sorted(ft_runners)}, not {args.algorithm!r}"
-            )
-        runner = ft_runners[args.algorithm]
-    else:
-        base = runners[args.algorithm]
-
-        def runner(**kw):
-            return base(strict=args.strict, **kw)
-
-    registry = _metrics_registry(args)
-    try:
-        res = runner(metrics=registry) if registry is not None else runner()
-    except StrictModeViolation as exc:
-        print(f"strict mode violation: {exc}")
-        return 1
-    print(f"{g.name}: {res.algorithm}")
-    print(f"  total delay : {res.total_delay}")
-    print(f"  max delay   : {res.max_delay}")
-    if args.stats:
-        _print_stats(res.stats)
-    if plan is not None:
-        _print_fault_summary(plan, res.stats)
-    _write_metrics(args, registry)
-    if args.sanitize:
-        return _sanitize(lambda trace: runner(trace=trace))
-    return 0
+    return _cmd_protocol(args, args.algorithm)
 
 
 def _sanitize(build_and_run) -> int:
@@ -297,80 +249,14 @@ def _sanitize(build_and_run) -> int:
     return 0 if report.deterministic else 1
 
 
-#: Protocols the observability commands can run.
-OBS_PROTOCOLS = ("arrow", "combining", "central", "flood", "cnet", "periodic")
-
-
-def _proto_runner(args: argparse.Namespace):
-    """``(graph, runner)`` for one observability protocol run.
-
-    The runner accepts the engine observation kwargs (``trace``,
-    ``metrics``, ``profiler``) and honours ``--faults``/``--crash``/
-    ``--outage`` where the fault-tolerant variant exists.
-    """
-    g = _build_graph(args.graph, args.n)
-    plan = _fault_plan(args) if hasattr(args, "faults") else None
-    proto = args.protocol
-    if proto == "arrow":
-        from repro import run_arrow
-        from repro.topology.spanning import bfs_spanning_tree, path_spanning_tree
-
-        try:
-            st = path_spanning_tree(g)
-        except Exception:
-            st = bfs_spanning_tree(g)
-        if plan is not None:
-            from repro.faults import run_arrow_ft
-
-            return g, lambda **kw: run_arrow_ft(st, range(g.n), plan, **kw)
-        return g, lambda **kw: run_arrow(st, range(g.n), **kw)
-
-    from repro import (
-        run_central_counting,
-        run_combining_counting,
-        run_counting_network,
-        run_flood_counting,
-    )
-    from repro.counting import run_periodic_counting
-    from repro.topology.spanning import bfs_spanning_tree
-
-    if plan is not None:
-        from repro.faults import run_central_counting_ft, run_flood_counting_ft
-
-        ft = {
-            "central": lambda **kw: run_central_counting_ft(
-                g, range(g.n), plan, **kw
-            ),
-            "flood": lambda **kw: run_flood_counting_ft(g, range(g.n), plan, **kw),
-        }
-        if proto not in ft:
-            raise SystemExit(
-                f"fault injection supports protocols {sorted(ft)}, not {proto!r}"
-            )
-        return g, ft[proto]
-    runners = {
-        "combining": lambda **kw: run_combining_counting(
-            bfs_spanning_tree(g), range(g.n), **kw
-        ),
-        "central": lambda **kw: run_central_counting(g, range(g.n), **kw),
-        "flood": lambda **kw: run_flood_counting(g, range(g.n), **kw),
-        "cnet": lambda **kw: run_counting_network(g, range(g.n), **kw),
-        "periodic": lambda **kw: run_periodic_counting(g, range(g.n), **kw),
-    }
-    return g, runners[proto]
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import MetricsRegistry, write_chrome_trace, write_jsonl
     from repro.sim import EventTrace
 
-    g, runner = _proto_runner(args)
+    g, _, runner = _proto_runner(args, args.protocol)
     trace = EventTrace()
     registry = MetricsRegistry() if args.metrics_json else None
-    kw = {"trace": trace}
-    if registry is not None:
-        kw["metrics"] = registry
-    res = runner(**kw)
+    res = runner(trace=trace, metrics=registry)
 
     out = args.output or f"{args.protocol}.perfetto.json"
     if out.endswith(".perfetto.json"):
@@ -398,7 +284,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs import PhaseProfiler
 
-    g, runner = _proto_runner(args)
+    g, _, runner = _proto_runner(args, args.protocol)
     prof = PhaseProfiler()
     res = runner(profiler=prof)
     print(f"{g.name}: {args.protocol} (total delay {res.total_delay})")
@@ -461,6 +347,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     import os
 
     from repro.resilience.chaos import (
+        DEFAULT_CELLS,
         ChaosCell,
         chaos_search,
         load_artifact,
@@ -487,7 +374,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print("REPRODUCED" if reproduced else "NOT REPRODUCED")
         return 0 if reproduced else 1
 
-    specs = args.cells or ["flood_ft:ring:8", "central_ft:star:8", "arrow_ft:path:8"]
+    specs = args.cells or DEFAULT_CELLS
     try:
         cells = [ChaosCell.parse(s) for s in specs]
     except ValueError as exc:
@@ -592,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("complete", "path", "star", "mesh", "hypercube"))
     count.add_argument("--n", type=int, default=32)
     count.add_argument("--algorithm", default="combining",
-                       choices=("combining", "central", "flood", "cnet", "periodic"))
+                       choices=[n for n, p in PROTOCOLS.items() if p.counting])
     count.add_argument("--sanitize", action="store_true",
                        help="re-run and diff event traces for nondeterminism")
     count.add_argument("--strict", action="store_true",
@@ -605,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run a protocol with tracing on; write Perfetto JSON + JSONL",
     )
-    trace.add_argument("protocol", choices=OBS_PROTOCOLS)
+    trace.add_argument("protocol", choices=tuple(PROTOCOLS))
     trace.add_argument("--graph", default="complete",
                        choices=("complete", "path", "star", "mesh", "hypercube"))
     trace.add_argument("--n", type=int, default=32)
@@ -624,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="time the engine's per-round phases for one protocol run",
     )
-    profile.add_argument("protocol", choices=OBS_PROTOCOLS)
+    profile.add_argument("protocol", choices=tuple(PROTOCOLS))
     profile.add_argument("--graph", default="complete",
                          choices=("complete", "path", "star", "mesh", "hypercube"))
     profile.add_argument("--n", type=int, default=32)

@@ -16,23 +16,13 @@ experiment.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
+from typing import Any, Hashable, Iterable
 
 from repro.core.problem import CountingResult, QueuingResult
 from repro.core.verify import verify_counting, verify_queuing
-from repro.sim import (
-    DelayModel,
-    EventTrace,
-    Message,
-    Node,
-    NodeContext,
-    SynchronousNetwork,
-)
+from repro.sim import Message, Node, NodeContext, SynchronousNetwork, run_protocol
 from repro.topology.base import Graph
 from repro.topology.properties import next_hops_toward
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.plan import FaultPlan
 
 
 class _CentralNode(Node):
@@ -131,20 +121,8 @@ def _routing(graph: Graph, root: int) -> tuple[list[int], dict[int, list[int]]]:
 
 
 def _run_central(
-    graph: Graph,
-    requests: Iterable[int],
-    root: int,
-    mode: str,
-    max_rounds: int,
-    delay_model: DelayModel | None = None,
-    trace: EventTrace | None = None,
-    metrics: Any | None = None,
-    profiler: Any | None = None,
-    strict: bool = False,
-    node_wrapper: Callable[[Node], Node] | None = None,
-    faults: "FaultPlan | None" = None,
-    monitors: Any | None = None,
-) -> tuple[dict[int, Hashable], dict[int, int], SynchronousNetwork]:
+    graph: Graph, requests: Iterable[int], root: int, mode: str, options: dict
+) -> SynchronousNetwork:
     req = sorted(set(requests))
     next_hop, down_paths = _routing(graph, root)
     req_set = set(req)
@@ -159,24 +137,9 @@ def _run_central(
         for v in graph.vertices()
     }
     nodes[root]._down_paths = down_paths
-    sim_nodes: dict[int, Node] = (
-        {v: node_wrapper(n) for v, n in nodes.items()} if node_wrapper else nodes
+    return run_protocol(
+        graph, nodes, send_capacity=1, recv_capacity=1, **options
     )
-    net = SynchronousNetwork(
-        graph,
-        sim_nodes,
-        send_capacity=1,
-        recv_capacity=1,
-        delay_model=delay_model,
-        trace=trace,
-        metrics=metrics,
-        profiler=profiler,
-        strict=strict,
-        faults=faults,
-        monitors=monitors,
-    )
-    net.run(max_rounds=max_rounds)
-    return net.delays.result_by_op(), net.delays.delay_by_op(), net
 
 
 def run_central_counting(
@@ -184,15 +147,7 @@ def run_central_counting(
     requests: Iterable[int],
     *,
     root: int = 0,
-    max_rounds: int = 50_000_000,
-    delay_model: DelayModel | None = None,
-    trace: EventTrace | None = None,
-    metrics: Any | None = None,
-    profiler: Any | None = None,
-    strict: bool = False,
-    node_wrapper: Callable[[Node], Node] | None = None,
-    faults: "FaultPlan | None" = None,
-    monitors: Any | None = None,
+    **options: Any,
 ) -> CountingResult:
     """Run central-counter counting; output verified before returning.
 
@@ -200,33 +155,18 @@ def run_central_counting(
         graph: communication graph.
         requests: requesting vertices.
         root: the vertex holding the counter.
-        max_rounds: engine safety limit.
-        delay_model: optional link-delay model.
-        trace: optional :class:`EventTrace` recording engine events.
-        metrics: optional :class:`repro.obs.MetricsRegistry` the engine
-            publishes into.
-        profiler: optional :class:`repro.obs.PhaseProfiler` timing the
-            engine phases.
-        strict: enable the engine's strict per-round budget assertions.
-        node_wrapper: optional adapter applied to every protocol node
-            (e.g. :func:`repro.faults.wrap_reliable`).
-        faults: optional :class:`repro.faults.FaultPlan` injected into
-            the engine.
-        monitors: optional :class:`repro.resilience.MonitorSet` running
-            end-of-round invariant checks against the live network.
+        **options: run options, forwarded to
+            :func:`repro.sim.run_protocol`.
     """
     req = tuple(sorted(set(requests)))
-    results, delays, net = _run_central(
-        graph, req, root, "count", max_rounds, delay_model, trace, metrics,
-        profiler, strict, node_wrapper, faults, monitors,
-    )
-    counts = {v: int(c) for v, c in results.items()}
+    net = _run_central(graph, req, root, "count", options)
+    counts = {v: int(c) for v, c in net.delays.result_by_op().items()}
     verify_counting(req, counts)
     return CountingResult(
         algorithm=f"central(root={root})",
         requests=req,
         counts=counts,
-        delays=delays,
+        delays=net.delays.delay_by_op(),
         stats=net.stats,
     )
 
@@ -236,28 +176,20 @@ def run_central_queuing(
     requests: Iterable[int],
     *,
     root: int = 0,
-    max_rounds: int = 50_000_000,
-    delay_model: DelayModel | None = None,
-    trace: EventTrace | None = None,
-    metrics: Any | None = None,
-    profiler: Any | None = None,
-    strict: bool = False,
-    monitors: Any | None = None,
+    **options: Any,
 ) -> QueuingResult:
     """Run central-server queuing (root returns each request's predecessor).
 
     Identical message pattern to :func:`run_central_counting` — the pair
     demonstrates the star-graph conclusion that with a serialising hub,
-    counting and queuing cost the same.
+    counting and queuing cost the same.  ``options`` as for
+    :func:`run_central_counting`.
     """
     req = tuple(sorted(set(requests)))
-    results, raw_delays, net = _run_central(
-        graph, req, root, "queue", max_rounds, delay_model, trace, metrics,
-        profiler, strict, monitors=monitors,
-    )
-    predecessors = {("op", v): pred for v, pred in results.items()}
+    net = _run_central(graph, req, root, "queue", options)
+    predecessors = {("op", v): pred for v, pred in net.delays.result_by_op().items()}
     # Delays keyed by op id to match QueuingResult's convention.
-    delays = {("op", v): d for v, d in raw_delays.items()}
+    delays = {("op", v): d for v, d in net.delays.delay_by_op().items()}
     # The initial dummy op lives at the root for the central server.
     verify_queuing(req, predecessors, tail=root)
     return QueuingResult(

@@ -26,14 +26,7 @@ from typing import Any, Iterable
 
 from repro.core.problem import CountingResult
 from repro.core.verify import verify_counting
-from repro.sim import (
-    DelayModel,
-    EventTrace,
-    Message,
-    Node,
-    NodeContext,
-    SynchronousNetwork,
-)
+from repro.sim import Message, Node, NodeContext, run_protocol
 from repro.topology.spanning import SpanningTree
 
 
@@ -110,13 +103,7 @@ def run_combining_counting(
     requests: Iterable[int],
     *,
     capacity: int = 1,
-    max_rounds: int = 50_000_000,
-    delay_model: DelayModel | None = None,
-    trace: EventTrace | None = None,
-    metrics: Any | None = None,
-    profiler: Any | None = None,
-    strict: bool = False,
-    monitors: Any | None = None,
+    **options: Any,
 ) -> CountingResult:
     """Run combining-tree counting on a spanning tree; output verified.
 
@@ -126,7 +113,8 @@ def run_combining_counting(
         requests: requesting vertices.
         capacity: per-round message budget (1 = the paper's strict model;
             the tree degree = expanded steps).
-        max_rounds: engine safety limit.
+        **options: run options, forwarded to
+            :func:`repro.sim.run_protocol`.
     """
     tree = spanning.tree
     req = tuple(sorted(set(requests)))
@@ -140,19 +128,10 @@ def run_combining_counting(
         )
         for v in range(tree.n)
     }
-    net = SynchronousNetwork(
-        spanning.as_graph(),
-        nodes,
-        send_capacity=capacity,
-        recv_capacity=capacity,
-        delay_model=delay_model,
-        trace=trace,
-        metrics=metrics,
-        profiler=profiler,
-        strict=strict,
-        monitors=monitors,
+    net = run_protocol(
+        spanning.as_graph(), nodes,
+        send_capacity=capacity, recv_capacity=capacity, **options,
     )
-    net.run(max_rounds=max_rounds)
     counts = {v: int(c) for v, c in net.delays.result_by_op().items()}
     verify_counting(req, counts)
     return CountingResult(

@@ -40,22 +40,12 @@ fault-tolerant wrapper's retry path) remain correct.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.core.problem import CountingResult
 from repro.core.verify import verify_counting
-from repro.sim import (
-    DelayModel,
-    EventTrace,
-    Message,
-    Node,
-    NodeContext,
-    SynchronousNetwork,
-)
+from repro.sim import Message, Node, NodeContext, run_protocol
 from repro.topology.base import Graph
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.plan import FaultPlan
 
 
 class _FloodNode(Node):
@@ -167,40 +157,16 @@ class _FloodNode(Node):
 
 
 def run_flood_counting(
-    graph: Graph,
-    requests: Iterable[int],
-    *,
-    max_rounds: int = 50_000_000,
-    delay_model: DelayModel | None = None,
-    trace: EventTrace | None = None,
-    metrics: Any | None = None,
-    profiler: Any | None = None,
-    strict: bool = False,
-    node_wrapper: Callable[[Node], Node] | None = None,
-    faults: "FaultPlan | None" = None,
-    monitors: Any | None = None,
+    graph: Graph, requests: Iterable[int], **options: Any
 ) -> CountingResult:
-    """Run flood-and-rank counting on any connected graph; output verified."""
+    """Run flood-and-rank counting on any connected graph; output verified.
+
+    ``options`` are run options, forwarded to :func:`repro.sim.run_protocol`.
+    """
     req = tuple(sorted(set(requests)))
     req_set = set(req)
     nodes = {v: _FloodNode(v, requesting=(v in req_set)) for v in graph.vertices()}
-    sim_nodes: dict[int, Node] = (
-        {v: node_wrapper(n) for v, n in nodes.items()} if node_wrapper else nodes
-    )
-    net = SynchronousNetwork(
-        graph,
-        sim_nodes,
-        send_capacity=1,
-        recv_capacity=1,
-        delay_model=delay_model,
-        trace=trace,
-        metrics=metrics,
-        profiler=profiler,
-        strict=strict,
-        faults=faults,
-        monitors=monitors,
-    )
-    net.run(max_rounds=max_rounds)
+    net = run_protocol(graph, nodes, send_capacity=1, recv_capacity=1, **options)
     counts = {v: int(c) for v, c in net.delays.result_by_op().items()}
     verify_counting(req, counts)
     return CountingResult(

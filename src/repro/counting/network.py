@@ -30,14 +30,7 @@ from typing import Any, Iterable
 
 from repro.core.problem import CountingResult
 from repro.core.verify import verify_counting
-from repro.sim import (
-    DelayModel,
-    EventTrace,
-    Message,
-    Node,
-    NodeContext,
-    SynchronousNetwork,
-)
+from repro.sim import Message, Node, NodeContext, run_protocol
 from repro.topology.base import Graph
 from repro.topology.properties import next_hops_toward
 
@@ -370,12 +363,7 @@ def run_counting_network(
     requests: Iterable[int],
     *,
     width: int | None = None,
-    max_rounds: int = 50_000_000,
-    delay_model: DelayModel | None = None,
-    trace: EventTrace | None = None,
-    metrics: Any | None = None,
-    profiler: Any | None = None,
-    strict: bool = False,
+    **options: Any,
 ) -> CountingResult:
     """Run bitonic-counting-network counting on a graph; output verified.
 
@@ -385,12 +373,29 @@ def run_counting_network(
         requests: requesting vertices.
         width: network width (power of two; default: largest power of two
             ``<= n``).
-        max_rounds: engine safety limit.
+        **options: run options, forwarded to
+            :func:`repro.sim.run_protocol`.
     """
-    n = graph.n
     if width is None:
-        width = 1 << max(0, n.bit_length() - 1)
-    net_struct = bitonic_network(width)
+        width = 1 << max(0, graph.n.bit_length() - 1)
+    return _run_embedded_network(
+        graph, requests, bitonic_network(width), f"cnet(w={width})", options
+    )
+
+
+def _run_embedded_network(
+    graph: Graph,
+    requests: Iterable[int],
+    net_struct: BitonicNetwork,
+    algorithm: str,
+    options: dict[str, Any],
+) -> CountingResult:
+    """Count through ``net_struct`` embedded on ``graph``; output verified.
+
+    The runner behind :func:`run_counting_network` and
+    :func:`repro.counting.periodic.run_periodic_counting`, which differ
+    only in the wiring.
+    """
     shared = _SharedState(graph, net_struct)
     req = tuple(sorted(set(requests)))
     req_set = set(req)
@@ -398,22 +403,11 @@ def run_counting_network(
         v: _CNetNode(v, requesting=(v in req_set), shared=shared)
         for v in graph.vertices()
     }
-    net = SynchronousNetwork(
-        graph,
-        nodes,
-        send_capacity=1,
-        recv_capacity=1,
-        delay_model=delay_model,
-        trace=trace,
-        metrics=metrics,
-        profiler=profiler,
-        strict=strict,
-    )
-    net.run(max_rounds=max_rounds)
+    net = run_protocol(graph, nodes, send_capacity=1, recv_capacity=1, **options)
     counts = {v: int(c) for v, c in net.delays.result_by_op().items()}
     verify_counting(req, counts)
     return CountingResult(
-        algorithm=f"cnet(w={width})",
+        algorithm=algorithm,
         requests=req,
         counts=counts,
         delays=net.delays.delay_by_op(),

@@ -26,8 +26,7 @@ from repro.counting.network import (
     Balancer,
     BitonicNetwork,
     Entity,
-    _CNetNode,
-    _SharedState,
+    _run_embedded_network,
 )
 from repro.topology.base import Graph
 
@@ -123,50 +122,15 @@ def run_periodic_counting(
     requests: Iterable[int],
     *,
     width: int | None = None,
-    max_rounds: int = 50_000_000,
-    delay_model: DelayModel | None = None,
-    trace: EventTrace | None = None,
-    metrics: Any | None = None,
-    profiler: Any | None = None,
-    strict: bool = False,
+    **options: Any,
 ) -> CountingResult:
     """Distributed counting through an embedded periodic network.
 
-    Same embedding and delay accounting as
+    Same embedding, delay accounting and run options as
     :func:`repro.counting.network.run_counting_network`.
     """
-    from repro.core.verify import verify_counting
-    from repro.sim import SynchronousNetwork
-
-    n = graph.n
     if width is None:
-        width = 1 << max(0, n.bit_length() - 1)
-    net_struct = periodic_network(width)
-    shared = _SharedState(graph, net_struct)
-    req = tuple(sorted(set(requests)))
-    req_set = set(req)
-    nodes = {
-        v: _CNetNode(v, requesting=(v in req_set), shared=shared)
-        for v in graph.vertices()
-    }
-    net = SynchronousNetwork(
-        graph,
-        nodes,
-        send_capacity=1,
-        recv_capacity=1,
-        delay_model=delay_model,
-        trace=trace,
-        metrics=metrics,
-        profiler=profiler,
-        strict=strict,
-    )
-    net.run(max_rounds=max_rounds)
-    counts = {v: int(c) for v, c in net.delays.result_by_op().items()}
-    verify_counting(req, counts)
-    return CountingResult(
-        algorithm=f"periodic(w={width})",
-        requests=req,
-        counts=counts,
-        delays=net.delays.delay_by_op(),
-        stats=net.stats,
+        width = 1 << max(0, graph.n.bit_length() - 1)
+    return _run_embedded_network(
+        graph, requests, periodic_network(width), f"periodic(w={width})", options
     )

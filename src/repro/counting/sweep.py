@@ -15,11 +15,11 @@ who requested.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
-from repro.core.problem import CountingResult
-from repro.core.verify import verify_counting
-from repro.sim import EventTrace, Message, Node, NodeContext, SynchronousNetwork
+from repro.core.problem import CountingResult, QueuingResult
+from repro.core.verify import verify_counting, verify_queuing
+from repro.sim import Message, Node, NodeContext, SynchronousNetwork, run_protocol
 from repro.topology.base import Graph
 from repro.topology.hamilton import hamilton_path_of, is_hamilton_path
 
@@ -78,28 +78,14 @@ class _SweepHead(_SweepNode):
             self._pass(("init", self.node_id), ctx)
 
 
-def run_sweep_counting(
+def _run_sweep(
     graph: Graph,
     requests: Iterable[int],
-    *,
-    order: Sequence[int] | None = None,
-    delay_model=None,
-    max_rounds: int = 50_000_000,
-    trace: EventTrace | None = None,
-    strict: bool = False,
-) -> CountingResult:
-    """Run sweep-token counting along a Hamilton path; output verified.
-
-    Args:
-        graph: communication graph (must have a Hamilton path, or pass an
-            explicit ``order``).
-        requests: requesting vertices.
-        order: an explicit Hamilton path to sweep along.
-        delay_model: optional link-delay model.
-        max_rounds: engine safety limit.
-        trace: optional :class:`EventTrace` recording engine events.
-        strict: enable the engine's strict per-round budget assertions.
-    """
+    order: Sequence[int] | None,
+    mode: str,
+    options: dict[str, Any],
+) -> tuple[tuple[int, ...], Sequence[int], SynchronousNetwork]:
+    """Sweep a token along ``order`` (default: a Hamilton path of ``graph``)."""
     if order is None:
         order = hamilton_path_of(graph)
     if not is_hamilton_path(graph, order):
@@ -113,12 +99,30 @@ def run_sweep_counting(
     nodes: dict[int, Node] = {}
     for v in graph.vertices():
         cls = _SweepHead if v == order[0] else _SweepNode
-        nodes[v] = cls(v, requesting=(v in req_set), next_on_path=nxt[v])
-    net = SynchronousNetwork(
-        graph, nodes, send_capacity=1, recv_capacity=1,
-        delay_model=delay_model, trace=trace, strict=strict,
+        nodes[v] = cls(v, requesting=(v in req_set), next_on_path=nxt[v], mode=mode)
+    return req, order, run_protocol(
+        graph, nodes, send_capacity=1, recv_capacity=1, **options
     )
-    net.run(max_rounds=max_rounds)
+
+
+def run_sweep_counting(
+    graph: Graph,
+    requests: Iterable[int],
+    *,
+    order: Sequence[int] | None = None,
+    **options: Any,
+) -> CountingResult:
+    """Run sweep-token counting along a Hamilton path; output verified.
+
+    Args:
+        graph: communication graph (must have a Hamilton path, or pass an
+            explicit ``order``).
+        requests: requesting vertices.
+        order: an explicit Hamilton path to sweep along.
+        **options: run options, forwarded to
+            :func:`repro.sim.run_protocol`.
+    """
+    req, _, net = _run_sweep(graph, requests, order, "count", options)
     counts = {v: int(c) for v, c in net.delays.result_by_op().items()}
     verify_counting(req, counts)
     return CountingResult(
@@ -135,43 +139,19 @@ def run_sweep_queuing(
     requests: Iterable[int],
     *,
     order: Sequence[int] | None = None,
-    delay_model=None,
-    max_rounds: int = 50_000_000,
-    trace: EventTrace | None = None,
-    strict: bool = False,
-):
+    **options: Any,
+) -> QueuingResult:
     """Sweep-token *queuing*: the token carries the last queued op's id.
 
     A deliberately naive queuing algorithm: like the sweep counter it has
     total delay ``Theta(n^2)`` even though queuing admits O(n) via the
     arrow protocol — demonstrating that the paper's separation is a
     statement about the *best* algorithm for each problem, not about any
-    particular one.
+    particular one.  Arguments as for :func:`run_sweep_counting`.
 
     Returns a :class:`repro.core.problem.QueuingResult` (verified).
     """
-    from repro.core.problem import QueuingResult
-    from repro.core.verify import verify_queuing
-
-    if order is None:
-        order = hamilton_path_of(graph)
-    if not is_hamilton_path(graph, order):
-        raise ValueError("order is not a Hamilton path of the graph")
-    req = tuple(sorted(set(requests)))
-    req_set = set(req)
-    nxt: dict[int, int | None] = {
-        order[i]: (order[i + 1] if i + 1 < len(order) else None)
-        for i in range(len(order))
-    }
-    nodes: dict[int, Node] = {}
-    for v in graph.vertices():
-        cls = _SweepHead if v == order[0] else _SweepNode
-        nodes[v] = cls(v, requesting=(v in req_set), next_on_path=nxt[v], mode="queue")
-    net = SynchronousNetwork(
-        graph, nodes, send_capacity=1, recv_capacity=1,
-        delay_model=delay_model, trace=trace, strict=strict,
-    )
-    net.run(max_rounds=max_rounds)
+    req, order, net = _run_sweep(graph, requests, order, "queue", options)
     predecessors = net.delays.result_by_op()
     verify_queuing(req, predecessors, tail=order[0])
     return QueuingResult(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Iterable
 
 from repro.arrow.protocol import init_op, op_of
-from repro.sim import Message, Node, NodeContext, SynchronousNetwork
+from repro.sim import Message, Node, NodeContext, run_protocol
 from repro.topology.base import Graph
 from repro.topology.properties import next_hops_toward
 from repro.topology.spanning import SpanningTree
@@ -177,10 +177,7 @@ def run_object_directory(
     use_rounds: int = 1,
     home: int | None = None,
     capacity: int | None = None,
-    delay_model=None,
-    max_rounds: int = 50_000_000,
-    trace: Any | None = None,
-    monitors: Any | None = None,
+    **options: Any,
 ) -> DirectoryOutcome:
     """Run the arrow directory: find on the tree, move on the graph.
 
@@ -194,8 +191,8 @@ def run_object_directory(
         capacity: per-round message budget (default: tree max degree —
             object hops and finds share it, which is the interesting
             contention).
-        delay_model: optional link-delay model.
-        max_rounds: engine safety limit.
+        **options: run options, forwarded to
+            :func:`repro.sim.run_protocol`.
 
     Raises:
         AssertionError: if some requester never obtained the object or
@@ -235,16 +232,9 @@ def run_object_directory(
         )
         for v in range(tree.n)
     }
-    net = SynchronousNetwork(
-        graph,
-        nodes,
-        send_capacity=capacity,
-        recv_capacity=capacity,
-        delay_model=delay_model,
-        trace=trace,
-        monitors=monitors,
+    net = run_protocol(
+        graph, nodes, send_capacity=capacity, recv_capacity=capacity, **options
     )
-    net.run(max_rounds=max_rounds)
 
     acquire = {op[1]: r for op, r in net.delays.delay_by_op().items()}
     if set(acquire) != req_set:

@@ -39,7 +39,12 @@ from repro.sim.node import Node, NodeContext
 
 
 class RetryBudgetExceeded(SimulationError):
-    """A reliable sender gave up on a message after ``max_retries`` resends."""
+    """A reliable sender gave up on a message after ``max_retries`` resends.
+
+    ``faulty`` says whether the run injected any faults.  Without faults
+    no envelope or ack was lost, so the retries can only have run out
+    while the envelope sat queued behind contention.
+    """
 
     def __init__(
         self,
@@ -48,6 +53,7 @@ class RetryBudgetExceeded(SimulationError):
         kind: str,
         attempts: int,
         round_: int | None = None,
+        faulty: bool = True,
     ) -> None:
         self.node_id = node_id
         self.dst = dst
@@ -55,9 +61,14 @@ class RetryBudgetExceeded(SimulationError):
         self.attempts = attempts
         self.round = round_
         at = "" if round_ is None else f" (round {round_})"
+        cause = (
+            "the fault plan starved the link" if faulty else
+            "no faults were injected; the retries ran out while the "
+            "envelope was queued"
+        )
         super().__init__(
             f"node {node_id} gave up sending {kind!r} to {dst} after "
-            f"{attempts} attempts{at} — the fault plan starved the link"
+            f"{attempts} attempts{at} — {cause}"
         )
 
 
@@ -183,9 +194,11 @@ class ReliableNode(Node):
         ``ack``: payload ``seq`` — receipt confirmation, sent for every
             copy received (acks are not themselves acked).
 
-    When a :class:`repro.obs.MetricsRegistry` is attached (``metrics=``,
-    also reachable through :func:`wrap_reliable`), the wrapper publishes
-    the reliability overhead that aggregate message counts hide:
+    Runners wrap every node in one when given ``reliable=`` (see
+    :func:`repro.sim.run_protocol`), passing the run's ``metrics`` and
+    fault plan along.  When a :class:`repro.obs.MetricsRegistry` is
+    attached (``metrics=``), the wrapper publishes the reliability
+    overhead that aggregate message counts hide:
     ``reliable.app_sends`` (application messages enveloped),
     ``reliable.retransmits``, ``reliable.acks_sent``, and
     ``reliable.duplicates_absorbed`` (copies suppressed by the
@@ -298,8 +311,10 @@ class ReliableNode(Node):
                         self.metrics.inc("reliable.budget_pauses")
                     continue
             if p.attempts > self.policy.max_retries:
+                plan = self.plan
                 raise RetryBudgetExceeded(
-                    self.node_id, p.dst, p.kind, p.attempts, round_=t
+                    self.node_id, p.dst, p.kind, p.attempts, round_=t,
+                    faulty=plan is not None and not plan.is_empty(),
                 )
             p.attempts += 1
             p.interval = self.policy.next_interval(p.interval)
@@ -308,27 +323,6 @@ class ReliableNode(Node):
                 self.metrics.inc("reliable.retransmits")
             ctx.send(p.dst, "rel", payload=(seq, p.kind, p.payload))
         self._arm_timer(ctx)
-
-
-def wrap_reliable(
-    policy: RetryPolicy | None = None,
-    metrics: Any | None = None,
-    plan: Any | None = None,
-):
-    """A node-wrapper callable for runners' ``node_wrapper`` hooks.
-
-    ``run_arrow(..., node_wrapper=wrap_reliable())`` wraps every protocol
-    node in a :class:`ReliableNode` sharing one :class:`RetryPolicy` (and
-    optionally one metrics registry).  Passing the run's ``plan`` makes
-    retries crash-aware: the budget pauses across scheduled outage and
-    crash windows instead of exhausting into them.
-    """
-    policy = policy if policy is not None else RetryPolicy()
-
-    def _wrap(node: Node) -> ReliableNode:
-        return ReliableNode(node, policy, metrics=metrics, plan=plan)
-
-    return _wrap
 
 
 def unwrap(node: Node) -> Node:
@@ -340,6 +334,5 @@ __all__ = [
     "ReliableNode",
     "RetryPolicy",
     "RetryBudgetExceeded",
-    "wrap_reliable",
     "unwrap",
 ]

@@ -2,16 +2,21 @@
 
 Each ``run_*_ft`` function runs the corresponding base protocol under a
 :class:`~repro.faults.plan.FaultPlan`, with every node wrapped in the
-reliable-delivery adapter (:mod:`repro.faults.reliable`).  The outputs go
-through the same verifiers as the fault-free runners, so a returned
-result is a *correct* one — under an eventually-delivering plan the run
-completes and verifies despite drops, duplicates, outages, and (finite)
-crashes.
+reliable-delivery adapter (:mod:`repro.faults.reliable`).  They are
+shorthands: any runner does the same given ``faults=plan`` and
+``reliable=RetryPolicy()`` (see :func:`repro.sim.run_protocol`); pass
+``reliable=`` to use another retry policy.  The
+outputs go through the same verifiers as the fault-free runners, so a
+returned result is a *correct* one — under an eventually-delivering plan
+the run completes and verifies despite drops, duplicates, outages, and
+(finite) crashes.
 
 Round budgets: faults stretch executions, so callers should size
 ``max_rounds`` for the retry envelope, roughly ``fault_free_rounds +
-retries * timeout`` per lost hop (see ``docs/FAULTS.md``).  The defaults
-below are generous.
+retries * timeout`` per lost hop (see ``docs/FAULTS.md``).  The default
+is generous.  Strict mode is unavailable: acks and retransmits
+legitimately exceed the per-round budgets, which the engine absorbs as
+queuing delay.
 """
 
 from __future__ import annotations
@@ -23,8 +28,7 @@ from repro.core.problem import CountingResult
 from repro.counting.central import run_central_counting
 from repro.counting.flood import run_flood_counting
 from repro.faults.plan import FaultPlan
-from repro.faults.reliable import RetryPolicy, wrap_reliable
-from repro.sim import DelayModel, EventTrace
+from repro.faults.reliable import RetryPolicy
 from repro.topology.base import Graph
 from repro.topology.spanning import SpanningTree
 
@@ -33,96 +37,37 @@ def run_arrow_ft(
     spanning: SpanningTree,
     requests: Iterable[int],
     plan: FaultPlan,
-    *,
-    tail: int | None = None,
-    capacity: int | None = None,
-    delay_model: DelayModel | None = None,
-    max_rounds: int = 10_000_000,
-    trace: EventTrace | None = None,
-    metrics: Any | None = None,
-    profiler: Any | None = None,
-    policy: RetryPolicy | None = None,
-    monitors: Any | None = None,
+    **options: Any,
 ) -> ArrowResult:
     """Arrow queuing under ``plan`` with reliable delivery.
 
     Same contract as :func:`repro.arrow.run_arrow`; the result's
-    predecessor chain is still a single queue over all requests.  Strict
-    mode is unavailable: acks and retransmits legitimately exceed the
-    per-round budgets, which the engine absorbs as queuing delay.
+    predecessor chain is still a single queue over all requests.
     """
-    return run_arrow(
-        spanning,
-        requests,
-        tail=tail,
-        capacity=capacity,
-        delay_model=delay_model,
-        max_rounds=max_rounds,
-        trace=trace,
-        metrics=metrics,
-        profiler=profiler,
-        node_wrapper=wrap_reliable(policy, metrics=metrics, plan=plan),
-        faults=plan,
-        monitors=monitors,
-    )
+    options.setdefault("reliable", RetryPolicy())
+    return run_arrow(spanning, requests, faults=plan, **options)
 
 
 def run_central_counting_ft(
     graph: Graph,
     requests: Iterable[int],
     plan: FaultPlan,
-    *,
-    root: int = 0,
-    max_rounds: int = 50_000_000,
-    delay_model: DelayModel | None = None,
-    trace: EventTrace | None = None,
-    metrics: Any | None = None,
-    profiler: Any | None = None,
-    policy: RetryPolicy | None = None,
-    monitors: Any | None = None,
+    **options: Any,
 ) -> CountingResult:
     """Central-counter counting under ``plan`` with reliable delivery."""
-    return run_central_counting(
-        graph,
-        requests,
-        root=root,
-        max_rounds=max_rounds,
-        delay_model=delay_model,
-        trace=trace,
-        metrics=metrics,
-        profiler=profiler,
-        node_wrapper=wrap_reliable(policy, metrics=metrics, plan=plan),
-        faults=plan,
-        monitors=monitors,
-    )
+    options.setdefault("reliable", RetryPolicy())
+    return run_central_counting(graph, requests, faults=plan, **options)
 
 
 def run_flood_counting_ft(
     graph: Graph,
     requests: Iterable[int],
     plan: FaultPlan,
-    *,
-    max_rounds: int = 50_000_000,
-    delay_model: DelayModel | None = None,
-    trace: EventTrace | None = None,
-    metrics: Any | None = None,
-    profiler: Any | None = None,
-    policy: RetryPolicy | None = None,
-    monitors: Any | None = None,
+    **options: Any,
 ) -> CountingResult:
     """Flood-and-rank counting under ``plan`` with reliable delivery."""
-    return run_flood_counting(
-        graph,
-        requests,
-        max_rounds=max_rounds,
-        delay_model=delay_model,
-        trace=trace,
-        metrics=metrics,
-        profiler=profiler,
-        node_wrapper=wrap_reliable(policy, metrics=metrics, plan=plan),
-        faults=plan,
-        monitors=monitors,
-    )
+    options.setdefault("reliable", RetryPolicy())
+    return run_flood_counting(graph, requests, faults=plan, **options)
 
 
 __all__ = [

@@ -12,12 +12,12 @@ comparable with the theorems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable
 
 from repro.arrow.runner import run_arrow
 from repro.core.verify import verify_total_order_consistency
 from repro.counting.combining import run_combining_counting
-from repro.sim import Message, Node, NodeContext, SynchronousNetwork
+from repro.sim import Message, Node, NodeContext, run_protocol
 from repro.topology.base import Graph
 from repro.topology.spanning import SpanningTree
 
@@ -153,7 +153,7 @@ def _run_dissemination(
     mode: str,
     start_round: dict[int, int],
     meta: dict[int, Hashable],
-    max_rounds: int,
+    **limit: Any,
 ) -> tuple[dict[tuple[int, int], int], tuple[int, ...]]:
     senders = sorted(start_round)
     nodes = {
@@ -166,8 +166,7 @@ def _run_dissemination(
         )
         for v in graph.vertices()
     }
-    net = SynchronousNetwork(graph, nodes, send_capacity=1, recv_capacity=1)
-    net.run(max_rounds=max_rounds)
+    run_protocol(graph, nodes, send_capacity=1, recv_capacity=1, **limit)
 
     delivery_times: dict[tuple[int, int], int] = {}
     orders = []
@@ -180,13 +179,18 @@ def _run_dissemination(
     return delivery_times, tuple(orders[0])
 
 
+def _round_limit(options: dict[str, Any]) -> dict[str, Any]:
+    """The part of the run options phase 2 shares: ``max_rounds``."""
+    return {k: v for k, v in options.items() if k == "max_rounds"}
+
+
 def run_counting_multicast(
     graph: Graph,
     spanning: SpanningTree,
     senders: Iterable[int],
     *,
     counting_runner: Callable[..., object] | None = None,
-    max_rounds: int = 50_000_000,
+    **options: Any,
 ) -> MulticastOutcome:
     """Ordered multicast via distributed counting (the conventional solution).
 
@@ -194,14 +198,18 @@ def run_counting_multicast(
     counter on ``spanning`` (or any runner with the same signature).
     Phase 2: each sender floods its message — tagged with its sequence
     number — starting the round its number arrived; receivers deliver in
-    sequence order.
+    sequence order.  ``options`` are run options for phase 1, the
+    coordination run the comparison is about, forwarded to
+    :func:`repro.sim.run_protocol`; phase 2 shares only ``max_rounds``.
     """
     senders_t = tuple(sorted(set(senders)))
     runner = counting_runner or run_combining_counting
-    coord = runner(spanning, senders_t, max_rounds=max_rounds)
+    coord = runner(spanning, senders_t, **options)
     start = {v: coord.delays[v] for v in senders_t}
     meta: dict[int, Hashable] = {v: coord.counts[v] for v in senders_t}
-    delivery, order = _run_dissemination(graph, "counting", start, meta, max_rounds)
+    delivery, order = _run_dissemination(
+        graph, "counting", start, meta, **_round_limit(options)
+    )
     return MulticastOutcome(
         flavour="counting",
         senders=senders_t,
@@ -215,24 +223,26 @@ def run_queuing_multicast(
     graph: Graph,
     spanning: SpanningTree,
     senders: Iterable[int],
-    *,
-    max_rounds: int = 50_000_000,
+    **options: Any,
 ) -> MulticastOutcome:
     """Ordered multicast via distributed queuing (Herlihy et al.'s proposal).
 
     Phase 1: the senders run the arrow protocol on ``spanning``; each
     message is tagged with its predecessor's sender id (``None`` for the
     first).  Phase 2 floods as in the counting flavour; receivers deliver
-    a message once its predecessor has been delivered.
+    a message once its predecessor has been delivered.  ``options`` as
+    for :func:`run_counting_multicast`.
     """
     senders_t = tuple(sorted(set(senders)))
-    coord = run_arrow(spanning, senders_t, max_rounds=max_rounds)
+    coord = run_arrow(spanning, senders_t, **options)
     start = {v: coord.delays[("op", v)] for v in senders_t}
     meta: dict[int, Hashable] = {}
     for v in senders_t:
         pred = coord.predecessors[("op", v)]
         meta[v] = None if pred[0] == "init" else pred[1]
-    delivery, order = _run_dissemination(graph, "queuing", start, meta, max_rounds)
+    delivery, order = _run_dissemination(
+        graph, "queuing", start, meta, **_round_limit(options)
+    )
     return MulticastOutcome(
         flavour="queuing",
         senders=senders_t,

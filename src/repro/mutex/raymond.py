@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Iterable
 
 from repro.arrow.protocol import init_op, op_of
-from repro.sim import Message, Node, NodeContext, SynchronousNetwork
+from repro.sim import Message, Node, NodeContext, run_protocol
 from repro.topology.spanning import SpanningTree
 from repro.tree import RootedTree
 
@@ -170,9 +170,7 @@ def run_token_mutex(
     cs_rounds: int = 1,
     tail: int | None = None,
     capacity: int | None = None,
-    max_rounds: int = 50_000_000,
-    trace: Any | None = None,
-    monitors: Any | None = None,
+    **options: Any,
 ) -> MutexOutcome:
     """Run one-shot token-based mutual exclusion over the arrow queue.
 
@@ -184,11 +182,9 @@ def run_token_mutex(
         cs_rounds: how long each critical section lasts.
         tail: initial token holder (default: tree root).
         capacity: per-round message budget (default: tree max degree).
-        max_rounds: engine safety limit.
-        trace: optional :class:`~repro.sim.EventTrace` recording engine
-            events.
-        monitors: optional :class:`repro.resilience.MonitorSet` — pair
-            with :class:`repro.resilience.TokenInvariant` to assert token
+        **options: run options, forwarded to
+            :func:`repro.sim.run_protocol`.  Pair ``monitors=`` with
+            :class:`repro.resilience.TokenInvariant` to assert token
             uniqueness at the end of every round.
 
     Raises:
@@ -223,15 +219,10 @@ def run_token_mutex(
         )
         for v in range(tree.n)
     }
-    net = SynchronousNetwork(
-        spanning.as_graph(),
-        nodes,
-        send_capacity=capacity,
-        recv_capacity=capacity,
-        trace=trace,
-        monitors=monitors,
+    net = run_protocol(
+        spanning.as_graph(), nodes,
+        send_capacity=capacity, recv_capacity=capacity, **options,
     )
-    net.run(max_rounds=max_rounds)
 
     entry = {op[1]: r for op, r in net.delays.delay_by_op().items()}
     if set(entry) != req_set:

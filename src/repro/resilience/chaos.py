@@ -27,17 +27,18 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.faults.plan import FaultPlan, LinkOutage, NodeCrash
-from repro.resilience.invariants import (
-    ArrowInvariant,
-    CountingInvariant,
-    MonitorSet,
-)
+from repro.faults.reliable import RetryBudgetExceeded, RetryPolicy
+from repro.protocols import PROTOCOLS
+from repro.resilience.invariants import MonitorSet
 from repro.resilience.watchdog import Watchdog
 from repro.sim.errors import (
     InvariantViolation,
     RoundLimitExceeded,
     StallDetected,
 )
+from repro.topology.base import TopologyError
+from repro.topology.graphs import complete_graph, path_graph, ring_graph, star_graph
+from repro.topology.hamilton import hamilton_path_of
 
 #: Artifact schema tag (bump on incompatible layout changes).
 ARTIFACT_SCHEMA = "repro.chaos/1"
@@ -45,10 +46,30 @@ ARTIFACT_SCHEMA = "repro.chaos/1"
 #: Default cap on model rounds per chaos run — chaos must terminate fast.
 DEFAULT_MAX_ROUNDS = 20_000
 
+#: The cells ``repro chaos`` sweeps by default: one per registered protocol.
+DEFAULT_CELLS = (
+    "flood_ft:ring:8", "central_ft:star:8", "arrow_ft:path:8",
+    "combining_ft:star:8", "cnet_ft:complete:8", "periodic_ft:ring:8",
+    "sweep_ft:path:8",
+)
+
+#: topology name -> graph builder.
+TOPOLOGIES: dict[str, Callable[[int], Any]] = {
+    "path": path_graph,
+    "ring": ring_graph,
+    "star": star_graph,
+    "complete": complete_graph,
+}
+
 
 @dataclass(frozen=True)
 class ChaosCell:
-    """One protocol x topology x size cell of the chaos matrix."""
+    """One protocol x topology x size cell of the chaos matrix.
+
+    ``protocol`` is a :data:`repro.protocols.PROTOCOLS` name with an
+    ``_ft`` suffix: the protocol runs under each plan with reliable
+    delivery.
+    """
 
     protocol: str
     topology: str
@@ -68,11 +89,9 @@ class ChaosCell:
             raise ValueError(
                 f"malformed cell spec {spec!r}; want protocol:topology:n"
             ) from None
-        if cell.protocol not in PROTOCOLS:
-            raise ValueError(
-                f"unknown protocol {cell.protocol!r}; "
-                f"known: {sorted(PROTOCOLS)}"
-            )
+        known = sorted(f"{name}_ft" for name in PROTOCOLS)
+        if cell.protocol not in known:
+            raise ValueError(f"unknown protocol {cell.protocol!r}; known: {known}")
         if cell.topology not in TOPOLOGIES:
             raise ValueError(
                 f"unknown topology {cell.topology!r}; "
@@ -80,6 +99,13 @@ class ChaosCell:
             )
         if cell.n < 2:
             raise ValueError(f"cell size must be >= 2, got {cell.n}")
+        if PROTOCOLS[protocol.removesuffix("_ft")].needs_path:
+            try:
+                hamilton_path_of(cell.graph())
+            except TopologyError:
+                raise ValueError(
+                    f"{protocol} needs a Hamilton path; {cell.key()} has none"
+                ) from None
         return cell
 
     def graph(self):
@@ -87,125 +113,11 @@ class ChaosCell:
         return TOPOLOGIES[self.topology](self.n)
 
 
-def _run_arrow_cell(cell: ChaosCell, plan: FaultPlan, max_rounds: int) -> None:
-    from repro.faults.runners import run_arrow_ft
-    from repro.topology import bfs_spanning_tree, path_spanning_tree
-
-    graph = cell.graph()
-    spanning = (
-        path_spanning_tree(graph)
-        if cell.topology == "path"
-        else bfs_spanning_tree(graph)
-    )
-    monitors = MonitorSet(
-        invariants=(ArrowInvariant(),),
-        watchdog=Watchdog(
-            stall_window=500,
-            livelock_window=5_000,
-            expected_completions=cell.n,
-        ),
-    )
-    res = run_arrow_ft(
-        spanning, range(cell.n), plan, max_rounds=max_rounds, monitors=monitors
-    )
-    res.order()  # raises if the predecessor links do not chain
-
-
-def _run_counting_cell(runner: Callable) -> Callable:
-    def run(cell: ChaosCell, plan: FaultPlan, max_rounds: int) -> None:
-        monitors = MonitorSet(
-            invariants=(CountingInvariant(expected=cell.n),),
-            watchdog=Watchdog(
-                stall_window=500,
-                livelock_window=5_000,
-                expected_completions=cell.n,
-            ),
-        )
-        runner(
-            cell.graph(),
-            range(cell.n),
-            plan,
-            max_rounds=max_rounds,
-            monitors=monitors,
-        )
-
-    return run
-
-
-def _protocols() -> dict[str, Callable[[ChaosCell, FaultPlan, int], None]]:
-    from repro.faults.runners import (
-        run_central_counting_ft,
-        run_flood_counting_ft,
-    )
-
-    return {
-        "arrow_ft": _run_arrow_cell,
-        "central_ft": _run_counting_cell(run_central_counting_ft),
-        "flood_ft": _run_counting_cell(run_flood_counting_ft),
-    }
-
-
-class _Lazy(dict):
-    """Registry resolved on first use (avoids import cycles at load)."""
-
-    def __init__(self, build: Callable[[], dict]) -> None:
-        super().__init__()
-        self._build = build
-        self._loaded = False
-
-    def _ensure(self) -> None:
-        if not self._loaded:
-            self._loaded = True
-            self.update(self._build())
-
-    def __missing__(self, key):
-        self._ensure()
-        if key in self:
-            return self[key]
-        raise KeyError(key)
-
-    def __contains__(self, key) -> bool:
-        self._ensure()
-        return dict.__contains__(self, key)
-
-    def __iter__(self):
-        self._ensure()
-        return dict.__iter__(self)
-
-    def __len__(self) -> int:
-        self._ensure()
-        return dict.__len__(self)
-
-
-def _topologies() -> dict[str, Callable[[int], Any]]:
-    from repro.topology import (
-        complete_graph,
-        path_graph,
-        ring_graph,
-        star_graph,
-    )
-
-    return {
-        "path": path_graph,
-        "ring": ring_graph,
-        "star": star_graph,
-        "complete": complete_graph,
-    }
-
-
-#: protocol name -> cell runner (raises on failure, returns on success).
-PROTOCOLS: dict[str, Callable] = _Lazy(_protocols)
-#: topology name -> graph builder.
-TOPOLOGIES: dict[str, Callable] = _Lazy(_topologies)
-
-
 # --------------------------------------------------------------- running
 
 
 def _classify(exc: Exception) -> tuple[str, int | None]:
     """(failure kind, round) for one caught run failure."""
-    from repro.faults.reliable import RetryBudgetExceeded
-
     if isinstance(exc, InvariantViolation):
         return f"invariant:{exc.invariant}", exc.round
     if isinstance(exc, StallDetected):
@@ -228,9 +140,20 @@ def run_cell(
     "round": ..., "error": ...}``.  Deterministic: the same (cell, plan)
     always yields the same outcome.
     """
-    runner = PROTOCOLS[cell.protocol]
+    spec = PROTOCOLS[cell.protocol.removesuffix("_ft")]
+    monitors = MonitorSet(
+        invariants=(spec.invariant(cell.n),),
+        watchdog=Watchdog(
+            stall_window=500, livelock_window=5_000, expected_completions=cell.n
+        ),
+    )
     try:
-        runner(cell, plan, max_rounds)
+        res = spec.run(
+            cell.graph(), range(cell.n), faults=plan, reliable=RetryPolicy(),
+            max_rounds=max_rounds, monitors=monitors,
+        )
+        if not spec.counting:
+            res.order()  # raises if the predecessor links do not chain
     except Exception as exc:  # noqa: BLE001 - classified, unknowns re-raised
         kind, round_ = _classify(exc)
         return {
@@ -524,8 +447,8 @@ __all__ = [
     "ChaosCell",
     "ChaosFinding",
     "ChaosReport",
+    "DEFAULT_CELLS",
     "DEFAULT_MAX_ROUNDS",
-    "PROTOCOLS",
     "TOPOLOGIES",
     "chaos_search",
     "load_artifact",

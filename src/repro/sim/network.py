@@ -835,28 +835,50 @@ def run_protocol(
     graph: Any,
     nodes: Mapping[int, Node],
     *,
-    send_capacity: int = 1,
-    recv_capacity: int = 1,
-    max_rounds: int = 1_000_000,
-    trace: EventTrace | None = None,
-    metrics: Any | None = None,
-    profiler: Any | None = None,
-    strict: bool = False,
+    max_rounds: int = 50_000_000,
+    reliable: Any | None = None,
+    **engine: Any,
 ) -> SynchronousNetwork:
-    """Convenience wrapper: build a network, run it, return it.
+    """Build a network over ``nodes``, run it to quiescence, return it.
+
+    Every protocol runner builds and runs its engine here, so every runner
+    takes the same run options and forwards them unchanged:
+
+    * ``max_rounds``: the engine's safety limit (see
+      :meth:`SynchronousNetwork.run`);
+    * ``reliable``: an optional :class:`repro.faults.RetryPolicy`.  When
+      set, every node is wrapped in a :class:`repro.faults.ReliableNode`
+      (acks, timeouts, bounded retries) that shares the run's ``metrics``
+      and ``faults`` plan; runners still read results off their own,
+      unwrapped nodes;
+    * everything else goes to the :class:`SynchronousNetwork` constructor
+      as is: ``send_capacity``, ``recv_capacity``, ``delay_model``,
+      ``trace``, ``metrics``, ``profiler``, ``strict``, ``faults`` and
+      ``monitors``.  An unknown name raises ``TypeError``, and so does a
+      capacity the runner already passes (the fixed unit budgets of the
+      strict model, or its own ``capacity`` parameter).
 
     The returned network exposes ``delays`` (per-operation completion
     rounds) and ``stats`` (aggregate accounting).
+
+    Raises:
+        ValueError: if ``reliable`` and ``strict`` are both set: acks and
+            retransmits legitimately exceed the per-round budgets.
     """
-    net = SynchronousNetwork(
-        graph,
-        nodes,
-        send_capacity=send_capacity,
-        recv_capacity=recv_capacity,
-        trace=trace,
-        metrics=metrics,
-        profiler=profiler,
-        strict=strict,
-    )
+    if reliable is not None:
+        if engine.get("strict"):
+            raise ValueError(
+                "strict mode is incompatible with reliable delivery: acks "
+                "and retransmits legitimately exceed the per-round budgets"
+            )
+        from repro.faults.reliable import ReliableNode
+
+        metrics = engine.get("metrics")
+        plan = engine.get("faults")
+        nodes = {
+            v: ReliableNode(node, reliable, metrics=metrics, plan=plan)
+            for v, node in nodes.items()
+        }
+    net = SynchronousNetwork(graph, nodes, **engine)
     net.run(max_rounds=max_rounds)
     return net

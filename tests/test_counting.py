@@ -158,16 +158,20 @@ class TestFlood:
             r = run_flood_counting(complete_graph(n), range(n))
             assert r.total_delay >= theorem35_lower_bound(n)
 
-    def test_knowledge_pairs_allocated_once(self):
+    def test_knowledge_pairs_allocated_once(self, monkeypatch):
         """Every node's knowledge holds the originator's own pair object."""
+        import repro.counting.flood as flood
+
         inner = {}
+        real_run_protocol = flood.run_protocol
 
-        def keep(node):
-            inner[node.node_id] = node
-            return node
+        def keep(graph, nodes, **options):
+            inner.update(nodes)
+            return real_run_protocol(graph, nodes, **options)
 
+        monkeypatch.setattr(flood, "run_protocol", keep)
         n = 64
-        run_flood_counting(path_graph(n), range(0, n, 2), node_wrapper=keep)
+        run_flood_counting(path_graph(n), range(0, n, 2))
         assert len(inner) == n
         for node in inner.values():
             assert len(node.order) == n

@@ -25,7 +25,7 @@ from repro import (
     star_graph,
 )
 from repro.faults.injector import DELIVER, DROP, DUPLICATE, OUTAGE, FaultInjector
-from repro.faults.reliable import RetryBudgetExceeded, unwrap, wrap_reliable
+from repro.faults.reliable import ReliableNode, RetryBudgetExceeded, unwrap
 from repro.sim import EventTrace, Message, Node, RunStats, SynchronousNetwork
 from repro.sim.errors import RoundLimitExceeded
 from repro.topology.spanning import path_spanning_tree
@@ -350,7 +350,7 @@ class TestReliableWrapper:
         from repro.sim import Node
 
         inner = Node(7)
-        wrapped = wrap_reliable()(inner)
+        wrapped = ReliableNode(inner)
         assert unwrap(wrapped) is inner
         assert unwrap(inner) is inner
         assert wrapped.node_id == 7
@@ -358,7 +358,7 @@ class TestReliableWrapper:
     def test_wrapper_is_transparent_without_faults(self):
         sp = path_spanning_tree(path_graph(6))
         plain = run_arrow(sp, range(6))
-        wrapped = run_arrow(sp, range(6), node_wrapper=wrap_reliable())
+        wrapped = run_arrow(sp, range(6), reliable=RetryPolicy())
         assert wrapped.order() == plain.order()
         assert wrapped.predecessors == plain.predecessors
 
@@ -368,11 +368,25 @@ class TestReliableWrapper:
         policy = RetryPolicy(timeout=2, max_retries=3)
         with pytest.raises(RetryBudgetExceeded) as exc:
             run_central_counting_ft(
-                star_graph(4), range(1, 4), plan, policy=policy, max_rounds=10_000
+                star_graph(4), range(1, 4), plan, reliable=policy, max_rounds=10_000
             )
         assert exc.value.attempts > policy.max_retries
         assert exc.value.dst == 0
         assert "gave up" in str(exc.value)
+        assert "the fault plan starved the link" in str(exc.value)
+
+    def test_retry_budget_without_faults_blames_queuing(self):
+        """An empty plan cannot starve a link: the message says so."""
+        with pytest.raises(RetryBudgetExceeded) as exc:
+            run_central_counting_ft(
+                star_graph(8), range(8), FaultPlan(),
+                reliable=RetryPolicy(timeout=1, max_retries=1),
+            )
+        assert exc.value.round == 3
+        msg = str(exc.value)
+        assert "no faults were injected" in msg
+        assert "queued" in msg
+        assert "fault plan starved" not in msg
 
     def test_ft_run_is_deterministic(self):
         plan = FaultPlan(seed=13, drop_rate=0.2, duplicate_rate=0.1)
@@ -410,7 +424,7 @@ class TestCrashAwareRetry:
         plan = FaultPlan(crashes=(NodeCrash(0, 1, 120),))
         policy = RetryPolicy(timeout=2, max_retries=3)  # budget ~ a few rounds
         r = run_central_counting_ft(
-            star_graph(4), range(1, 4), plan, policy=policy, max_rounds=10_000
+            star_graph(4), range(1, 4), plan, reliable=policy, max_rounds=10_000
         )
         assert sorted(r.counts.values()) == [1, 2, 3]
 
@@ -421,7 +435,7 @@ class TestCrashAwareRetry:
         reg = MetricsRegistry()
         run_central_counting_ft(
             star_graph(4), range(1, 4), plan,
-            policy=RetryPolicy(timeout=2, max_retries=4),
+            reliable=RetryPolicy(timeout=2, max_retries=4),
             metrics=reg, max_rounds=10_000,
         )
         assert reg.to_dict()["counters"]["reliable.budget_pauses"] > 0
@@ -433,7 +447,7 @@ class TestCrashAwareRetry:
         with pytest.raises(RetryBudgetExceeded) as exc:
             run_central_counting_ft(
                 star_graph(4), range(1, 4), plan,
-                policy=RetryPolicy(timeout=2, max_retries=3), max_rounds=10_000,
+                reliable=RetryPolicy(timeout=2, max_retries=3), max_rounds=10_000,
             )
         assert exc.value.round is not None
         assert exc.value.round > 0
