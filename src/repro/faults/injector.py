@@ -150,10 +150,13 @@ class FaultInjector:
         forced deliveries.
         """
         plan = self.plan
-        edge = (min(msg.src, msg.dst), max(msg.src, msg.dst))
-        for o in self._outages_by_edge.get(edge, ()):
-            if o.down(round_):
-                return OUTAGE
+        outages = self._outages_by_edge
+        if outages:
+            src, dst = msg.src, msg.dst
+            edge = (src, dst) if src < dst else (dst, src)
+            for o in outages.get(edge, ()):
+                if o.down(round_):
+                    return OUTAGE
         if plan.drop_rate > 0.0:
             lossy = self._rng_drop.random() < plan.drop_rate
             key = (msg.src, msg.dst)

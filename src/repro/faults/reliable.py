@@ -31,11 +31,15 @@ an unbounded drop run can still exhaust the retry budget.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Any
 
 from repro.sim.errors import SimulationError
 from repro.sim.message import Message
 from repro.sim.node import Node, NodeContext
+
+#: Builds the unwrapped inner ``Message`` the way the engine builds its own.
+_new_message = object.__new__
 
 
 class RetryBudgetExceeded(SimulationError):
@@ -155,19 +159,18 @@ class _ReliableContext:
     def send(self, dst: int, kind: str, payload: Any = None) -> Message:
         """Send ``(kind, payload)`` reliably: envelope, track, arm timer."""
         owner = self._owner
+        ctx = self._ctx
         seq = owner.next_seq
-        owner.next_seq += 1
-        policy = owner.policy
-        pending = _Pending(
-            dst, kind, payload,
-            interval=policy.timeout,
-            due=self._ctx.now + policy.timeout,
-        )
-        owner.pending[seq] = pending
+        owner.next_seq = seq + 1
+        timeout = owner.policy.timeout
+        due = ctx.now + timeout
+        owner.pending[seq] = _Pending(dst, kind, payload, timeout, due)
+        heappush(owner.timers, (due, seq))
         if owner.metrics is not None:
-            owner.metrics.inc("reliable.app_sends")
-        msg = self._ctx.send(dst, "rel", payload=(seq, kind, payload))
-        owner._arm_timer(self._ctx)
+            c = owner._app_sends or owner._counter("_app_sends", "reliable.app_sends")
+            c.value += 1
+        msg = ctx.send(dst, "rel", (seq, kind, payload))
+        owner._arm_timer(ctx)
         return msg
 
     def complete(self, op_id: Any, result: Any = None) -> None:
@@ -202,12 +205,22 @@ class ReliableNode(Node):
     ``reliable.app_sends`` (application messages enveloped),
     ``reliable.retransmits``, ``reliable.acks_sent``, and
     ``reliable.duplicates_absorbed`` (copies suppressed by the
-    seen-set).  As everywhere, ``metrics=None`` costs nothing.
+    seen-set).  The four per-message counters are looked up on their first
+    increment and bumped directly afterwards, so ``metrics`` must be a
+    registry with ``counter(name)``; a counter is never created before
+    its first increment.  As everywhere, ``metrics=None`` costs nothing.
+
+    Retransmit timers live in :attr:`timers`, a heap of ``(due, seq)``
+    with lazy deletion: an ack only drops the envelope from
+    :attr:`pending`, and a heap entry whose ``seq`` is no longer pending
+    is discarded when it surfaces.  Every pending envelope has exactly
+    one heap entry, carrying its current ``due``.
     """
 
     __slots__ = (
-        "inner", "policy", "metrics", "plan", "next_seq", "pending", "seen",
-        "armed", "inner_wakes", "_rctx",
+        "inner", "policy", "metrics", "plan", "next_seq", "pending", "timers",
+        "seen", "armed", "inner_wakes", "_rctx",
+        "_app_sends", "_acks_sent", "_duplicates_absorbed", "_retransmits",
     )
 
     def __init__(
@@ -228,6 +241,8 @@ class ReliableNode(Node):
         self.next_seq = 0
         #: seq -> unacked envelope.
         self.pending: dict[int, _Pending] = {}
+        #: heap of (due, seq) retransmit timers; stale once seq is acked.
+        self.timers: list[tuple[int, int]] = []
         #: sender -> seqs already delivered to the wrapped node.
         self.seen: dict[int, set[int]] = {}
         #: rounds with an engine wakeup already scheduled.
@@ -235,6 +250,11 @@ class ReliableNode(Node):
         #: rounds at which the wrapped node asked to be woken.
         self.inner_wakes: set[int] = set()
         self._rctx: _ReliableContext | None = None
+        # The reliable.* per-message counters, bound on first increment.
+        self._app_sends: Any = None
+        self._acks_sent: Any = None
+        self._duplicates_absorbed: Any = None
+        self._retransmits: Any = None
 
     # ----------------------------------------------------------- plumbing
 
@@ -243,12 +263,23 @@ class ReliableNode(Node):
             self._rctx = _ReliableContext(ctx, self)
         return self._rctx
 
+    def _counter(self, slot: str, name: str) -> Any:
+        """Bind counter ``name`` of the registry to ``slot`` and return it."""
+        c = self.metrics.counter(name)
+        setattr(self, slot, c)
+        return c
+
     def _arm_timer(self, ctx: NodeContext) -> None:
         """Ensure a wakeup covers the earliest pending retransmission."""
-        if not self.pending:
+        timers = self.timers
+        pending = self.pending
+        while timers and timers[0][1] not in pending:
+            heappop(timers)  # acked since it was armed
+        if not timers:
             return
-        due = min(p.due for p in self.pending.values())
-        due = max(due, ctx.now + 1)
+        due = timers[0][0]
+        if due <= ctx.now:
+            due = ctx.now + 1
         if due not in self.armed:
             self.armed.add(due)
             ctx.schedule_wakeup(due)
@@ -261,21 +292,35 @@ class ReliableNode(Node):
     def on_receive(self, msg: Message, ctx: NodeContext) -> None:
         if msg.kind == "rel":
             seq, kind, payload = msg.payload
-            ctx.send(msg.src, "ack", payload=seq)
-            if self.metrics is not None:
-                self.metrics.inc("reliable.acks_sent")
-            seen = self.seen.setdefault(msg.src, set())
+            src = msg.src
+            ctx.send(src, "ack", seq)
+            met = self.metrics
+            if met is not None:
+                c = self._acks_sent or self._counter("_acks_sent", "reliable.acks_sent")
+                c.value += 1
+            seen = self.seen.get(src)
+            if seen is None:
+                seen = self.seen[src] = set()
             if seq in seen:
-                if self.metrics is not None:
-                    self.metrics.inc("reliable.duplicates_absorbed")
+                if met is not None:
+                    c = self._duplicates_absorbed or self._counter(
+                        "_duplicates_absorbed", "reliable.duplicates_absorbed"
+                    )
+                    c.value += 1
                 return  # duplicate (injected or retransmitted): ack only
             seen.add(seq)
-            inner_msg = Message(
-                src=msg.src, dst=msg.dst, kind=kind, payload=payload,
-                sent_at=msg.sent_at, ready_at=msg.ready_at,
-                delivered_at=msg.delivered_at, seq=msg.seq,
-            )
-            self.inner.on_receive(inner_msg, self._proxy(ctx))
+            # Every slot equals Message(src, msg.dst, kind, payload,
+            # msg.sent_at, msg.ready_at, msg.delivered_at, msg.seq).
+            inner_msg = _new_message(Message)
+            inner_msg.src = src
+            inner_msg.dst = msg.dst
+            inner_msg.kind = kind
+            inner_msg.payload = payload
+            inner_msg.sent_at = msg.sent_at
+            inner_msg.ready_at = msg.ready_at
+            inner_msg.delivered_at = msg.delivered_at
+            inner_msg.seq = msg.seq
+            self.inner.on_receive(inner_msg, self._rctx or self._proxy(ctx))
         elif msg.kind == "ack":
             self.pending.pop(msg.payload, None)
         else:  # pragma: no cover - defensive
@@ -283,7 +328,12 @@ class ReliableNode(Node):
 
     def on_wake(self, ctx: NodeContext) -> None:
         t = ctx.now
-        self.armed.discard(t)
+        armed = self.armed
+        armed.discard(t)
+        if armed and min(armed) < t:
+            # The engine deferred a wakeup armed for an earlier round past
+            # a crash window; this wake covers it too.
+            armed.difference_update([r for r in armed if r < t])
         # Fire every inner wakeup due at or *before* t: when this node
         # crashes over its scheduled round, the engine defers the wakeup
         # to the recovery round, so an exact-round match would silently
@@ -291,38 +341,56 @@ class ReliableNode(Node):
         # old flood_ft-under-crash-windows failure).  Deferred wakeups
         # are coalesced into one late on_wake, matching the "wake at or
         # after r" semantics a crash-deferred timer can honestly offer.
-        due_inner = [r for r in sorted(self.inner_wakes) if r <= t]
-        if due_inner:
-            self.inner_wakes.difference_update(due_inner)
-            self.inner.on_wake(self._proxy(ctx))
-        for seq in sorted(self.pending):
-            p = self.pending.get(seq)
-            if p is None or p.due > t:
-                continue
-            if self.plan is not None:
-                clear = self.plan.blocked_until(self.node_id, p.dst, t)
+        inner_wakes = self.inner_wakes
+        if inner_wakes:
+            due_inner = [r for r in inner_wakes if r <= t]
+            if due_inner:
+                inner_wakes.difference_update(due_inner)
+                self.inner.on_wake(self._proxy(ctx))
+        timers = self.timers
+        if timers and timers[0][0] <= t:
+            self._retransmit_due(ctx, t)
+        self._arm_timer(ctx)
+
+    def _retransmit_due(self, ctx: NodeContext, t: int) -> None:
+        """Retransmit every pending envelope due by ``t``, in ``seq`` order."""
+        timers = self.timers
+        pending = self.pending
+        due = []
+        while timers and timers[0][0] <= t:
+            seq = heappop(timers)[1]
+            if seq in pending:
+                due.append(seq)
+        due.sort()
+        policy = self.policy
+        plan = self.plan
+        for seq in due:
+            p = pending[seq]
+            if plan is not None:
+                clear = plan.blocked_until(self.node_id, p.dst, t)
                 if clear is not None and clear > t:
                     # Scheduled outage / crash window: retransmitting now
                     # would feed the message into a link that is known to
                     # lose or freeze it.  Re-aim at the first clear round
                     # without charging the retry budget.
                     p.due = clear
+                    heappush(timers, (clear, seq))
                     if self.metrics is not None:
                         self.metrics.inc("reliable.budget_pauses")
                     continue
-            if p.attempts > self.policy.max_retries:
-                plan = self.plan
+            if p.attempts > policy.max_retries:
                 raise RetryBudgetExceeded(
                     self.node_id, p.dst, p.kind, p.attempts, round_=t,
                     faulty=plan is not None and not plan.is_empty(),
                 )
             p.attempts += 1
-            p.interval = self.policy.next_interval(p.interval)
+            p.interval = policy.next_interval(p.interval)
             p.due = t + p.interval
+            heappush(timers, (p.due, seq))
             if self.metrics is not None:
-                self.metrics.inc("reliable.retransmits")
-            ctx.send(p.dst, "rel", payload=(seq, p.kind, p.payload))
-        self._arm_timer(ctx)
+                c = self._retransmits or self._counter("_retransmits", "reliable.retransmits")
+                c.value += 1
+            ctx.send(p.dst, "rel", (seq, p.kind, p.payload))
 
 
 def unwrap(node: Node) -> Node:

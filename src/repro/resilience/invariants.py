@@ -124,6 +124,15 @@ class CountingInvariant(InvariantMonitor):
             )
 
 
+class _NoPredecessors:
+    """Stands in for a node without ``pred_found`` in ArrowInvariant rows."""
+
+    pred_found: dict[Hashable, Hashable] = {}
+
+
+_NO_PREDECESSORS = _NoPredecessors()
+
+
 class ArrowInvariant(InvariantMonitor):
     """Arrow-pointer well-formedness and queue-order consistency.
 
@@ -159,11 +168,18 @@ class ArrowInvariant(InvariantMonitor):
         #: a strong reference would keep every finished network alive
         #: until a cyclic-GC pass.
         self._rows_net: weakref.ref | None = None
-        self._rows: list[tuple[int, Any, frozenset[int]]] = []
+        self._rows: list[tuple[int, Any, frozenset[int], Any]] = []
         self._wrapped = False
 
-    def _resolve_rows(self, net: Any) -> list[tuple[int, Any, frozenset[int]]]:
-        """``(v, protocol node, neighbor set)`` per vertex, once per network."""
+    def _resolve_rows(self, net: Any) -> list[tuple[int, Any, frozenset[int], Any]]:
+        """``(v, protocol node, neighbor set, pred_found holder)`` per arrow
+        vertex, once per network.
+
+        Nodes without a ``link`` attribute (mixed networks) get no row.
+        The holder is the node itself, or :data:`_NO_PREDECESSORS` for a
+        node without ``pred_found`` (a directory node), so the per-round
+        scan reads both attributes without ``getattr`` defaults.
+        """
         if self._rows_net is None or self._rows_net() is not net:
             rows = []
             wrapped = False
@@ -171,7 +187,9 @@ class ArrowInvariant(InvariantMonitor):
                 raw = net.node(v)
                 node = _protocol_node(raw)
                 wrapped = wrapped or node is not raw
-                rows.append((v, node, net.neighbor_set(v)))
+                if hasattr(node, "link"):
+                    holder = node if hasattr(node, "pred_found") else _NO_PREDECESSORS
+                    rows.append((v, node, net.neighbor_set(v), holder))
             self._rows_net, self._rows, self._wrapped = weakref.ref(net), rows, wrapped
         return self._rows
 
@@ -198,19 +216,23 @@ class ArrowInvariant(InvariantMonitor):
     def on_round(self, net: Any) -> None:
         sinks: list[int] = []
         preds: dict[Hashable, tuple[Hashable, int]] = {}
-        for v, node, nbrs in self._resolve_rows(net):
-            link = getattr(node, "link", None)
-            if link is None:
-                continue  # non-arrow node (mixed networks)
-            if link != v and link not in nbrs:
+        for v, node, nbrs, holder in self._resolve_rows(net):
+            link = node.link
+            if link == v:
+                sinks.append(v)
+            elif link not in nbrs:
+                if link is None:
+                    continue  # no arrow this round
                 self._violate(
                     net, f"node {v}'s arrow points at non-neighbor {link}", (v,)
                 )
-            if link == v:
-                sinks.append(v)
-            for op, pred in getattr(node, "pred_found", {}).items():
-                if pred in preds and preds[pred][0] != op:
-                    other_op, other_v = preds[pred]
+            found = holder.pred_found
+            if not found:
+                continue
+            for op, pred in found.items():
+                other = preds.get(pred)
+                if other is not None and other[0] != op:
+                    other_op, other_v = other
                     self._violate(
                         net,
                         f"operations {op!r} (node {v}) and {other_op!r} "

@@ -134,9 +134,10 @@ class SynchronousNetwork:
             When attached, the engine publishes message counters, per-op
             completion-delay and link-wait histograms, and per-round
             in-flight/backlog gauges.  The engine publishes message
-            counters, link waits and backlogs from local tallies once per
-            phase or round, even when a handler raises; completions and
-            faults are published per event.  When ``None`` (the default)
+            counters (drops and duplicates included), link waits and
+            backlogs from local tallies once per phase or round, even
+            when a handler raises; completions and crash boundaries are
+            published per event.  When ``None`` (the default)
             every instrumented call site reduces to one ``is not None`` check,
             so the run is unobserved at zero cost.  ``RunStats`` stays
             the always-on thin aggregate view; an attached registry
@@ -529,7 +530,7 @@ class SynchronousNetwork:
         if self.metrics is not None:
             self._send_backlog_last = backlog
         if self.trace is not None:
-            self.trace.record("enqueue", self.now, src=src, dst=dst, kind=kind)
+            self.trace.record("enqueue", self.now, src, dst, kind)
         return msg
 
     def _publish_send_backlog(self, met: Any) -> None:
@@ -638,7 +639,7 @@ class SynchronousNetwork:
             self.metrics.inc("engine.completions")
             self.metrics.observe("op.delay", self.now)
         if self.trace is not None:
-            self.trace.record("complete", self.now, node=node_id, op=op_id)
+            self.trace.record("complete", self.now, node_id, op_id)
         if self.monitors is not None:
             self.monitors.on_complete(self, op_id, result, node_id)
 
@@ -703,7 +704,7 @@ class SynchronousNetwork:
                     if met is not None:
                         waits[wait] = waits.get(wait, 0) + 1
                     if trace is not None:
-                        trace.record("deliver", t, src=src, dst=v, kind=msg.kind, wait=wait)
+                        trace.record("deliver", t, src, v, msg.kind, wait)
                     # Per message, so the unprofiled call stays a bare call.
                     if prof is None:
                         node.on_receive(msg, ctx)
@@ -747,6 +748,8 @@ class SynchronousNetwork:
         order = sorted(active)
         active.clear()
         sent = 0
+        dropped = 0
+        duplicated = 0
         lq = 0
         max_backlog = stats.max_recv_backlog
         try:
@@ -767,14 +770,9 @@ class SynchronousNetwork:
                         if verdict in ("drop", "outage"):
                             # Lost on the wire: the send slot is consumed but
                             # the message never enters the link.
-                            stats.messages_dropped += 1
-                            if met is not None:
-                                met.inc("engine.messages_dropped")
+                            dropped += 1
                             if trace is not None:
-                                trace.record(
-                                    "drop", t, src=u, dst=msg.dst, kind=msg.kind,
-                                    reason=verdict,
-                                )
+                                trace.record("drop", t, u, msg.dst, msg.kind, verdict)
                             continue
                         duplicate = verdict == "duplicate"
                     # Inlined link entry (the hot path).
@@ -796,7 +794,7 @@ class SynchronousNetwork:
                         heappush(heap, (ready_at, msg.seq, u))
                     sent += 1
                     if trace is not None:
-                        trace.record("send", t, src=u, dst=dst, kind=msg.kind)
+                        trace.record("send", t, u, dst, msg.kind)
                     if duplicate:
                         clone = Message(
                             src=msg.src, dst=dst, kind=msg.kind,
@@ -804,9 +802,7 @@ class SynchronousNetwork:
                         )
                         self._msg_seq += 1
                         clone.sent_at = t
-                        stats.messages_duplicated += 1
-                        if met is not None:
-                            met.inc("engine.messages_duplicated")
+                        duplicated += 1
                         # Right behind its original on the same link, so
                         # the link's head is already in the ready heap.
                         clone.ready_at = t + delay_model(clone)
@@ -816,19 +812,26 @@ class SynchronousNetwork:
                             max_backlog = lq
                         sent += 1
                         if trace is not None:
-                            trace.record("send", t, src=u, dst=dst, kind=msg.kind)
-                            trace.record("duplicate", t, src=u, dst=dst, kind=msg.kind)
+                            trace.record("send", t, u, dst, msg.kind)
+                            trace.record("duplicate", t, u, dst, msg.kind)
                 if box:
                     active.append(u)
         finally:
             stats.max_recv_backlog = max_backlog
             stats.messages_sent += sent
-            if met is not None and sent:
-                met.inc("engine.messages_sent", sent)
-                # The run's peak, then the last link length: the gauge's
-                # high and value as one write per link entry leaves them.
-                met.set_gauge("engine.recv_backlog", max_backlog)
-                met.set_gauge("engine.recv_backlog", lq)
+            stats.messages_dropped += dropped
+            stats.messages_duplicated += duplicated
+            if met is not None:
+                if sent:
+                    met.inc("engine.messages_sent", sent)
+                    # The run's peak, then the last link length: the gauge's
+                    # high and value as one write per link entry leaves them.
+                    met.set_gauge("engine.recv_backlog", max_backlog)
+                    met.set_gauge("engine.recv_backlog", lq)
+                if dropped:
+                    met.inc("engine.messages_dropped", dropped)
+                if duplicated:
+                    met.inc("engine.messages_duplicated", duplicated)
 
 
 def run_protocol(

@@ -32,28 +32,106 @@ class TraceEvent:
     data: dict[str, Any]
 
 
+#: Field names of the events the engine records positionally, in the
+#: order the engine passes them (the order of the keyword records they
+#: replaced).  Reading the trace names a positional record's fields with
+#: this table, so ``record("send", t, src, dst, kind)`` reads exactly like
+#: ``record("send", t, src=src, dst=dst, kind=kind)``.
+EVENT_FIELDS: dict[str, tuple[str, ...]] = {
+    "enqueue": ("src", "dst", "kind"),
+    "send": ("src", "dst", "kind"),
+    "duplicate": ("src", "dst", "kind"),
+    "deliver": ("src", "dst", "kind", "wait"),
+    "drop": ("src", "dst", "kind", "reason"),
+    "complete": ("node", "op"),
+}
+
+_ARITY = {event: len(names) for event, names in EVENT_FIELDS.items()}
+
+
+class _Keywords:
+    """Log marker: the next log item is a keyword record's ``data`` dict.
+
+    The class itself is the marker, so copies and pickles keep it.
+    """
+
+
+def _rows(log: list[Any], i: int) -> Iterator[tuple[str, int, dict[str, Any]]]:
+    """``(event, round, data)`` for every record from log index ``i`` on."""
+    n = len(log)
+    while i < n:
+        event = log[i]
+        round_ = log[i + 1]
+        if log[i + 2] is _Keywords:
+            data = log[i + 3]
+            i += 4
+        else:
+            names = EVENT_FIELDS[event]
+            j = i + 2 + len(names)
+            data = dict(zip(names, log[i + 2 : j]))
+            i = j
+        yield event, round_, data
+
+
+def _reject(event: str, fields: tuple[Any, ...], data: dict[str, Any]) -> None:
+    """Raise for a positional record :meth:`EventTrace.record` cannot name."""
+    if data:
+        raise TypeError(f"trace event {event!r} mixes positional and keyword fields")
+    names = EVENT_FIELDS.get(event)
+    if names is None:
+        raise ValueError(
+            f"trace event {event!r} has no positional field names; record it "
+            f"with keywords or add it to EVENT_FIELDS"
+        )
+    raise ValueError(
+        f"trace event {event!r} takes {len(names)} positional fields "
+        f"{names}, got {len(fields)}"
+    )
+
+
 class EventTrace:
     """An append-only event log with query helpers.
 
-    :meth:`record` appends ``event, round_, data`` to one flat list.  The
-    garbage collector never walks it: the list holds only strings, ints
-    and kwargs dicts of atoms, which CPython leaves untracked, so a long
-    trace adds no work to collection passes.  :attr:`events` builds the
-    frozen :class:`TraceEvent` objects on read, incrementally, and caches
-    them, so an event read twice is the same object.
+    :meth:`record` appends to one flat list: ``event, round, *fields`` for
+    a positional record, ``event, round, _Keywords, data`` for a keyword
+    one.  A positional record adds no container to the log, only the
+    values passed, so a long engine trace neither adds work to garbage
+    collection passes nor triggers them; a keyword record adds one dict,
+    which CPython leaves untracked while it holds only atoms.
+    :attr:`events` builds the frozen :class:`TraceEvent` objects on read,
+    incrementally, and caches them, so an event read twice is the same
+    object.
     """
 
     def __init__(self) -> None:
         self._log: list[Any] = []
         self._events: list[TraceEvent] = []
+        #: Log index up to which :attr:`_events` has been built.
+        self._read = 0
 
-    def record(self, event: str, round_: int, **data: Any) -> None:
-        """Append one event (called by the engine).
+    def record(self, event: str, round_: int, *fields: Any, **data: Any) -> None:
+        """Append one event.
 
-        ``event`` is the engine event type; ``data`` may carry a ``kind``
-        key for the *message* kind without colliding.
+        The engine passes its events' fields positionally, in the order
+        :data:`EVENT_FIELDS` names them (``record("send", t, src, dst,
+        kind)``).  Any event may pass keywords instead (``record("crash",
+        t, node=3)``); ``data`` may carry a ``kind`` key for the *message*
+        kind without colliding.
+
+        Raises:
+            ValueError: on positional fields for an event type missing
+                from :data:`EVENT_FIELDS`, or of the wrong number.
+            TypeError: when positional and keyword fields are mixed.
         """
-        self._log.extend((event, round_, data))
+        if fields:
+            if data or _ARITY.get(event) != len(fields):
+                _reject(event, fields, data)
+            log = self._log
+            log.append(event)
+            log.append(round_)
+            log.extend(fields)
+        else:
+            self._log.extend((event, round_, _Keywords, data))
 
     @property
     def events(self) -> list[TraceEvent]:
@@ -64,18 +142,24 @@ class EventTrace:
         """
         events = self._events
         log = self._log
-        i = 3 * len(events)
-        if i < len(log):
-            events.extend(map(TraceEvent, log[i::3], log[i + 1 :: 3], log[i + 2 :: 3]))
+        if self._read < len(log):
+            events.extend(
+                TraceEvent(event, round_, data)
+                for event, round_, data in _rows(log, self._read)
+            )
+            self._read = len(log)
         return events
 
     @events.setter
     def events(self, value: Iterable[TraceEvent]) -> None:
         self._events = list(value)
-        self._log = [f for e in self._events for f in (e.kind, e.round, e.data)]
+        self._log = [
+            f for e in self._events for f in (e.kind, e.round, _Keywords, e.data)
+        ]
+        self._read = len(self._log)
 
     def __len__(self) -> int:
-        return len(self._log) // 3
+        return len(self.events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
@@ -119,10 +203,8 @@ class EventTrace:
                 return {k: enc(v) for k, v in value.items()}
             return value
 
-        log = self._log
-        rows = zip(log[0::3], log[1::3], log[2::3])
         return json.dumps(
-            [[kind, round_, enc(data)] for kind, round_, data in rows],
+            [[kind, round_, enc(data)] for kind, round_, data in _rows(self._log, 0)],
             separators=(",", ":"),
         )
 
@@ -154,7 +236,7 @@ class EventTrace:
 
     def last_round(self) -> int:
         """The latest round any event was recorded in (0 when empty)."""
-        return max(self._log[1::3], default=0)
+        return max((e.round for e in self.events), default=0)
 
     def deliveries_per_node_round(self) -> Counter[tuple[int, int]]:
         """Counter ``(node, round) -> deliveries`` for capacity checks."""

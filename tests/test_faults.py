@@ -8,26 +8,39 @@ dedup/retry behaviour including budget exhaustion.
 
 from __future__ import annotations
 
+import pickle
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.faults.reliable as reliable
+from reliable_reference import LinearScanReliableNode
 from repro import (
     FaultPlan,
     LinkOutage,
+    MonitorSet,
     NodeCrash,
+    PeriodicCheckpointer,
     RetryPolicy,
     path_graph,
+    ring_graph,
     run_arrow,
     run_arrow_ft,
     run_central_counting,
     run_central_counting_ft,
+    run_flood_counting,
     star_graph,
 )
+from repro.faults import run_flood_counting_ft
 from repro.faults.injector import DELIVER, DROP, DUPLICATE, OUTAGE, FaultInjector
 from repro.faults.reliable import ReliableNode, RetryBudgetExceeded, unwrap
+from repro.obs import MetricsRegistry
+from repro.protocols import PROTOCOLS
+from repro.resilience import InvariantMonitor
 from repro.sim import EventTrace, Message, Node, RunStats, SynchronousNetwork
-from repro.sim.errors import RoundLimitExceeded
+from repro.sim.errors import RoundLimitExceeded, SimulationError
 from repro.topology.spanning import path_spanning_tree
 
 
@@ -466,3 +479,125 @@ class TestCrashAwareRetry:
             r = run_flood_counting_ft(ring_graph(6), range(6), plan,
                                       max_rounds=50_000)
             assert sorted(r.counts.values()) == list(range(1, 7))
+
+
+class TestReliableNodeState:
+    def test_timer_state_drained_under_crash_windows(self):
+        """A wakeup the engine deferred past a crash leaves no armed round
+        behind: every wrapper ends with no armed round, pending envelope,
+        inner wakeup or timer."""
+
+        class Finished(InvariantMonitor):
+            def on_finish(self, net):
+                self.net = net
+
+        finished = Finished()
+        plan = FaultPlan(
+            seed=1, drop_rate=0.05,
+            crashes=(NodeCrash(3, 4, 40), NodeCrash(5, 10, 30)),
+        )
+        run_flood_counting(
+            ring_graph(16), range(16), faults=plan, reliable=RetryPolicy(),
+            monitors=MonitorSet(invariants=(finished,)),
+        )
+        for v in finished.net.node_ids:
+            node = finished.net.node(v)
+            state = (node.armed, node.pending, node.inner_wakes, node.timers)
+            assert state == (set(), {}, set(), []), v
+
+    def test_restored_checkpoint_counts_into_its_own_registry(self):
+        """The counters a wrapper bound before a checkpoint are the restored
+        registry's own: a resumed run ends with the original's document."""
+        reg, cpr = MetricsRegistry(), PeriodicCheckpointer(every=20, keep=3)
+        run_flood_counting_ft(
+            ring_graph(8), range(8), FaultPlan(seed=4, drop_rate=0.1, duplicate_rate=0.1),
+            metrics=reg, trace=EventTrace(), monitors=MonitorSet(checkpointer=cpr),
+        )
+        final = reg.to_dict()
+        mid = [cp for cp in cpr.checkpoints if cp.round > 0]
+        assert mid and final["counters"]["reliable.retransmits"] > 0
+        for cp in mid:
+            for copy_ in (cp, pickle.loads(pickle.dumps(cp))):
+                net = copy_.restore()
+                net.resume()
+                assert net.metrics.to_dict() == final, cp.round
+
+
+def _diff_outcome(wrapper, name, graph, plan, policy):
+    """Run registry protocol ``name`` with ``wrapper`` as the reliable node.
+
+    Returns the outcome (stats, or the raised error's fields), the trace
+    JSON and the metrics document.
+    """
+    trace, registry = EventTrace(), MetricsRegistry()
+    with mock.patch.object(reliable, "ReliableNode", wrapper):
+        try:
+            result = PROTOCOLS[name].run(
+                graph, range(len(graph.adj)), faults=plan, reliable=policy,
+                trace=trace, metrics=registry, max_rounds=20_000,
+            )
+            outcome: tuple = ("ok", result.stats)
+        except RetryBudgetExceeded as exc:
+            outcome = ("budget", exc.node_id, exc.dst, exc.kind, exc.attempts, exc.round)
+        except SimulationError as exc:
+            outcome = (type(exc).__name__, str(exc))
+    return outcome, trace.to_json(), registry.to_dict()
+
+
+@st.composite
+def _timer_cases(draw):
+    name = draw(st.sampled_from(["arrow", "central", "flood"]))
+    shape = draw(st.sampled_from(["path", "ring", "star"]))
+    n = draw(st.integers(3, 12))
+    graph = {"path": path_graph, "ring": ring_graph, "star": star_graph}[shape](n)
+    edges = sorted((u, v) for u in graph.adj for v in graph.adj[u] if u < v)
+    outages = tuple(
+        LinkOutage(*edges[i % len(edges)], start, start + length)
+        for i, start, length in draw(st.lists(
+            st.tuples(st.integers(0, 99), st.integers(0, 30), st.integers(1, 40)),
+            max_size=2,
+        ))
+    )
+    crashes = tuple(
+        NodeCrash(node, start, None if length is None else start + length)
+        for node, start, length in draw(st.lists(
+            st.tuples(
+                st.integers(0, n - 1), st.integers(0, 30),
+                st.sampled_from([None, 1, 5, 15, 40]),
+            ),
+            max_size=2, unique_by=lambda c: c[0],
+        ))
+    )
+    plan = FaultPlan(
+        seed=draw(st.integers(0, 2**16)),
+        drop_rate=draw(st.sampled_from([0.0, 0.05, 0.2])),
+        duplicate_rate=draw(st.sampled_from([0.0, 0.05, 0.2])),
+        outages=outages,
+        crashes=crashes,
+    )
+    policy = RetryPolicy(
+        timeout=draw(st.integers(1, 6)),
+        max_retries=draw(st.sampled_from([1, 30, 30])),
+    )
+    return name, graph, plan, policy
+
+
+class TestTimerHeapMatchesLinearScan:
+    """The (due, seq) timer heap against the linear-scan reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_timer_cases())
+    def test_same_trace_stats_and_metrics(self, case):
+        heap = _diff_outcome(ReliableNode, *case)
+        scan = _diff_outcome(LinearScanReliableNode, *case)
+        assert heap == scan
+
+    def test_same_retry_budget_failure(self):
+        case = (
+            "central", star_graph(6),
+            FaultPlan(seed=3, drop_rate=0.2, crashes=(NodeCrash(0, 2, None),)),
+            RetryPolicy(timeout=2, max_retries=2),
+        )
+        heap = _diff_outcome(ReliableNode, *case)
+        assert heap[0][0] == "budget"
+        assert heap == _diff_outcome(LinearScanReliableNode, *case)

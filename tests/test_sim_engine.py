@@ -548,6 +548,116 @@ class TestFlatTraceLog:
 
 
 
+#: One record of every engine event type, as the keyword records the
+#: positional encoding replaced (field order is the keyword order).
+_ENGINE_RECORDS = [
+    ("enqueue", 1, {"src": 0, "dst": 1, "kind": "req"}),
+    ("send", 1, {"src": 0, "dst": 1, "kind": "req"}),
+    ("duplicate", 1, {"src": 0, "dst": 1, "kind": "req"}),
+    ("deliver", 2, {"src": 0, "dst": 1, "kind": "req", "wait": 0}),
+    ("drop", 3, {"src": 1, "dst": 0, "kind": "ack", "reason": "outage"}),
+    ("complete", 4, {"node": 1, "op": ("op", 1)}),
+    ("deliver", 5, {"src": 2, "dst": 1, "kind": "queue", "wait": 3}),
+    ("complete", 6, {"node": 2, "op": 7}),
+]
+
+
+class TestPositionalTraceRecords:
+    """Positional engine records read exactly like keyword records."""
+
+    @staticmethod
+    def _traces(records=_ENGINE_RECORDS, positional=lambda i: True):
+        pos, kw = EventTrace(), EventTrace()
+        for i, (event, round_, data) in enumerate(records):
+            if positional(i):
+                pos.record(event, round_, *data.values())
+            else:
+                pos.record(event, round_, **data)
+            kw.record(event, round_, **data)
+        return pos, kw
+
+    def test_events_and_json_match_keyword_records(self):
+        pos, kw = self._traces()
+        assert pos.events == kw.events
+        assert [e.data for e in pos.events] == [d for _, _, d in _ENGINE_RECORDS]
+        assert pos.to_json() == kw.to_json()
+        assert len(pos) == len(kw) == len(_ENGINE_RECORDS)
+        assert pos.last_round() == kw.last_round() == 6
+
+    def test_json_round_trip(self):
+        pos, kw = self._traces()
+        text = pos.to_json()
+        back = EventTrace.from_json(text)
+        assert back.events == kw.events
+        assert back.to_json() == text
+        assert back.events[5].data["op"] == ("op", 1)
+
+    def test_slices_match(self):
+        pos, kw = self._traces()
+        for start, end in [(0, None), (1, 1), (2, 4), (4, 6), (7, None)]:
+            a, b = pos.slice(start, end), kw.slice(start, end)
+            assert a.events == b.events
+            assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))])
+    def test_copy_of_a_partly_read_trace(self, clone):
+        half = len(_ENGINE_RECORDS) // 2
+        pos, _ = self._traces(_ENGINE_RECORDS[:half])
+        read = list(pos.events)  # the cache now covers the first half
+        twin = clone(pos)
+        for t in (pos, twin):
+            for event, round_, data in _ENGINE_RECORDS[half:]:
+                t.record(event, round_, *data.values())
+        _, kw = self._traces()
+        assert twin.events == pos.events == kw.events
+        assert twin.to_json() == pos.to_json() == kw.to_json()
+        assert all(a is b for a, b in zip(read, pos.events))
+
+    def test_mixed_log_reads_like_keyword_records(self):
+        for parity in (0, 1):
+            mixed, kw = self._traces(positional=lambda i: i % 2 == parity)
+            mixed.record("crash", 7, node=3)
+            kw.record("crash", 7, node=3)
+            assert mixed.events == kw.events
+            assert mixed.to_json() == kw.to_json()
+            assert EventTrace.from_json(mixed.to_json()).events == kw.events
+
+    def test_engine_run_matches_a_keyword_trace(self):
+        """A traced lossy run, re-recorded with keywords, is the same trace."""
+        tr = EventTrace()
+        run_flood_counting_ft(ring_graph(8), range(8), _lossy_plan(2), trace=tr)
+        kinds = {e.kind for e in tr.events}
+        assert {"enqueue", "send", "duplicate", "deliver", "drop", "complete"} <= kinds
+        kw = EventTrace()
+        for e in tr.events:
+            kw.record(e.kind, e.round, **e.data)
+        assert kw.to_json() == tr.to_json()
+
+    def test_positional_records_trigger_no_collection(self):
+        """Unlike a keyword record's dict, a positional record leaves no new
+        GC object alive, so recording never starts a collection pass."""
+        tr = EventTrace()
+        gc.collect()
+        before = gc.get_stats()[0]["collections"]
+        for i in range(10_000):
+            tr.record("deliver", i, i % 7, (i + 1) % 7, "msg", 0)
+        assert gc.get_stats()[0]["collections"] == before
+        assert len(tr) == 10_000
+
+    def test_positional_record_of_unknown_event_fails_loudly(self):
+        tr = EventTrace()
+        with pytest.raises(ValueError, match="'foo'"):
+            tr.record("foo", 3, 1, 2)
+        with pytest.raises(ValueError, match="'send' takes 3"):
+            tr.record("send", 3, 1, 2)
+        with pytest.raises(TypeError, match="mixes"):
+            tr.record("send", 3, 1, 2, kind="x")
+        assert len(tr) == 0
+        tr.record("foo", 3, a=1)  # keyword records of any event still work
+        assert tr.events == [TraceEvent("foo", 3, {"a": 1})]
+
+
+
 def _lossy_plan(seed):
     return FaultPlan(seed=seed, drop_rate=0.05, duplicate_rate=0.02, max_consecutive_drops=2)
 
