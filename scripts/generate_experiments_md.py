@@ -5,7 +5,7 @@ Runs every experiment at benchmark scale and writes the paper-vs-measured
 record.  EXPERIMENTS.md in the repository root was produced by this
 script; re-run it after changing protocols or bounds::
 
-    python benchmarks/generate_experiments_md.py --jobs 4
+    python scripts/generate_experiments_md.py --jobs 4
 
 Cells are independent, so ``--jobs N`` fans them out over N worker
 processes (see :mod:`repro.experiments.executor`); the rendered document
@@ -20,17 +20,11 @@ import time
 
 from repro.experiments import ALL_EXPERIMENTS, render_experiment
 from repro.experiments.executor import run_suite
-from repro.experiments.suite import bench_scale
-
-#: benchmark-scale parameterisations (defaults are test-scale); kept as a
-#: module attribute for introspection — the single source of truth is
-#: repro.experiments.suite.bench_scale().
-BENCH_SCALE = bench_scale()
 
 HEADER = """\
 # EXPERIMENTS — paper vs measured
 
-This file is generated by ``python benchmarks/generate_experiments_md.py``.
+This file is generated by ``python scripts/generate_experiments_md.py``.
 Every experiment below reproduces one theorem/lemma/figure of
 Busch & Tirthapura, *Concurrent counting is harder than queuing*
 (IPDPS 2006 / TCS 2010), on the library's synchronous simulator.
@@ -68,6 +62,7 @@ Summary of the paper-vs-measured verdicts:
 | E19 | extension: Sec 5 open question (addition) | unit fetch-and-add costs exactly counting; arrow stays cheaper |
 | E20 | reference [4]: arrow directory | direct object moves beat tree token walks when G has shortcuts |
 | E21 | extension: lossy links (Sec 2.1 model without reliable delivery) | ack/retry wrapper keeps both answers verified under seeded loss; overhead stays a constant factor |
+| E22 | extension: resilience layer (monitors, checkpoints, chaos) | monitored traces byte-identical; checkpoint replay exact; chaos sweep clean; crashed node named |
 
 ---
 

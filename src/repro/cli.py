@@ -311,38 +311,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 1 if findings else 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.perf import compare_benchmarks, render_bench, run_bench
-
-    try:
-        doc = run_bench(repeats=args.repeats, names=args.cells or None)
-    except KeyError as exc:
-        raise SystemExit(f"bench: {exc}")
-    print(render_bench(doc))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote benchmark document to {args.json}")
-    if args.compare:
-        try:
-            with open(args.compare) as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"bench: cannot read baseline {args.compare!r}: {exc}")
-        failures = compare_benchmarks(doc, baseline, threshold=args.threshold)
-        if failures:
-            print(f"\nREGRESSION vs {args.compare}:")
-            for msg in failures:
-                print(f"  {msg}")
-            return 1
-        print(f"\nno regression vs {args.compare} "
-              f"(threshold {args.threshold:.0%})")
-    return 0
-
-
 def cmd_chaos(args: argparse.Namespace) -> int:
     import os
 
@@ -528,23 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--format", choices=("text", "json"), default="text",
                       help="findings output format (default: text)")
     lint.set_defaults(func=cmd_lint)
-
-    bench = sub.add_parser(
-        "bench",
-        help="time engine throughput on the fixed protocol x topology matrix",
-    )
-    bench.add_argument("--json", default="", metavar="PATH",
-                       help="write the benchmark document as JSON")
-    bench.add_argument("--repeats", type=int, default=1, metavar="N",
-                       help="timings per cell; the best is kept (default: 1)")
-    bench.add_argument("--cells", action="append", default=[], metavar="NAME",
-                       help="run only this cell (repeatable), e.g. flood/path/512")
-    bench.add_argument("--compare", default="", metavar="BASELINE",
-                       help="exit 1 on normalised throughput regression vs a "
-                            "baseline document (see docs/PERFORMANCE.md)")
-    bench.add_argument("--threshold", type=float, default=0.25, metavar="FRAC",
-                       help="allowed fractional regression (default: 0.25)")
-    bench.set_defaults(func=cmd_bench)
 
     chaos = sub.add_parser(
         "chaos",

@@ -4,9 +4,9 @@ Each ``run_e*`` function in :mod:`repro.experiments.suite` executes one
 row of DESIGN.md's per-experiment index end-to-end — build the topology,
 run the protocols, evaluate the paper's bound expressions, and return an
 :class:`~repro.experiments.harness.ExperimentResult` whose ``checks``
-encode the pass criteria (shape, factor, crossover).  The benchmark suite
-and EXPERIMENTS.md are both generated from these functions so the
-documented numbers are exactly the reproducible ones.
+encode the pass criteria (shape, factor, crossover).  ``repro run`` and
+EXPERIMENTS.md both call these functions, so the documented numbers are
+exactly the reproducible ones.
 """
 
 from repro.experiments.executor import resolve_cell, run_cell, run_suite

@@ -59,7 +59,7 @@ class ExperimentResult:
         self.checks.append(Check(name=name, passed=bool(passed), detail=detail))
 
     def require(self) -> "ExperimentResult":
-        """Raise if any check failed (used by tests and benches).
+        """Raise if any check failed (used by tests and the EXPERIMENTS.md generator).
 
         Raises:
             AssertionError: listing every failed criterion.

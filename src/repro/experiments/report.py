@@ -1,4 +1,4 @@
-"""Plain-text rendering of experiment tables (used by benches and docs)."""
+"""Plain-text rendering of experiment tables (used by the CLI and EXPERIMENTS.md)."""
 
 from __future__ import annotations
 

@@ -1427,7 +1427,7 @@ def run_e22_resilience(
     return res
 
 
-#: Registry used by the bench suite and the EXPERIMENTS.md generator.
+#: Registry used by ``repro run`` and the EXPERIMENTS.md generator.
 ALL_EXPERIMENTS = {
     "E1": run_e1_fig1_semantics,
     "E2": run_e2_thm35_general_lower_bound,
@@ -1458,7 +1458,7 @@ def bench_scale() -> dict[str, Callable[[], ExperimentResult]]:
     """Benchmark-scale parameterisations (suite defaults are test-scale).
 
     The single source of truth for what ``--scale bench`` means — the CLI
-    and ``benchmarks/generate_experiments_md.py`` both use it.  Entries
+    and ``scripts/generate_experiments_md.py`` both use it.  Entries
     are zero-argument callables; experiments without an entry run at
     their defaults even at bench scale.
     """
