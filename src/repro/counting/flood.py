@@ -26,16 +26,16 @@ knowledge are always the cyclic run of ``fresh`` neighbors starting at
 ``rr``: the target is ``nbrs[rr]``, no scan is needed, and "gossip again
 next round" is ``fresh > 1``.  Growth resets ``fresh`` to the degree.
 
-Gossip messages carry *deltas*, not snapshots: because links are FIFO, by
-the time neighbor ``nbrs[i]`` receives our k-th gossip message it has
-already received the first k-1, so it knows the first ``sent_size[i]``
-entries of our knowledge (in our insertion order) and only the suffix
-needs to go on the wire.  The message *schedule* is unchanged — who
-sends to whom in which round depends only on knowledge sizes, which
-deltas preserve — so traces and stats are identical to the snapshot
-version, while the work per message drops from O(n) to O(new bits).  Knowledge union is
-commutative and idempotent, so duplicated or reordered deliveries (the
-fault-tolerant wrapper's retry path) remain correct.
+Gossip messages carry *deltas*, not snapshots.  Knowledge is two integer
+bitmasks, ``known`` (the vertices whose input bit we know) and ``req``
+(those of them that request); ``sent[i]`` is the ``known`` mask last
+sent to ``nbrs[i]``, and the payload is what that link has not carried
+yet: ``delta = known & ~sent[i]`` and ``req & delta``.  The message *schedule* is
+unchanged — it depends only on when knowledge grows — so traces and
+stats are identical to the snapshot version, and a message costs a few
+word operations on n-bit integers, not one step per new bit.  Knowledge
+union is commutative and idempotent, so duplicated or reordered
+deliveries (the fault-tolerant wrapper's retry path) remain correct.
 """
 
 from __future__ import annotations
@@ -52,47 +52,43 @@ class _FloodNode(Node):
     """One gossiping node.
 
     Messages:
-        ``gossip``: payload = list of ``(vertex, bit)`` pairs — the suffix
-            of the sender's knowledge (in its insertion order) that this
-            neighbor has not been sent yet.  FIFO links guarantee the
-            receiver already holds the sender's earlier prefix.
+        ``gossip``: payload = ``(delta, req)`` bitmasks — the vertices
+            whose bits this neighbor has not been sent yet, and which of
+            them request.
     """
 
     __slots__ = (
-        "requesting", "bits", "order", "sent_size", "rr", "fresh",
-        "wake_pending", "done", "nbrs", "below_known",
+        "low", "known", "req", "sent", "rr", "fresh",
+        "wake_pending", "done", "nbrs",
     )
 
     def __init__(self, node_id: int, requesting: bool) -> None:
         super().__init__(node_id)
-        self.requesting = requesting
-        self.bits: dict[int, bool] = {node_id: requesting}
-        #: knowledge in insertion order; ``sent_size[i]`` indexes into it.
-        self.order: list[tuple[int, bool]] = [(node_id, requesting)]
-        #: per neighbor, aligned with ``nbrs``: knowledge size last sent.
-        self.sent_size: list[int] = []
+        #: the ids below ours; rank-by-id completion needs all their bits.
+        self.low = (1 << node_id) - 1
+        #: bit ``u`` set once we know vertex ``u``'s input bit.
+        self.known = 1 << node_id
+        #: the known vertices whose bit is set (the requesters).
+        self.req = self.known if requesting else 0
+        #: per neighbor, aligned with ``nbrs``: the ``known`` mask last sent.
+        self.sent: list[int] = []
         #: round-robin cursor into ``nbrs``: the next gossip target.
         self.rr = 0
         #: neighbors from ``rr`` on (cyclically) still needing our knowledge.
         self.fresh = 0
         self.wake_pending = False
-        self.done = False
+        #: whether our op has completed; a non-requester has none.
+        self.done = not requesting
         #: neighbor tuple, cached from the context in ``on_start``.
         self.nbrs: tuple[int, ...] = ()
-        #: how many vertices ``u < node_id`` we know the bit of; completion
-        #: needs all of them, so this replaces a rescan per new bit.
-        self.below_known = 0
 
     # -- helpers ---------------------------------------------------------
 
     def _maybe_complete(self, ctx: NodeContext) -> None:
-        if self.done or not self.requesting:
-            return
-        # Rank-by-id: we need the bit of every smaller-id vertex.
-        if self.below_known == self.node_id:
-            rank = 1 + sum(1 for u in range(self.node_id) if self.bits[u])
+        low = self.low
+        if not self.done and self.known & low == low:
             self.done = True
-            ctx.complete(self.node_id, result=rank)
+            ctx.complete(self.node_id, result=1 + (self.req & low).bit_count())
 
     def _gossip_step(self, ctx: NodeContext) -> None:
         """Send to the next needy neighbor, ``nbrs[rr]`` (module docstring).
@@ -103,14 +99,14 @@ class _FloodNode(Node):
         if not fresh:
             return
         rr = self.rr
-        order = self.order
-        sent = self.sent_size
-        start = sent[rr]
-        sent[rr] = len(order)
+        sent = self.sent
+        known = self.known
+        delta = known ^ sent[rr]  # what we sent is a subset of ``known``
+        sent[rr] = known
         self.fresh = fresh - 1
         nxt = rr + 1
         self.rr = nxt if nxt < len(sent) else 0
-        ctx.send(self.nbrs[rr], "gossip", payload=order[start:])
+        ctx.send(self.nbrs[rr], "gossip", payload=(delta, self.req & delta))
         if fresh > 1 and not self.wake_pending:
             self.wake_pending = True
             ctx.schedule_wakeup(ctx.now + 1)
@@ -119,7 +115,7 @@ class _FloodNode(Node):
 
     def on_start(self, ctx: NodeContext) -> None:
         nbrs = self.nbrs = ctx.neighbors
-        self.sent_size = [0] * len(nbrs)
+        self.sent = [0] * len(nbrs)
         self.fresh = len(nbrs)
         self._maybe_complete(ctx)
         self._gossip_step(ctx)
@@ -131,22 +127,11 @@ class _FloodNode(Node):
     def on_receive(self, msg: Message, ctx: NodeContext) -> None:
         if msg.kind != "gossip":  # pragma: no cover - defensive
             raise ValueError(f"unexpected message kind {msg.kind!r}")
-        bits = self.bits
-        before = len(bits)
-        order = self.order
-        my_id = self.node_id
-        below = self.below_known
-        for pair in msg.payload:
-            # Append the sender's pair object itself: a run allocates one
-            # (vertex, bit) pair per vertex, not one per node that learns it.
-            u = pair[0]
-            if u not in bits:
-                bits[u] = pair[1]
-                order.append(pair)
-                if u < my_id:
-                    below += 1
-        self.below_known = below
-        if len(bits) > before:
+        delta, req = msg.payload
+        known = self.known | delta
+        if known != self.known:
+            self.known = known
+            self.req |= req
             # Growth makes every neighbor needy (module docstring); a
             # node that receives has a neighbor, so it gossips next round.
             self.fresh = len(self.nbrs)

@@ -16,10 +16,17 @@ from repro.topology.base import Graph
 
 
 def _bfs(graph: Graph, source: int) -> list[int]:
-    """Hop distances from ``source`` as a list (-1 if unreachable)."""
+    """Hop distances from ``source`` as a list (-1 if unreachable).
+
+    Stops once every vertex has a distance, so K_n costs O(n), not O(n^2).
+    """
+    n = graph.n
+    if not 0 <= source < n:
+        raise ValueError(f"vertex {source} is not in {graph.name} (n={n})")
     adj = graph.adj
-    dist = [-1] * graph.n
+    dist = [-1] * n
     dist[source] = 0
+    left = n - 1  # vertices still without a distance
     frontier = [source]
     d = 0
     while frontier:
@@ -30,12 +37,19 @@ def _bfs(graph: Graph, source: int) -> list[int]:
                 if dist[v] < 0:
                     dist[v] = d
                     nxt.append(v)
+            if len(nxt) == left:
+                return dist
+        left -= len(nxt)
         frontier = nxt
     return dist
 
 
 def bfs_distances(graph: Graph, source: int) -> np.ndarray:
-    """Hop distances from ``source`` to every vertex (-1 if unreachable)."""
+    """Hop distances from ``source`` to every vertex (-1 if unreachable).
+
+    Raises:
+        ValueError: if ``source`` is not a vertex of ``graph``.
+    """
     return np.array(_bfs(graph, source), dtype=np.int64)
 
 
@@ -46,6 +60,9 @@ def next_hops_toward(graph: Graph, dest: int) -> list[int]:
     to ``dest``; ``hops[dest] == dest`` and so does every vertex that
     cannot reach ``dest``.  The table is computed once per (graph,
     destination) and cached on the graph, so callers must not mutate it.
+
+    Raises:
+        ValueError: if ``dest`` is not a vertex (checked when the table is built).
     """
     tables = graph._next_hops
     hops = tables.get(dest)
@@ -82,7 +99,7 @@ def eccentricity(graph: Graph, v: int) -> int:
     """
     dist = bfs_distances(graph, v)
     if (dist < 0).any():
-        raise ValueError("eccentricity undefined: graph is disconnected")
+        raise ValueError(f"eccentricity undefined: {graph.name} is disconnected")
     return int(dist.max())
 
 
@@ -92,13 +109,7 @@ def diameter(graph: Graph) -> int:
     Raises:
         ValueError: if the graph is disconnected.
     """
-    best = 0
-    for v in range(graph.n):
-        dist = bfs_distances(graph, v)
-        if (dist < 0).any():
-            raise ValueError("diameter undefined: graph is disconnected")
-        best = max(best, int(dist.max()))
-    return best
+    return max(eccentricity(graph, v) for v in range(graph.n))
 
 
 def max_degree(graph: Graph) -> int:

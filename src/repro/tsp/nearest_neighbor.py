@@ -7,9 +7,10 @@ smallest vertex id so the tour — like everything in this library — is
 deterministic.
 
 The implementation finds each next stop with an expanding breadth-first
-search from the current position, so the work per leg is proportional to
-the ball of radius (leg length) rather than to ``|R|``; over the whole
-tour this is near-linear on the paper's structured trees.
+search from the current position over the tree's own child and parent
+links, so the work per leg is proportional to the ball of radius (leg
+length) rather than to ``|R|`` or ``n``; over the whole tour this is
+near-linear on the paper's structured trees.
 """
 
 from __future__ import annotations
@@ -48,16 +49,6 @@ class NNTour:
         return len(self.order)
 
 
-def _tree_adjacency(tree: RootedTree) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(tree.n)]
-    for p, c in tree.edges():
-        adj[p].append(c)
-        adj[c].append(p)
-    for lst in adj:
-        lst.sort()
-    return adj
-
-
 def nearest_neighbor_tour(
     tree: RootedTree,
     requests: Iterable[int],
@@ -74,12 +65,21 @@ def nearest_neighbor_tour(
     Returns:
         The :class:`NNTour`; its ``cost`` is the NN-TSP cost of
         Theorem 4.1.
+
+    Raises:
+        ValueError: if ``start`` or a requester is not a vertex of ``tree``.
     """
+    n = tree.n
     if start is None:
         start = tree.root
+    elif not 0 <= start < n:
+        raise ValueError(f"start vertex {start} is not in the tree (n={n})")
     remaining = set(requests)
-    adj = _tree_adjacency(tree)
-    n = tree.n
+    bad = [v for v in remaining if not 0 <= v < n]
+    if bad:
+        raise ValueError(f"requested vertex {min(bad)} is not in the tree (n={n})")
+    parent = tree.parent
+    children = tree.children
 
     order: list[int] = []
     legs: list[int] = []
@@ -106,7 +106,8 @@ def nearest_neighbor_tour(
             u = frontier.popleft()
             if found_d >= 0 and dist[u] >= found_d:
                 break  # everything further is at least as far as the hit
-            for v in adj[u]:
+            # The root is its own parent, and already stamped.
+            for v in children[u] + (parent[u],):
                 if stamp[v] == version:
                     continue
                 stamp[v] = version

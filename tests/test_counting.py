@@ -158,25 +158,40 @@ class TestFlood:
             r = run_flood_counting(complete_graph(n), range(n))
             assert r.total_delay >= theorem35_lower_bound(n)
 
-    def test_knowledge_pairs_allocated_once(self, monkeypatch):
-        """Every node's knowledge holds the originator's own pair object."""
+    def test_knowledge_masks_complete_and_deltas_disjoint(self, monkeypatch):
+        """Every node ends knowing every bit, and no link carries a bit twice."""
         import repro.counting.flood as flood
 
+        n = 64
+        requests = range(0, n, 3)
+        requested = sum(1 << v for v in requests)
         inner = {}
+        carried: dict[tuple[int, int], int] = {}
         real_run_protocol = flood.run_protocol
+        real_on_receive = flood._FloodNode.on_receive
 
         def keep(graph, nodes, **options):
             inner.update(nodes)
             return real_run_protocol(graph, nodes, **options)
 
+        def check_delta(self, msg, ctx):
+            delta, req = msg.payload
+            link = (msg.src, msg.dst)
+            before = carried.get(link, 0)
+            assert delta and not delta & before, link
+            assert req == delta & requested, link
+            carried[link] = before | delta
+            real_on_receive(self, msg, ctx)
+
         monkeypatch.setattr(flood, "run_protocol", keep)
-        n = 64
-        run_flood_counting(path_graph(n), range(0, n, 2))
+        monkeypatch.setattr(flood._FloodNode, "on_receive", check_delta)
+        g = mesh_graph([8, 8])
+        run_flood_counting(g, requests)
         assert len(inner) == n
         for node in inner.values():
-            assert len(node.order) == n
-            for pair in node.order:
-                assert pair is inner[pair[0]].order[0]
+            assert node.known == (1 << n) - 1
+            assert node.req == requested
+        assert set(carried) == {(u, v) for u in g.vertices() for v in g.adj[u]}
 
 
 class TestCountingNetwork:

@@ -4,7 +4,8 @@ One table per (graph, destination), cached on the immutable graph.  The
 tables must pick exactly the next hop every protocol picked before the
 cache existed — the first neighbor in sorted ``adj[v]`` one hop closer —
 and the cache must carry no run state: a run on a warm graph is
-byte-identical to a run on a fresh one.
+byte-identical to a run on a fresh one.  Expected distances come from a
+Floyd-Warshall reference, not from the BFS under test.
 """
 
 from __future__ import annotations
@@ -35,14 +36,17 @@ from repro.topology.base import Graph
 
 
 @st.composite
-def connected_graphs(draw, max_n=20):
-    """A random connected graph: a relabelled random tree plus extra edges."""
+def graphs(draw, max_n=20):
+    """A random graph: a relabelled random tree (or, for disconnected
+    graphs, none) plus extra edges."""
     n = draw(st.integers(min_value=1, max_value=max_n))
     label = draw(st.permutations(range(n)))
-    edges = {
-        (label[v], label[draw(st.integers(min_value=0, max_value=v - 1))])
-        for v in range(1, n)
-    }
+    edges = set()
+    if draw(st.booleans()):
+        edges = {
+            (label[v], label[draw(st.integers(min_value=0, max_value=v - 1))])
+            for v in range(1, n)
+        }
     pairs = st.tuples(
         st.integers(min_value=0, max_value=n - 1),
         st.integers(min_value=0, max_value=n - 1),
@@ -51,23 +55,48 @@ def connected_graphs(draw, max_n=20):
     return Graph.from_edges(n, edges, name=f"hyp({n})")
 
 
+def reference_distances(g: Graph) -> list[list[int]]:
+    """All-pairs hop distances by Floyd-Warshall, -1 where unreachable.
+
+    Independent of the BFS under test: it relaxes every (i, k, j) triple.
+    """
+    n = g.n
+    far = n  # longer than any simple path
+    d = [[0 if u == v else 1 if v in g.adj[u] else far for v in range(n)] for u in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][k] + d[k][j] < d[i][j]:
+                    d[i][j] = d[i][k] + d[k][j]
+    return [[x if x < far else -1 for x in row] for row in d]
+
+
 def assert_first_closer_neighbor(g: Graph) -> None:
-    dist = all_pairs_distances(g)
+    dist = reference_distances(g)
     for dest in g.vertices():
         hops = next_hops_toward(g, dest)
-        assert hops[dest] == dest
+        d = dist[dest]
         for v in g.vertices():
-            if v != dest:
-                d = dist[dest]
+            if v == dest or d[v] < 0:
+                expected = v
+            else:
                 expected = next(u for u in g.adj[v] if d[u] == d[v] - 1)
-                assert hops[v] == expected, (g.name, dest, v)
+            assert hops[v] == expected, (g.name, dest, v)
 
 
 class TestNextHopsToward:
     @settings(max_examples=60, deadline=None)
-    @given(connected_graphs())
+    @given(graphs())
     def test_random_graphs(self, g):
         assert_first_closer_neighbor(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs())
+    def test_bfs_distances_match_reference(self, g):
+        dist = reference_distances(g)
+        for source in g.vertices():
+            assert bfs_distances(g, source).tolist() == dist[source], (g.name, source)
+        assert all_pairs_distances(g).tolist() == dist
 
     @pytest.mark.parametrize(
         "g",
@@ -91,6 +120,14 @@ class TestNextHopsToward:
         dist = bfs_distances(g, 1)
         assert isinstance(dist, np.ndarray) and dist.dtype == np.int64
         assert dist.tolist() == [1, 0, 1, -1, -1]
+
+    def test_out_of_range_source_named(self):
+        with pytest.raises(ValueError, match=r"vertex -1 is not in path\(4\)"):
+            bfs_distances(path_graph(4), -1)
+
+    def test_out_of_range_destination_named(self):
+        with pytest.raises(ValueError, match=r"vertex 9 is not in path\(4\)"):
+            next_hops_toward(path_graph(4), 9)
 
 
 class TestGraphCache:

@@ -86,9 +86,25 @@ class TestNearestNeighborTour:
             for v, leg in zip(tour.order, tour.legs):
                 dmin = min(t.distance(cur, u) for u in remaining)
                 assert leg == dmin
-                assert t.distance(cur, v) == dmin
+                assert v == min(u for u in remaining if t.distance(cur, u) == dmin)
                 remaining.discard(v)
                 cur = v
+
+    def test_negative_start_rejected(self):
+        with pytest.raises(ValueError, match="start vertex -1 is not in the tree"):
+            nearest_neighbor_tour(RootedTree.from_path([0, 1, 2, 3]), [1], start=-1)
+
+    def test_start_past_the_tree_rejected(self):
+        with pytest.raises(ValueError, match="start vertex 9 is not in the tree"):
+            nearest_neighbor_tour(RootedTree.from_path([0, 1, 2, 3]), [1], start=9)
+
+    def test_request_past_the_tree_rejected(self):
+        with pytest.raises(ValueError, match="requested vertex 4 is not in the tree"):
+            nearest_neighbor_tour(RootedTree.from_path([0, 1, 2, 3]), [1, 4])
+
+    def test_negative_request_rejected(self):
+        with pytest.raises(ValueError, match="requested vertex -2 is not in the tree"):
+            nearest_neighbor_tour(RootedTree.from_path([0, 1, 2, 3]), [-2, 1])
 
 
 class TestRuns:
