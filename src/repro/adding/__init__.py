@@ -12,6 +12,12 @@ Counting is the special case of unit increments (rank = prior sum + 1),
 so the counting lower bounds of Section 3 apply verbatim to addition —
 while queuing does not get easier.  The E19 experiment measures exactly
 that.
+
+The code says the same: the runners here drive the counting package's
+central-server and combining-tree nodes with arbitrary increments.  Each
+requester receives its *inclusive* prefix sum (its rank, for unit
+increments) and the runner subtracts its increment to report the prior
+sum.  Only :class:`AdditionResult` and its verifier live here.
 """
 
 from repro.adding.combining import AdditionResult, run_combining_addition

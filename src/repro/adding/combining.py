@@ -1,13 +1,13 @@
-"""Combining-tree fetch-and-add.
+"""Combining-tree fetch-and-add, and the fetch-and-add result type.
 
-The combining counter of :mod:`repro.counting.combining`, generalised to
-arbitrary integer increments: the up phase aggregates subtree *sums*
-instead of request counts, and the down phase distributes prefix *sums*
-instead of rank intervals.  The message pattern — hence the delay
-profile — is identical to combining-tree counting, demonstrating that
-addition is at least as expensive as counting on the same tree (and
-strictly harder to shortcut: the result depends on every predecessor's
-value, not just their number).
+Runs the combining tree of :mod:`repro.counting.combining` with arbitrary
+integer increments: the up phase aggregates subtree sums and the down
+phase distributes prefix sums.  A requester receives its inclusive prefix
+and the runner subtracts its own increment to report the prior sum.  The
+message pattern — hence the delay profile — is the one combining-tree
+counting sends, demonstrating that addition is at least as expensive as
+counting on the same tree (and strictly harder to shortcut: the result
+depends on every predecessor's value, not just their number).
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.sim import Message, Node, NodeContext, RunStats, run_protocol
+from repro.counting.combining import _run_combining
+from repro.sim import RunStats
 from repro.topology.spanning import SpanningTree
 
 
@@ -53,12 +54,20 @@ class AdditionResult:
     def verify(self) -> None:
         """Check the fetch-and-add specification.
 
-        Along ``order``, every prior sum must equal the prefix sum of the
+        ``order`` must be a permutation of the participants (the keys of
+        ``increments``), ``prior_sums`` must hold exactly those keys, and
+        along ``order`` every prior sum must equal the prefix sum of the
         increments ordered before it.
 
         Raises:
             AssertionError: on any mismatch.
         """
+        participants = sorted(self.increments)
+        if sorted(self.order) != participants or sorted(self.prior_sums) != participants:
+            raise AssertionError(
+                f"order {list(self.order)} and prior sums {sorted(self.prior_sums)} must "
+                f"each hold the participants {participants} once"
+            )
         running = 0
         for v in self.order:
             if self.prior_sums[v] != running:
@@ -66,85 +75,6 @@ class AdditionResult:
                     f"vertex {v}: prior sum {self.prior_sums[v]} != prefix {running}"
                 )
             running += self.increments[v]
-
-
-class _AddNode(Node):
-    """One node of the combining-adder.
-
-    Messages:
-        ``up``: payload = (subtree increment sum); child -> parent.
-        ``down``: payload = base prefix sum for the subtree.
-    """
-
-    __slots__ = (
-        "parent",
-        "children",
-        "delta",
-        "participating",
-        "pending",
-        "child_sums",
-        "subtotal",
-        "completed",
-    )
-
-    def __init__(
-        self,
-        node_id: int,
-        parent: int,
-        children: tuple[int, ...],
-        delta: int | None,
-    ) -> None:
-        super().__init__(node_id)
-        self.parent = parent
-        self.children = children
-        self.delta = delta
-        self.participating = delta is not None
-        self.pending = len(children)
-        self.child_sums: dict[int, tuple[int, bool]] = {}
-        self.subtotal = delta or 0
-        self.completed = False
-
-    def _report_or_finish(self, ctx: NodeContext) -> None:
-        if self.parent != self.node_id:
-            ctx.send(
-                self.parent,
-                "up",
-                payload=(self.subtotal, self._subtree_participates()),
-            )
-        else:
-            self._distribute(0, ctx)
-
-    def _subtree_participates(self) -> bool:
-        return self.participating or any(p for _s, p in self.child_sums.values())
-
-    def _distribute(self, base: int, ctx: NodeContext) -> None:
-        nxt = base
-        if self.participating and not self.completed:
-            self.completed = True
-            ctx.complete(self.node_id, result=nxt)
-            nxt += self.delta
-        for c in self.children:
-            s, participates = self.child_sums[c]
-            if participates:
-                ctx.send(c, "down", payload=nxt)
-            nxt += s
-
-    def on_start(self, ctx: NodeContext) -> None:
-        if self.pending == 0:
-            self._report_or_finish(ctx)
-
-    def on_receive(self, msg: Message, ctx: NodeContext) -> None:
-        if msg.kind == "up":
-            s, participates = msg.payload
-            self.child_sums[msg.src] = (s, participates)
-            self.subtotal += s
-            self.pending -= 1
-            if self.pending == 0:
-                self._report_or_finish(ctx)
-        elif msg.kind == "down":
-            self._distribute(msg.payload, ctx)
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unexpected message kind {msg.kind!r}")
 
 
 def run_combining_addition(
@@ -164,38 +94,21 @@ def run_combining_addition(
         **options: run options, forwarded to
             :func:`repro.sim.run_protocol`.
     """
-    tree = spanning.tree
-    for v in increments:
-        if not (0 <= v < tree.n):
-            raise ValueError(f"vertex {v} out of range")
-    nodes = {
-        v: _AddNode(
-            v,
-            parent=tree.parent[v],
-            children=tree.children[v],
-            delta=increments.get(v),
-        )
-        for v in range(tree.n)
+    nodes, net = _run_combining(spanning, increments, capacity, options)
+    prior = {
+        v: int(s) - increments[v] for v, s in net.delays.result_by_op().items()
     }
-    net = run_protocol(
-        spanning.as_graph(), nodes,
-        send_capacity=capacity, recv_capacity=capacity, **options,
-    )
-
-    prior = {v: int(s) for v, s in net.delays.result_by_op().items()}
-    # The induced order is the DFS order of participants: recover it by
+    # The induced order is the DFS order of requesters: recover it by
     # walking the tree exactly as _distribute did (iteratively — spanning
     # trees can be path-shaped and deeper than the recursion limit).
     order: list[int] = []
-    stack = [tree.root]
+    stack = [spanning.root]
     while stack:
         v = stack.pop()
-        if nodes[v].participating:
+        if v in increments:
             order.append(v)
         stack.extend(
-            c
-            for c in reversed(nodes[v].children)
-            if nodes[c]._subtree_participates()
+            c for c in reversed(spanning.tree.children[v]) if nodes[c].requesters
         )
     result = AdditionResult(
         algorithm=f"combining-add[{spanning.label}]",

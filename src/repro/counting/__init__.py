@@ -8,9 +8,9 @@ achievable counting gets to them:
 * :mod:`repro.counting.central` — a central counter with shortest-path
   routing: simple, and exactly the contention behaviour that makes the
   star and the list cost Theta(n^2);
-* :mod:`repro.counting.combining` — a combining tree (aggregate requests
-  up, split rank intervals down): the classic low-contention software
-  counter, O(n log n) total delay on balanced trees;
+* :mod:`repro.counting.combining` — a combining tree (aggregate request
+  sums up, hand inclusive prefix sums down): the classic low-contention
+  software counter, O(n log n) total delay on balanced trees;
 * :mod:`repro.counting.flood` — full-information gossip: every node
   learns every input bit and ranks itself locally; the information-
   theoretic strawman the model's one-message restriction punishes;

@@ -1,96 +1,102 @@
-"""Central-counter counting (and queuing) with shortest-path routing.
+"""Central-server counting, queuing and fetch-and-add, with shortest-path routing.
 
-Every requester routes an increment request hop-by-hop toward a
-designated root; the root assigns ranks in arrival order and routes a
-reply back.  Under the model's one-message-per-round restriction the root
-serialises: on the star this is exactly the ``Theta(n^2)`` behaviour the
-paper's conclusion discusses, and on the list it realises Theorem 3.6's
-``Omega(n^2)``.
+Every requester routes a request ``(origin, increment)`` hop-by-hop
+toward a designated root; the root serves requests in arrival order and
+routes a reply back.  Under the model's one-message-per-round restriction
+the root serialises: on the star this is exactly the ``Theta(n^2)``
+behaviour the paper's conclusion discusses, and on the list it realises
+Theorem 3.6's ``Omega(n^2)``.  Routing tables (next hop toward the root,
+and the root's path back to each origin) are precomputed — initialization
+is free per Section 2.2.
 
-Routing tables (next hop toward the root, and the explicit return path in
-each request) are precomputed — initialization is free per Section 2.2.
-The same machinery with the root answering "who came before you" instead
-of a rank gives the central *queuing* baseline used in the star-graph
-experiment.
+One node serves three problems; only the reply differs.  Summing replies
+with the running total *including* the request's increment — the rank,
+under counting's unit increments; fetch-and-add (:mod:`repro.adding`)
+subtracts the increment to get the prior sum.  Queuing (the star-graph
+experiment's baseline) replies with the previously served op.  The
+messages, hence traces and delays, are the same for all three.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable
+from typing import Any, Hashable, Iterable, Mapping
 
 from repro.core.problem import CountingResult, QueuingResult
 from repro.core.verify import verify_counting, verify_queuing
 from repro.sim import Message, Node, NodeContext, SynchronousNetwork, run_protocol
 from repro.topology.base import Graph
-from repro.topology.properties import next_hops_toward
+from repro.topology.properties import check_vertices, next_hops_toward
 
 
 class _CentralNode(Node):
-    """A node of the central-counter protocol.
+    """A node of the central server.
 
     Messages:
-        ``req``: payload = origin vertex; forwarded along ``next_hop``
-            toward the root.
+        ``req``: payload = (origin, increment); forwarded along
+            ``next_hop`` toward the root.
         ``reply``: payload = (origin, remaining_path, value); source-routed
             back to the origin.
     """
 
     __slots__ = (
         "next_hop",
-        "requesting",
-        "is_root",
-        "counter",
+        "increment",
+        "queuing",
+        "total",
         "last_op",
-        "mode",
-        "_down_paths",
+        "served",
+        "down_paths",
     )
 
     def __init__(
-        self, node_id: int, next_hop: int, requesting: bool, is_root: bool, mode: str
+        self, node_id: int, next_hop: int, increment: int | None, queuing: bool
     ) -> None:
         super().__init__(node_id)
+        #: next hop toward the root; the root's is itself.
         self.next_hop = next_hop
-        self.requesting = requesting
-        self.is_root = is_root
-        self.counter = 0
+        #: this node's increment, or None if it does not request.
+        self.increment = increment
+        self.queuing = queuing
+        self.total = 0
         self.last_op: Hashable = ("init", node_id)
-        self.mode = mode
+        #: root only: origins in the order they were served.
+        self.served: list[int] = []
         #: root only: origin -> path root->...->origin (excluding the root).
-        self._down_paths: dict[int, list[int]] = {}
+        self.down_paths: dict[int, list[int]] = {}
 
-    def _serve(self, origin: int, path: list[int], ctx: NodeContext) -> None:
-        """Root-side: assign the next value and send (or record) the reply."""
-        self.counter += 1
-        if self.mode == "count":
-            value: Hashable = self.counter
-        else:
-            value = self.last_op
-            self.last_op = ("op", origin)
+    def _value(self, origin: int, increment: int) -> Hashable:
+        """Root-side: the reply to the request served next."""
+        if self.queuing:
+            value, self.last_op = self.last_op, ("op", origin)
+            return value
+        self.total += increment
+        return self.total
+
+    def _serve(self, origin: int, increment: int, ctx: NodeContext) -> None:
+        """Root-side: serve a request and send (or record) its reply."""
+        self.served.append(origin)
+        value = self._value(origin, increment)
         if origin == self.node_id:
             ctx.complete(origin, result=value)
         else:
+            path = self.down_paths[origin]
             ctx.send(path[0], "reply", payload=(origin, path[1:], value))
 
     def on_start(self, ctx: NodeContext) -> None:
-        if not self.requesting:
+        if self.increment is None:
             return
-        if self.is_root:
-            self._serve(self.node_id, [], ctx)
+        if self.next_hop == self.node_id:
+            self._serve(self.node_id, self.increment, ctx)
         else:
-            ctx.send(self.next_hop, "req", payload=self.node_id)
+            ctx.send(self.next_hop, "req", payload=(self.node_id, self.increment))
 
     def on_receive(self, msg: Message, ctx: NodeContext) -> None:
         if msg.kind == "req":
-            origin = msg.payload
-            if self.is_root:
-                # Return path: reverse of the request's route.  The route
-                # is recoverable because requests follow next_hop pointers;
-                # the engine-level trick of carrying the path would also
-                # work, but the reverse route is simply the BFS-tree path
-                # from the root to the origin, precomputed below.
-                self._serve(origin, self._down_path(origin), ctx)
+            if self.next_hop == self.node_id:
+                origin, increment = msg.payload
+                self._serve(origin, increment, ctx)
             else:
-                ctx.send(self.next_hop, "req", payload=origin)
+                ctx.send(self.next_hop, "req", payload=msg.payload)
         elif msg.kind == "reply":
             origin, path, value = msg.payload
             if origin == self.node_id:
@@ -100,46 +106,28 @@ class _CentralNode(Node):
         else:  # pragma: no cover - defensive
             raise ValueError(f"unexpected message kind {msg.kind!r}")
 
-    def _down_path(self, origin: int) -> list[int]:
-        return self._down_paths[origin]
 
-
-def _routing(graph: Graph, root: int) -> tuple[list[int], dict[int, list[int]]]:
-    """Next hops toward ``root`` and full root->origin paths, via BFS."""
+def _run_central(
+    graph: Graph, increments: Mapping[int, int], root: int, queuing: bool, options: dict
+) -> tuple[_CentralNode, SynchronousNetwork]:
+    """Run the central server; returns the root node and the network."""
+    check_vertices(graph, increments)
     next_hop = next_hops_toward(graph, root)
     if any(h == v != root for v, h in enumerate(next_hop)):
         raise ValueError("graph is disconnected")
-    down_paths: dict[int, list[int]] = {}
+    nodes = {
+        v: _CentralNode(v, next_hop[v], increments.get(v), queuing)
+        for v in graph.vertices()
+    }
     for v in graph.vertices():
         path = []
         x = v
         while x != root:
             path.append(x)
             x = next_hop[x]
-        down_paths[v] = path[::-1]
-    return next_hop, down_paths
-
-
-def _run_central(
-    graph: Graph, requests: Iterable[int], root: int, mode: str, options: dict
-) -> SynchronousNetwork:
-    req = sorted(set(requests))
-    next_hop, down_paths = _routing(graph, root)
-    req_set = set(req)
-    nodes = {
-        v: _CentralNode(
-            v,
-            next_hop=next_hop[v],
-            requesting=(v in req_set),
-            is_root=(v == root),
-            mode=mode,
-        )
-        for v in graph.vertices()
-    }
-    nodes[root]._down_paths = down_paths
-    return run_protocol(
-        graph, nodes, send_capacity=1, recv_capacity=1, **options
-    )
+        nodes[root].down_paths[v] = path[::-1]
+    net = run_protocol(graph, nodes, send_capacity=1, recv_capacity=1, **options)
+    return nodes[root], net
 
 
 def run_central_counting(
@@ -159,7 +147,7 @@ def run_central_counting(
             :func:`repro.sim.run_protocol`.
     """
     req = tuple(sorted(set(requests)))
-    net = _run_central(graph, req, root, "count", options)
+    _, net = _run_central(graph, dict.fromkeys(req, 1), root, False, options)
     counts = {v: int(c) for v, c in net.delays.result_by_op().items()}
     verify_counting(req, counts)
     return CountingResult(
@@ -186,7 +174,7 @@ def run_central_queuing(
     :func:`run_central_counting`.
     """
     req = tuple(sorted(set(requests)))
-    net = _run_central(graph, req, root, "queue", options)
+    _, net = _run_central(graph, dict.fromkeys(req, 1), root, True, options)
     predecessors = {("op", v): pred for v, pred in net.delays.result_by_op().items()}
     # Delays keyed by op id to match QueuingResult's convention.
     delays = {("op", v): d for v, d in net.delays.delay_by_op().items()}

@@ -1,32 +1,37 @@
-"""Combining-tree counting.
+"""Combining-tree counting (and fetch-and-add).
 
 The classic software-combining counter, specialised to the one-shot
-scenario:
+scenario.  Every requester holds an increment (1 for counting):
 
-1. **Aggregate up** — every leaf of the spanning tree reports how many
-   requests its subtree holds (0 or 1); an internal node waits for all of
-   its children's reports, adds its own bit, and reports the sum to its
+1. **Aggregate up** — every leaf of the spanning tree reports its
+   subtree's increment sum and requester count; an internal node waits
+   for all of its children's reports, adds its own, and reports to its
    parent.  Non-requesters participate: the request set is unknown to the
    algorithm (Section 2.2), so silence cannot be distinguished from "no
    requests" without the synchronous-silence tricks the lower-bound proof
    worries about — the implementation plays honestly and always sends.
-2. **Distribute down** — the root assigns its subtree the rank interval
-   ``[1 .. total]``; each node takes the first rank for its own request
-   (if any) and splits the remainder among its children in sorted order,
-   one interval message per child (serialised by the send capacity).
+2. **Distribute down** — each node orders its own request first, then its
+   children's subtrees in sorted order, and sends each child holding a
+   requester the sum of every increment ordered before that subtree (one
+   message per child, serialised by the send capacity).
 
-A requester's delay is the round its rank arrives.  On a balanced
+A requester completes with the *inclusive* prefix sum, which is its rank
+under unit increments; fetch-and-add (:mod:`repro.adding`) subtracts the
+increment to get the prior sum.  Both send the same messages.
+
+A requester's delay is the round its prefix arrives.  On a balanced
 constant-degree tree the total delay is ``O(n log n)``; on a path it
 degrades to ``Theta(n^2)``, matching Theorem 3.6's lower bound shape.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
 from repro.core.problem import CountingResult
 from repro.core.verify import verify_counting
-from repro.sim import Message, Node, NodeContext, run_protocol
+from repro.sim import Message, Node, NodeContext, SynchronousNetwork, run_protocol
+from repro.topology.properties import check_vertices
 from repro.topology.spanning import SpanningTree
 
 
@@ -34,52 +39,58 @@ class _CombiningNode(Node):
     """One node of the combining tree.
 
     Messages:
-        ``up``: payload = subtree request count, child -> parent.
-        ``down``: payload = (base,), parent -> child: the child's subtree
-            ranks are ``base+1 .. base+subtree_count``.
+        ``up``: payload = (subtree increment sum, subtree requesters),
+            child -> parent.
+        ``down``: payload = base, parent -> child: the sum of every
+            increment ordered before the child's subtree.
     """
 
     __slots__ = (
         "parent",
         "children",
-        "requesting",
+        "increment",
         "pending",
-        "child_counts",
-        "subtotal",
+        "child_totals",
+        "total",
+        "requesters",
         "completed",
     )
 
     def __init__(
-        self, node_id: int, parent: int, children: tuple[int, ...], requesting: bool
+        self, node_id: int, parent: int, children: tuple[int, ...], increment: int | None
     ) -> None:
         super().__init__(node_id)
         self.parent = parent
         self.children = children
-        self.requesting = requesting
+        #: this node's increment, or None if it does not request.
+        self.increment = increment
         self.pending = len(children)
-        self.child_counts: dict[int, int] = {}
-        self.subtotal = 1 if requesting else 0
+        #: child -> (subtree increment sum, subtree requesters).
+        self.child_totals: dict[int, tuple[int, int]] = {}
+        #: this subtree's increment sum and requester count (so far).
+        self.total = increment or 0
+        self.requesters = 0 if increment is None else 1
         self.completed = False
 
     def _report_or_finish(self, ctx: NodeContext) -> None:
         """Send the aggregate up, or start distribution if this is the root."""
         if self.parent != self.node_id:
-            ctx.send(self.parent, "up", payload=self.subtotal)
+            ctx.send(self.parent, "up", payload=(self.total, self.requesters))
         else:
             self._distribute(0, ctx)
 
     def _distribute(self, base: int, ctx: NodeContext) -> None:
-        """Assign ranks ``base+1..base+subtotal`` to this subtree."""
+        """Hand out prefix sums to this subtree, starting after ``base``."""
         nxt = base
-        if self.requesting and not self.completed:
+        if self.increment is not None and not self.completed:
             self.completed = True
-            nxt += 1
+            nxt += self.increment
             ctx.complete(self.node_id, result=nxt)
         for c in self.children:
-            cnt = self.child_counts[c]
-            if cnt > 0:
+            total, requesters = self.child_totals[c]
+            if requesters:
                 ctx.send(c, "down", payload=nxt)
-            nxt += cnt
+            nxt += total
 
     def on_start(self, ctx: NodeContext) -> None:
         if self.pending == 0:
@@ -87,8 +98,9 @@ class _CombiningNode(Node):
 
     def on_receive(self, msg: Message, ctx: NodeContext) -> None:
         if msg.kind == "up":
-            self.child_counts[msg.src] = msg.payload
-            self.subtotal += msg.payload
+            total, requesters = self.child_totals[msg.src] = msg.payload
+            self.total += total
+            self.requesters += requesters
             self.pending -= 1
             if self.pending == 0:
                 self._report_or_finish(ctx)
@@ -96,6 +108,23 @@ class _CombiningNode(Node):
             self._distribute(msg.payload, ctx)
         else:  # pragma: no cover - defensive
             raise ValueError(f"unexpected message kind {msg.kind!r}")
+
+
+def _run_combining(
+    spanning: SpanningTree, increments: Mapping[int, int], capacity: int, options: dict
+) -> tuple[dict[int, _CombiningNode], SynchronousNetwork]:
+    """Run the combining tree; returns its nodes and the network."""
+    check_vertices(spanning.graph, increments)
+    tree = spanning.tree
+    nodes = {
+        v: _CombiningNode(v, tree.parent[v], tree.children[v], increments.get(v))
+        for v in range(tree.n)
+    }
+    net = run_protocol(
+        spanning.as_graph(), nodes,
+        send_capacity=capacity, recv_capacity=capacity, **options,
+    )
+    return nodes, net
 
 
 def run_combining_counting(
@@ -116,22 +145,8 @@ def run_combining_counting(
         **options: run options, forwarded to
             :func:`repro.sim.run_protocol`.
     """
-    tree = spanning.tree
     req = tuple(sorted(set(requests)))
-    req_set = set(req)
-    nodes = {
-        v: _CombiningNode(
-            v,
-            parent=tree.parent[v],
-            children=tree.children[v],
-            requesting=(v in req_set),
-        )
-        for v in range(tree.n)
-    }
-    net = run_protocol(
-        spanning.as_graph(), nodes,
-        send_capacity=capacity, recv_capacity=capacity, **options,
-    )
+    _, net = _run_combining(spanning, dict.fromkeys(req, 1), capacity, options)
     counts = {v: int(c) for v, c in net.delays.result_by_op().items()}
     verify_counting(req, counts)
     return CountingResult(

@@ -44,17 +44,41 @@ _ENGINE_ONLY_ATTRS = frozenset(
     {"_network", "_enqueue_send", "_record_completion", "_schedule_wakeup",
      "_enqueue", "_wakeup"}
 )
+
+_SIM_DIR = Path(__file__).resolve().parent.parent / "sim"
+
+
+def _live_engine_names() -> frozenset[str]:
+    """Private names of the live engine, read from its source.
+
+    Every ``self._x`` that ``sim/network.py`` assigns, every ``_x``
+    function, method or property it defines, and the slots of
+    ``NodeContext`` in ``sim/node.py``: the set cannot fall behind the
+    engine's layout.
+    """
+    names: set[str] = set()
+    for n in ast.walk(ast.parse((_SIM_DIR / "network.py").read_text())):
+        if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                and isinstance(n.value, ast.Name) and n.value.id == "self"):
+            names.add(n.attr)
+        elif isinstance(n, ast.FunctionDef):
+            names.add(n.name)
+    for n in ast.parse((_SIM_DIR / "node.py").read_text()).body:
+        if isinstance(n, ast.ClassDef) and n.name == "NodeContext":
+            for stmt in n.body:
+                if isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets) == "__slots__":
+                    names.update(ast.literal_eval(stmt.value))
+    return frozenset(
+        x for x in names if x.startswith("_") and not x.startswith("__")
+    )
+
+
 #: Additional private engine state flagged when accessed on anything that
 #: is not ``self`` (a protocol may legitimately name its own ``_ready``).
-_ENGINE_PRIVATE_ATTRS = _ENGINE_ONLY_ATTRS | frozenset(
-    {"_wakeups", "_nodes", "_ctx",
-     "_msg_seq", "_in_flight", "_adj", "_nbr_sets",
-     "_receive_phase", "_send_phase", "_wake_phase",
-     "_outboxes", "_in_links", "_rheaps", "_send_active", "_recv_active",
-     "_wake_heap",
-     # names of earlier engine layouts, still flagged: code written
-     # against them is just as wrong
-     "_links", "_outbox", "_ready", "_nodes_l", "_ctx_l"}
+_ENGINE_PRIVATE_ATTRS = _ENGINE_ONLY_ATTRS | _live_engine_names() | frozenset(
+    # names of earlier engine layouts, still flagged: code written
+    # against them is just as wrong
+    {"_links", "_outbox", "_ready", "_nodes_l", "_ctx_l"}
 )
 
 #: The engine callbacks protocol logic is allowed to originate from.

@@ -10,9 +10,19 @@ on the graph.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from repro.topology.base import Graph
+
+
+def check_vertices(graph: Graph, vertices: Iterable[int]) -> None:
+    """Raise ``ValueError`` naming the first of ``vertices`` not in ``graph``."""
+    n = graph.n
+    for v in vertices:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} is not in {graph.name} (n={n})")
 
 
 def _bfs(graph: Graph, source: int) -> list[int]:
@@ -21,8 +31,7 @@ def _bfs(graph: Graph, source: int) -> list[int]:
     Stops once every vertex has a distance, so K_n costs O(n), not O(n^2).
     """
     n = graph.n
-    if not 0 <= source < n:
-        raise ValueError(f"vertex {source} is not in {graph.name} (n={n})")
+    check_vertices(graph, (source,))
     adj = graph.adj
     dist = [-1] * n
     dist[source] = 0

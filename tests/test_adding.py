@@ -5,10 +5,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_tree, tree_as_graph
-from repro.adding import run_central_addition, run_combining_addition
-from repro.counting import run_combining_counting
+from repro.adding import AdditionResult, run_central_addition, run_combining_addition
+from repro.counting import run_central_counting, run_central_queuing, run_combining_counting
+from repro.sim import EventTrace, RunStats
 from repro.topology import complete_graph, path_graph, star_graph
 from repro.topology.spanning import (
     SpanningTree,
@@ -16,6 +19,25 @@ from repro.topology.spanning import (
     embedded_binary_tree,
     path_spanning_tree,
 )
+from repro.tree import RootedTree
+
+
+@st.composite
+def tree_instances(draw):
+    """A random tree rooted at a random vertex, and a request set."""
+    n = draw(st.integers(1, 16))
+    tree = random_tree(n, seed=draw(st.integers(0, 10_000)))
+    root = draw(st.integers(0, n - 1))
+    graph = tree_as_graph(tree)
+    spanning = SpanningTree(graph, RootedTree.from_edges(n, tree.edges(), root=root), "rand")
+    requests = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    return graph, spanning, requests
+
+
+def traced(run, *args, **kwargs):
+    """``run``'s result and the events of its trace."""
+    tr = EventTrace()
+    return run(*args, trace=tr, **kwargs), tr.events
 
 
 class TestCombiningAddition:
@@ -28,14 +50,33 @@ class TestCombiningAddition:
             assert r.prior_sums[v] == running
             running += r.increments[v]
 
-    def test_unit_increments_equal_counting_minus_one(self):
-        st = embedded_binary_tree(complete_graph(15))
-        add = run_combining_addition(st, {v: 1 for v in range(15)})
-        cnt = run_combining_counting(st, range(15))
-        # fetch-and-add returns the prior value; rank = prior + 1
-        assert {v: s + 1 for v, s in add.prior_sums.items()} == cnt.counts
-        assert add.delays == cnt.delays
-        assert add.total_delay == cnt.total_delay
+    @settings(max_examples=60, deadline=None)
+    @given(inst=tree_instances())
+    def test_unit_increments_equal_counting_minus_one(self, inst):
+        """Counting is fetch-and-add with unit increments, trace by trace,
+        on the combining tree and the central server alike; central
+        queuing sends the same messages as central counting."""
+        graph, spanning, requests = inst
+        root = spanning.root
+        ones = dict.fromkeys(requests, 1)
+        combining = (
+            traced(run_combining_counting, spanning, requests),
+            traced(run_combining_addition, spanning, ones),
+        )
+        central = (
+            traced(run_central_counting, graph, requests, root=root),
+            traced(run_central_addition, graph, ones, root=root),
+        )
+        for (cnt, cnt_events), (add, add_events) in (combining, central):
+            assert add_events == cnt_events
+            assert add.stats == cnt.stats
+            # fetch-and-add returns the prior value; rank = prior + 1
+            assert cnt.counts == {v: s + 1 for v, s in add.prior_sums.items()}
+            assert add.delays == cnt.delays
+        (cnt, cnt_events), _ = central
+        que, que_events = traced(run_central_queuing, graph, requests, root=root)
+        assert que_events == cnt_events
+        assert que.stats == cnt.stats
 
     def test_negative_and_zero_increments(self):
         st = path_spanning_tree(path_graph(6))
@@ -117,6 +158,39 @@ class TestCentralAddition:
                 for v in rng.sample(range(n), rng.randint(1, n))
             }
             run_central_addition(g, incs, root=rng.randrange(n)).verify()
+
+
+class TestVerify:
+    """``AdditionResult.verify`` checks the order and the prior-sum keys
+    against the participants, not just the prefix sums along ``order``."""
+
+    @staticmethod
+    def result(order, prior_sums):
+        return AdditionResult(
+            "x", {1: 5, 2: 3}, prior_sums, order=order, delays={1: 1, 2: 1}, stats=RunStats()
+        )
+
+    def test_accepts_a_correct_result(self):
+        self.result((1, 2), {1: 0, 2: 5}).verify()
+
+    @pytest.mark.parametrize(
+        "order, prior_sums, match",
+        [
+            ((1,), {1: 0, 2: 99}, "must each hold the participants"),
+            ((1, 1), {1: 0, 2: 5}, "must each hold the participants"),
+            ((1, 2, 1), {1: 0, 2: 5}, "must each hold the participants"),
+            ((1, 2, 3), {1: 0, 2: 5}, "must each hold the participants"),
+            ((1, 2), {1: 0}, "must each hold the participants"),
+            ((1, 2), {1: 0, 2: 5, 3: 8}, "must each hold the participants"),
+        ],
+        ids=[
+            "order-missing", "order-duplicate", "order-duplicate-extra-length",
+            "order-extra", "prior-missing", "prior-extra",
+        ],
+    )
+    def test_rejects(self, order, prior_sums, match):
+        with pytest.raises(AssertionError, match=match):
+            self.result(order, prior_sums).verify()
 
 
 class TestDeepTrees:

@@ -69,13 +69,13 @@ class TestFailureInjection:
     def test_broken_central_counter_is_caught(self, monkeypatch):
         from repro.counting import central as central_mod
 
-        original = central_mod._CentralNode._serve
+        original = central_mod._CentralNode._value
 
-        def broken(self, origin, path, ctx):
-            self.counter += 1  # double-increment: counts get holes
-            original(self, origin, path, ctx)
+        def broken(self, origin, increment):
+            self.total += 1  # double-increment: counts get holes
+            return original(self, origin, increment)
 
-        monkeypatch.setattr(central_mod._CentralNode, "_serve", broken)
+        monkeypatch.setattr(central_mod._CentralNode, "_value", broken)
         with pytest.raises(VerificationError):
             run_central_counting(star_graph(6), range(6))
 
@@ -108,15 +108,15 @@ class TestFailureInjection:
             verify_queuing(range(5), bad, tail=0)
 
     def test_broken_addition_is_caught(self, monkeypatch):
-        from repro.adding import combining as add_mod
         from repro.adding import run_combining_addition
+        from repro.counting import combining as comb_mod
         from repro.topology.spanning import path_spanning_tree as pst
 
-        original = add_mod._AddNode._distribute
+        original = comb_mod._CombiningNode._distribute
 
         def broken(self, base, ctx):
             original(self, base + (1 if self.node_id == 2 else 0), ctx)
 
-        monkeypatch.setattr(add_mod._AddNode, "_distribute", broken)
+        monkeypatch.setattr(comb_mod._CombiningNode, "_distribute", broken)
         with pytest.raises(AssertionError):
             run_combining_addition(pst(path_graph(5)), {v: 1 for v in range(5)})

@@ -77,6 +77,15 @@ class TestCentral:
         r = run_central_counting(mesh_graph([3, 3]), range(9), root=4)
         assert sorted(r.counts.values()) == list(range(1, 10))
 
+    @pytest.mark.parametrize("runner", [run_central_counting, run_central_queuing])
+    @pytest.mark.parametrize("vertex", [5, -1])
+    def test_out_of_range_request_rejected(self, runner, vertex):
+        """A request outside the graph fails up front, naming the vertex,
+        instead of running the engine and failing verification."""
+        msg = rf"vertex {vertex} is not in path\(3\) \(n=3\)"
+        with pytest.raises(ValueError, match=msg):
+            runner(path_graph(3), [vertex])
+
 
 class TestCombining:
     def test_binary_tree_counts_valid(self):
@@ -114,6 +123,13 @@ class TestCombining:
         strict = run_combining_counting(st, range(16), capacity=1)
         relaxed = run_combining_counting(st, range(16), capacity=4)
         assert relaxed.total_delay <= strict.total_delay
+
+    @pytest.mark.parametrize("vertex", [5, -1])
+    def test_out_of_range_request_rejected(self, vertex):
+        st = path_spanning_tree(path_graph(3))
+        msg = rf"vertex {vertex} is not in path\(3\) \(n=3\)"
+        with pytest.raises(ValueError, match=msg):
+            run_combining_counting(st, [vertex])
 
     def test_random_trees_always_valid(self):
         rng = random.Random(21)

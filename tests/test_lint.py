@@ -86,6 +86,12 @@ class DenseStateNode(Node):
         net._nodes_l[0].on_wake(ctx)  # MARK-NODES-L
         net._ctx_l[0].send(1, "x")  # MARK-CTX-L
         net._wake_heap.clear()  # MARK-WAKE-HEAP
+        _ = net._crashed  # MARK-CRASHED
+        _ = net._injector  # MARK-INJECTOR
+        _ = net._send_budget  # MARK-SEND-BUDGET
+        _ = net._send_backlog_last  # MARK-SEND-BACKLOG-LAST
+        _ = net._started  # MARK-STARTED
+        _ = net._unit_delay  # MARK-UNIT-DELAY
 """
 
 
@@ -104,7 +110,9 @@ class TestR1EngineInternals:
         for marker in (
             "MARK-GENERIC-OUTBOX", "MARK-OUTBOXES", "MARK-IN-LINKS", "MARK-RHEAPS",
             "MARK-SEND-ACTIVE", "MARK-RECV-ACTIVE", "MARK-NODES-L",
-            "MARK-CTX-L", "MARK-WAKE-HEAP",
+            "MARK-CTX-L", "MARK-WAKE-HEAP", "MARK-CRASHED", "MARK-INJECTOR",
+            "MARK-SEND-BUDGET", "MARK-SEND-BACKLOG-LAST", "MARK-STARTED",
+            "MARK-UNIT-DELAY",
         ):
             assert marked_line(SRC_R1_DENSE, marker) in lines, marker
 

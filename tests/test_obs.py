@@ -292,13 +292,8 @@ class TestPerPhasePublishing:
                 received.append(msg)
                 super().on_receive(msg, ctx)
 
-            def _serve(self, origin, path, ctx):
-                self.counter += 1
-                value = min(self.counter, 2)  # ranks collide at 2
-                if origin == self.node_id:
-                    ctx.complete(origin, result=value)
-                else:
-                    ctx.send(path[0], "reply", payload=(origin, path[1:], value))
+            def _value(self, origin, increment):
+                return min(super()._value(origin, increment), 2)  # ranks collide at 2
 
         class Grab(InvariantMonitor):
             def on_round(self, net):

@@ -61,13 +61,8 @@ class TestCountingInvariant:
         import repro.counting.central as central_mod
 
         class DupRank(central_mod._CentralNode):
-            def _serve(self, origin, path, ctx):
-                self.counter += 1
-                value = min(self.counter, 2)  # ranks collide at 2
-                if origin == self.node_id:
-                    ctx.complete(origin, result=value)
-                else:
-                    ctx.send(path[0], "reply", payload=(origin, path[1:], value))
+            def _value(self, origin, increment):
+                return min(super()._value(origin, increment), 2)  # ranks collide at 2
 
         monkeypatch.setattr(central_mod, "_CentralNode", DupRank)
         mon = MonitorSet(invariants=(CountingInvariant(expected=5),))
@@ -82,13 +77,8 @@ class TestCountingInvariant:
         import repro.counting.central as central_mod
 
         class Overflow(central_mod._CentralNode):
-            def _serve(self, origin, path, ctx):
-                self.counter += 1
-                value = self.counter + 100
-                if origin == self.node_id:
-                    ctx.complete(origin, result=value)
-                else:
-                    ctx.send(path[0], "reply", payload=(origin, path[1:], value))
+            def _value(self, origin, increment):
+                return super()._value(origin, increment) + 100
 
         monkeypatch.setattr(central_mod, "_CentralNode", Overflow)
         mon = MonitorSet(invariants=(CountingInvariant(expected=4),))
@@ -99,13 +89,8 @@ class TestCountingInvariant:
         import repro.counting.central as central_mod
 
         class DupRank(central_mod._CentralNode):
-            def _serve(self, origin, path, ctx):
-                self.counter += 1
-                value = min(self.counter, 2)
-                if origin == self.node_id:
-                    ctx.complete(origin, result=value)
-                else:
-                    ctx.send(path[0], "reply", payload=(origin, path[1:], value))
+            def _value(self, origin, increment):
+                return min(super()._value(origin, increment), 2)
 
         monkeypatch.setattr(central_mod, "_CentralNode", DupRank)
         tr = EventTrace()
@@ -483,13 +468,8 @@ class TestCheckpoint:
         import repro.counting.central as central_mod
 
         class DupRank(central_mod._CentralNode):
-            def _serve(self, origin, path, ctx):
-                self.counter += 1
-                value = min(self.counter, 3)
-                if origin == self.node_id:
-                    ctx.complete(origin, result=value)
-                else:
-                    ctx.send(path[0], "reply", payload=(origin, path[1:], value))
+            def _value(self, origin, increment):
+                return min(super()._value(origin, increment), 3)
 
         monkeypatch.setattr(central_mod, "_CentralNode", DupRank)
         cpr = PeriodicCheckpointer(every=2, keep=10)
