@@ -42,158 +42,106 @@ Quick start::
     print(result.total_delay, result.order())
 """
 
-from repro.adding import run_central_addition, run_combining_addition
-from repro.arrow import arrow_vs_tsp, run_arrow, run_arrow_longlived
-from repro.bounds import (
-    counting_lower_bound,
-    log_star,
-    theorem35_lower_bound,
-    theorem36_lower_bound,
-    tow,
-)
-from repro.core import (
-    CountingResult,
-    QueuingResult,
-    verify_counting,
-    verify_queuing,
-)
-from repro.counting import (
-    run_central_counting,
-    run_central_queuing,
-    run_combining_counting,
-    run_counting_network,
-    run_flood_counting,
-    run_periodic_counting,
-)
-from repro.directory import run_object_directory
-from repro.experiments import ALL_EXPERIMENTS
-from repro.faults import (
-    FaultPlan,
-    LinkOutage,
-    NodeCrash,
-    RetryPolicy,
-    run_arrow_ft,
-    run_central_counting_ft,
-    run_flood_counting_ft,
-)
-from repro.multicast import run_counting_multicast, run_queuing_multicast
-from repro.mutex import run_token_mutex
-from repro.resilience import (
-    ArrowInvariant,
-    ChaosCell,
-    Checkpoint,
-    CountingInvariant,
-    MonitorSet,
-    PeriodicCheckpointer,
-    TokenInvariant,
-    Watchdog,
-    chaos_search,
-)
-from repro.sim import ConstantDelay, SynchronousNetwork, TargetedDelay, UniformDelay
-from repro.topology import (
-    Graph,
-    binary_tree_graph,
-    caterpillar_graph,
-    complete_graph,
-    hypercube_graph,
-    lollipop_graph,
-    mesh_graph,
-    path_graph,
-    perfect_mary_tree,
-    ring_graph,
-    star_graph,
-    torus_graph,
-)
-from repro.topology.spanning import (
-    SpanningTree,
-    bfs_spanning_tree,
-    dfs_spanning_tree,
-    embedded_binary_tree,
-    embedded_mary_tree,
-    path_spanning_tree,
-    star_spanning_tree,
-)
-from repro.tree import RootedTree
-from repro.tsp import nearest_neighbor_tour
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+#: public name -> the module that defines it.  Resolved on first access
+#: (PEP 562), so ``from repro.sim import ...`` does not load the whole
+#: library, and only the experiment suite and a few seeded generators
+#: load numpy.
+_EXPORTS = {
     # protocols
-    "run_arrow",
-    "run_arrow_longlived",
-    "arrow_vs_tsp",
-    "run_central_counting",
-    "run_central_queuing",
-    "run_combining_counting",
-    "run_counting_network",
-    "run_flood_counting",
-    "run_periodic_counting",
-    "run_combining_addition",
-    "run_central_addition",
+    "run_arrow": "repro.arrow",
+    "run_arrow_longlived": "repro.arrow",
+    "arrow_vs_tsp": "repro.arrow",
+    "run_central_counting": "repro.counting",
+    "run_central_queuing": "repro.counting",
+    "run_combining_counting": "repro.counting",
+    "run_counting_network": "repro.counting",
+    "run_flood_counting": "repro.counting",
+    "run_periodic_counting": "repro.counting",
+    "run_combining_addition": "repro.adding",
+    "run_central_addition": "repro.adding",
     # fault tolerance
-    "FaultPlan",
-    "LinkOutage",
-    "NodeCrash",
-    "RetryPolicy",
-    "run_arrow_ft",
-    "run_central_counting_ft",
-    "run_flood_counting_ft",
+    "FaultPlan": "repro.faults",
+    "LinkOutage": "repro.faults",
+    "NodeCrash": "repro.faults",
+    "RetryPolicy": "repro.faults",
+    "run_arrow_ft": "repro.faults",
+    "run_central_counting_ft": "repro.faults",
+    "run_flood_counting_ft": "repro.faults",
     # resilience
-    "MonitorSet",
-    "CountingInvariant",
-    "ArrowInvariant",
-    "TokenInvariant",
-    "Watchdog",
-    "Checkpoint",
-    "PeriodicCheckpointer",
-    "ChaosCell",
-    "chaos_search",
+    "MonitorSet": "repro.resilience",
+    "CountingInvariant": "repro.resilience",
+    "ArrowInvariant": "repro.resilience",
+    "TokenInvariant": "repro.resilience",
+    "Watchdog": "repro.resilience",
+    "Checkpoint": "repro.resilience",
+    "PeriodicCheckpointer": "repro.resilience",
+    "ChaosCell": "repro.resilience",
+    "chaos_search": "repro.resilience",
     # applications
-    "run_object_directory",
-    "run_counting_multicast",
-    "run_queuing_multicast",
-    "run_token_mutex",
+    "run_object_directory": "repro.directory",
+    "run_counting_multicast": "repro.multicast",
+    "run_queuing_multicast": "repro.multicast",
+    "run_token_mutex": "repro.mutex",
     # bounds
-    "tow",
-    "log_star",
-    "theorem35_lower_bound",
-    "theorem36_lower_bound",
-    "counting_lower_bound",
+    "tow": "repro.bounds",
+    "log_star": "repro.bounds",
+    "theorem35_lower_bound": "repro.bounds",
+    "theorem36_lower_bound": "repro.bounds",
+    "counting_lower_bound": "repro.bounds",
     # model & results
-    "SynchronousNetwork",
-    "ConstantDelay",
-    "UniformDelay",
-    "TargetedDelay",
-    "CountingResult",
-    "QueuingResult",
-    "verify_counting",
-    "verify_queuing",
+    "SynchronousNetwork": "repro.sim",
+    "ConstantDelay": "repro.sim",
+    "UniformDelay": "repro.sim",
+    "TargetedDelay": "repro.sim",
+    "CountingResult": "repro.core",
+    "QueuingResult": "repro.core",
+    "verify_counting": "repro.core",
+    "verify_queuing": "repro.core",
     # topology
-    "Graph",
-    "path_graph",
-    "ring_graph",
-    "complete_graph",
-    "star_graph",
-    "mesh_graph",
-    "torus_graph",
-    "hypercube_graph",
-    "perfect_mary_tree",
-    "binary_tree_graph",
-    "caterpillar_graph",
-    "lollipop_graph",
+    "Graph": "repro.topology",
+    "path_graph": "repro.topology",
+    "ring_graph": "repro.topology",
+    "complete_graph": "repro.topology",
+    "star_graph": "repro.topology",
+    "mesh_graph": "repro.topology",
+    "torus_graph": "repro.topology",
+    "hypercube_graph": "repro.topology",
+    "perfect_mary_tree": "repro.topology",
+    "binary_tree_graph": "repro.topology",
+    "caterpillar_graph": "repro.topology",
+    "lollipop_graph": "repro.topology",
     # trees
-    "RootedTree",
-    "SpanningTree",
-    "bfs_spanning_tree",
-    "dfs_spanning_tree",
-    "path_spanning_tree",
-    "star_spanning_tree",
-    "embedded_binary_tree",
-    "embedded_mary_tree",
+    "RootedTree": "repro.tree",
+    "SpanningTree": "repro.topology.spanning",
+    "bfs_spanning_tree": "repro.topology.spanning",
+    "dfs_spanning_tree": "repro.topology.spanning",
+    "path_spanning_tree": "repro.topology.spanning",
+    "star_spanning_tree": "repro.topology.spanning",
+    "embedded_binary_tree": "repro.topology.spanning",
+    "embedded_mary_tree": "repro.topology.spanning",
     # tsp
-    "nearest_neighbor_tour",
+    "nearest_neighbor_tour": "repro.tsp",
     # experiments
-    "ALL_EXPERIMENTS",
-]
+    "ALL_EXPERIMENTS": "repro.experiments",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    """Import the module that defines ``name`` and cache the value here."""
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Hashable, Mapping
 
-import numpy as np
-
 from repro.arrow.protocol import ArrowNode, op_of
 from repro.sim import NodeContext, RunStats, run_protocol
 from repro.topology.spanning import SpanningTree
@@ -160,6 +158,8 @@ def poisson_issue_times(
         raise ValueError(f"rate must be in (0, 1], got {rate}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     participants = rng.random(n) < rate
     times = rng.integers(0, horizon, size=n)

@@ -54,7 +54,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments import ALL_EXPERIMENTS, render_experiment
 from repro.protocols import PROTOCOLS
 from repro.sim.errors import StrictModeViolation
 
@@ -84,6 +83,8 @@ def _build_graph(name: str, n: int):
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
+    from repro.experiments import ALL_EXPERIMENTS
+
     for exp_id in sorted(ALL_EXPERIMENTS, key=lambda e: int(e[1:])):
         result_fn = ALL_EXPERIMENTS[exp_id]
         doc = (result_fn.__doc__ or "").strip().splitlines()[0]
@@ -92,7 +93,7 @@ def cmd_list(_args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiments.executor import run_suite
+    from repro.experiments import ALL_EXPERIMENTS, render_experiment, run_suite, suite_metrics
 
     targets = (
         sorted(ALL_EXPERIMENTS, key=lambda e: int(e[1:]))
@@ -120,8 +121,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             failures += 1
     if args.metrics_json:
         import json
-
-        from repro.experiments import suite_metrics
 
         with open(args.metrics_json, "w") as fh:
             json.dump(suite_metrics(runs), fh, indent=1, sort_keys=True)

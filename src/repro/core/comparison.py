@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Protocol, Sequence
 
-import numpy as np
-
 from repro.core.request import RequestScenario
 from repro.topology.base import Graph
 
@@ -109,6 +107,8 @@ def growth_exponent(sizes: Sequence[int], totals: Sequence[float]) -> float:
     """
     if len(sizes) != len(totals) or len(sizes) < 2:
         raise ValueError("need at least two (size, total) pairs")
+    import numpy as np
+
     s = np.asarray(sizes, dtype=float)
     t = np.asarray(totals, dtype=float)
     if (s <= 0).any() or (t <= 0).any():
@@ -140,4 +140,6 @@ def ratio_series(
     for key in c.keys() & q.keys():
         if q[key] > 0:
             per_n.setdefault(key[0], []).append(c[key] / q[key])
+    import numpy as np
+
     return {n: float(np.mean(v)) for n, v in sorted(per_n.items())}

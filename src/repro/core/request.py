@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from repro.topology.base import Graph
 from repro.topology.properties import bfs_distances
 
@@ -57,6 +55,8 @@ def random_subset(p: float, seed: int = 0) -> RequestScenario:
         raise ValueError(f"p must be in (0, 1], got {p}")
 
     def build(g: Graph) -> list[int]:
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         mask = rng.random(g.n) < p
         req = [v for v in g.vertices() if mask[v]]
@@ -121,6 +121,8 @@ def request_sets_of_size(n: int, k: int, count: int, seed: int = 0) -> list[list
     """``count`` distinct random k-subsets of ``{0..n-1}`` (seeded)."""
     if not (1 <= k <= n):
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     seen: set[tuple[int, ...]] = set()
     out: list[list[int]] = []

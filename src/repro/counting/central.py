@@ -34,8 +34,10 @@ class _CentralNode(Node):
     Messages:
         ``req``: payload = (origin, increment); forwarded along
             ``next_hop`` toward the root.
-        ``reply``: payload = (origin, remaining_path, value); source-routed
-            back to the origin.
+        ``reply``: payload = (origin, path, hop, value); source-routed
+            back to the origin along the root's ``path`` to it, whose
+            ``hop``-th vertex is the receiver.  Every hop forwards the
+            same list, so a reply costs O(1) per hop.
     """
 
     __slots__ = (
@@ -61,7 +63,7 @@ class _CentralNode(Node):
         self.last_op: Hashable = ("init", node_id)
         #: root only: origins in the order they were served.
         self.served: list[int] = []
-        #: root only: origin -> path root->...->origin (excluding the root).
+        #: root only: requester -> path root->...->origin (excluding the root).
         self.down_paths: dict[int, list[int]] = {}
 
     def _value(self, origin: int, increment: int) -> Hashable:
@@ -80,7 +82,7 @@ class _CentralNode(Node):
             ctx.complete(origin, result=value)
         else:
             path = self.down_paths[origin]
-            ctx.send(path[0], "reply", payload=(origin, path[1:], value))
+            ctx.send(path[0], "reply", payload=(origin, path, 0, value))
 
     def on_start(self, ctx: NodeContext) -> None:
         if self.increment is None:
@@ -98,11 +100,12 @@ class _CentralNode(Node):
             else:
                 ctx.send(self.next_hop, "req", payload=msg.payload)
         elif msg.kind == "reply":
-            origin, path, value = msg.payload
+            origin, path, hop, value = msg.payload
             if origin == self.node_id:
                 ctx.complete(origin, result=value)
             else:
-                ctx.send(path[0], "reply", payload=(origin, path[1:], value))
+                hop += 1
+                ctx.send(path[hop], "reply", payload=(origin, path, hop, value))
         else:  # pragma: no cover - defensive
             raise ValueError(f"unexpected message kind {msg.kind!r}")
 
@@ -119,13 +122,14 @@ def _run_central(
         v: _CentralNode(v, next_hop[v], increments.get(v), queuing)
         for v in graph.vertices()
     }
-    for v in graph.vertices():
+    down_paths = nodes[root].down_paths
+    for v in increments:
         path = []
         x = v
         while x != root:
             path.append(x)
             x = next_hop[x]
-        nodes[root].down_paths[v] = path[::-1]
+        down_paths[v] = path[::-1]
     net = run_protocol(graph, nodes, send_capacity=1, recv_capacity=1, **options)
     return nodes[root], net
 

@@ -46,6 +46,7 @@ from repro.core.problem import CountingResult
 from repro.core.verify import verify_counting
 from repro.sim import Message, Node, NodeContext, run_protocol
 from repro.topology.base import Graph
+from repro.topology.properties import check_vertices
 
 
 class _FloodNode(Node):
@@ -149,6 +150,7 @@ def run_flood_counting(
     ``options`` are run options, forwarded to :func:`repro.sim.run_protocol`.
     """
     req = tuple(sorted(set(requests)))
+    check_vertices(graph, req)
     req_set = set(req)
     nodes = {v: _FloodNode(v, requesting=(v in req_set)) for v in graph.vertices()}
     net = run_protocol(graph, nodes, send_capacity=1, recv_capacity=1, **options)

@@ -32,7 +32,7 @@ from repro.core.problem import CountingResult
 from repro.core.verify import verify_counting
 from repro.sim import Message, Node, NodeContext, run_protocol
 from repro.topology.base import Graph
-from repro.topology.properties import next_hops_toward
+from repro.topology.properties import check_vertices, next_hops_toward
 
 # A token's next destination: ("bal", balancer id) or ("wire", output index).
 Entity = tuple[str, int]
@@ -396,8 +396,9 @@ def _run_embedded_network(
     :func:`repro.counting.periodic.run_periodic_counting`, which differ
     only in the wiring.
     """
-    shared = _SharedState(graph, net_struct)
     req = tuple(sorted(set(requests)))
+    check_vertices(graph, req)
+    shared = _SharedState(graph, net_struct)
     req_set = set(req)
     nodes = {
         v: _CNetNode(v, requesting=(v in req_set), shared=shared)

@@ -22,6 +22,7 @@ from repro.core.verify import verify_counting, verify_queuing
 from repro.sim import Message, Node, NodeContext, SynchronousNetwork, run_protocol
 from repro.topology.base import Graph
 from repro.topology.hamilton import hamilton_path_of, is_hamilton_path
+from repro.topology.properties import check_vertices
 
 
 class _SweepNode(Node):
@@ -86,11 +87,12 @@ def _run_sweep(
     options: dict[str, Any],
 ) -> tuple[tuple[int, ...], Sequence[int], SynchronousNetwork]:
     """Sweep a token along ``order`` (default: a Hamilton path of ``graph``)."""
+    req = tuple(sorted(set(requests)))
+    check_vertices(graph, req)
     if order is None:
         order = hamilton_path_of(graph)
     if not is_hamilton_path(graph, order):
         raise ValueError("order is not a Hamilton path of the graph")
-    req = tuple(sorted(set(requests)))
     req_set = set(req)
     nxt: dict[int, int | None] = {
         order[i]: (order[i + 1] if i + 1 < len(order) else None)

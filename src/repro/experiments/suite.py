@@ -42,6 +42,7 @@ from repro.counting import (
 from repro.experiments.harness import ExperimentResult
 from repro.multicast import run_counting_multicast, run_queuing_multicast
 from repro.mutex import run_token_mutex
+from repro.protocols import PROTOCOLS
 from repro.topology import (
     caterpillar_graph,
     complete_graph,
@@ -913,8 +914,6 @@ def run_e15_ablation_counters(n: int = 32, mesh_side: int = 6) -> ExperimentResu
         title="Ablation: counting algorithms head-to-head",
         paper_ref="Section 3's 'any counting algorithm' portfolio",
     )
-    from repro.protocols import PROTOCOLS
-
     # column label -> registered protocol, in the table's column order
     columns = {"central": "central", "combining(bfs)": "combining", "flood": "flood",
                "cnet": "cnet", "periodic": "periodic", "sweep": "sweep"}

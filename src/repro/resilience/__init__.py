@@ -24,21 +24,16 @@ they execute and reproducible when they fail:
   shrinking failures to minimal reproducers, and emitting replayable
   JSON artifacts.
 
+The chaos harness sweeps the protocol registry (:mod:`repro.protocols`),
+which itself builds each protocol's invariant from this package, so its
+names are imported on first access (PEP 562): importing the monitors
+never loads the harness or the registry.
+
 See ``docs/RESILIENCE.md`` for the workflow.
 """
 
-from repro.resilience.chaos import (
-    ChaosCell,
-    ChaosFinding,
-    ChaosReport,
-    chaos_search,
-    load_artifact,
-    random_plan,
-    replay_artifact,
-    run_cell,
-    save_artifact,
-    shrink_plan,
-)
+import importlib
+
 from repro.resilience.checkpoint import Checkpoint, PeriodicCheckpointer
 from repro.resilience.invariants import (
     ArrowInvariant,
@@ -48,6 +43,19 @@ from repro.resilience.invariants import (
     TokenInvariant,
 )
 from repro.resilience.watchdog import Watchdog
+
+_CHAOS = frozenset({
+    "ChaosCell",
+    "ChaosFinding",
+    "ChaosReport",
+    "chaos_search",
+    "load_artifact",
+    "random_plan",
+    "replay_artifact",
+    "run_cell",
+    "save_artifact",
+    "shrink_plan",
+})
 
 __all__ = [
     "ArrowInvariant",
@@ -69,3 +77,14 @@ __all__ = [
     "save_artifact",
     "shrink_plan",
 ]
+
+
+def __getattr__(name: str):
+    """Resolve a chaos-harness name by importing :mod:`repro.resilience.chaos`."""
+    if name not in _CHAOS:
+        raise AttributeError(f"module 'repro.resilience' has no attribute {name!r}")
+    return getattr(importlib.import_module("repro.resilience.chaos"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_CHAOS})

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
 from repro.topology.base import Graph, TopologyError
 
 
@@ -192,6 +190,10 @@ def random_regular_graph(n: int, d: int, seed: int = 0, max_tries: int = 200) ->
     """
     if d < 1 or d >= n or (n * d) % 2 != 0:
         raise TopologyError(f"no {d}-regular graph on {n} vertices")
+    import numpy as np
+
+    from repro.topology.properties import is_connected
+
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         stubs = np.repeat(np.arange(n), d)
@@ -208,8 +210,6 @@ def random_regular_graph(n: int, d: int, seed: int = 0, max_tries: int = 200) ->
         if not ok:
             continue
         g = Graph.from_edges(n, edges, name=f"random_regular({n},{d},seed={seed})")
-        from repro.topology.properties import is_connected
-
         if is_connected(g):
             return g
     raise TopologyError(

@@ -4,17 +4,19 @@ Theorem 3.6 ties the counting lower bound to the diameter, so the
 experiment harness needs exact diameters; everything here is one
 level-by-level BFS over plain Python lists, fast enough for the
 n <= 10^4 instances the experiments use.  Distances are handed back
-as int64 numpy arrays; shortest-path routing tables are lists cached
-on the graph.
+as int64 numpy arrays, imported by the functions that build them, so
+the simulator, which only routes, never loads numpy.  Shortest-path
+routing tables are lists cached on the graph.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from repro.topology.base import Graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def check_vertices(graph: Graph, vertices: Iterable[int]) -> None:
@@ -59,6 +61,8 @@ def bfs_distances(graph: Graph, source: int) -> np.ndarray:
     Raises:
         ValueError: if ``source`` is not a vertex of ``graph``.
     """
+    import numpy as np
+
     return np.array(_bfs(graph, source), dtype=np.int64)
 
 
@@ -93,6 +97,8 @@ def next_hops_toward(graph: Graph, dest: int) -> list[int]:
 
 def all_pairs_distances(graph: Graph) -> np.ndarray:
     """The full ``n x n`` hop-distance matrix (BFS from every vertex)."""
+    import numpy as np
+
     n = graph.n
     out = np.empty((n, n), dtype=np.int64)
     for v in range(n):

@@ -15,6 +15,9 @@ from repro.counting import (
     run_combining_counting,
     run_counting_network,
     run_flood_counting,
+    run_periodic_counting,
+    run_sweep_counting,
+    run_sweep_queuing,
 )
 from repro.topology import (
     complete_graph,
@@ -85,6 +88,20 @@ class TestCentral:
         msg = rf"vertex {vertex} is not in path\(3\) \(n=3\)"
         with pytest.raises(ValueError, match=msg):
             runner(path_graph(3), [vertex])
+
+
+@pytest.mark.parametrize(
+    "runner",
+    [run_flood_counting, run_counting_network, run_periodic_counting,
+     run_sweep_counting, run_sweep_queuing],
+)
+@pytest.mark.parametrize("vertex", [5, -1])
+def test_out_of_range_request_rejected(runner, vertex):
+    """The flood, counting-network and sweep runners reject a request
+    outside the graph before the run, as central and combining do."""
+    msg = rf"vertex {vertex} is not in path\(3\) \(n=3\)"
+    with pytest.raises(ValueError, match=msg):
+        runner(path_graph(3), [vertex])
 
 
 class TestCombining:
