@@ -9,7 +9,7 @@ the round its ``queue()`` message terminates.
 
 The protocol logic is identical to the one-shot case — the arrow rules
 are oblivious to time — only issuance is scheduled through the engine's
-wakeup mechanism.
+wakeup mechanism (:class:`~repro.arrow.protocol.ArrowNode`'s ``issue_at``).
 """
 
 from __future__ import annotations
@@ -17,44 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Hashable, Mapping
 
-from repro.arrow.protocol import ArrowNode, op_of
-from repro.sim import NodeContext, RunStats, run_protocol
+from repro.arrow.protocol import op_of
+from repro.arrow.runner import _run_arrow_nodes
+from repro.sim import RunStats
 from repro.topology.spanning import SpanningTree
-from repro.tree import RootedTree
-
-
-class _TimedArrowNode(ArrowNode):
-    """Arrow node that issues its operation at a scheduled round."""
-
-    __slots__ = ("issue_at",)
-
-    def __init__(self, node_id: int, link: int, issue_at: int | None) -> None:
-        super().__init__(node_id, link, requesting=False)
-        self.issue_at = issue_at
-
-    def on_start(self, ctx: NodeContext) -> None:
-        if self.issue_at is None:
-            return
-        if self.issue_at == 0:
-            self._issue(ctx)
-        else:
-            ctx.schedule_wakeup(self.issue_at)
-
-    def on_wake(self, ctx: NodeContext) -> None:
-        self._issue(ctx)
-
-    def _issue(self, ctx: NodeContext) -> None:
-        a = op_of(self.node_id)
-        w = self.link
-        self.link = self.node_id
-        if w == self.node_id:
-            pred = self.parked
-            self.parked = a
-            self.pred_found[a] = pred
-            ctx.complete(a, result=pred)
-        else:
-            self.parked = a
-            ctx.send(w, "queue", payload=a)
 
 
 @dataclass(frozen=True)
@@ -103,40 +69,14 @@ def run_arrow_longlived(
         capacity: per-round message budget (default: tree max degree).
         **options: run options, forwarded to
             :func:`repro.sim.run_protocol`.
+
+    Raises:
+        ValueError: if a vertex or ``tail`` is not a tree vertex, or an
+            issue time is negative.
     """
-    tree = spanning.tree
-    if tail is None:
-        tail = tree.root
-    if capacity is None:
-        capacity = max(1, spanning.max_degree())
-
-    if tail == tree.root:
-        parent_toward_tail = tree.parent
-    else:
-        rerooted = RootedTree.from_edges(tree.n, tree.edges(), root=tail)
-        parent_toward_tail = rerooted.parent
-
-    for v, t in issue_times.items():
-        if not (0 <= v < tree.n):
-            raise ValueError(f"vertex {v} out of range")
-        if t < 0:
-            raise ValueError(f"issue time for {v} must be >= 0, got {t}")
-
-    nodes = {
-        v: _TimedArrowNode(
-            v, link=parent_toward_tail[v], issue_at=issue_times.get(v)
-        )
-        for v in range(tree.n)
-    }
-    net = run_protocol(
-        spanning.as_graph(), nodes,
-        send_capacity=capacity, recv_capacity=capacity, **options,
+    net, predecessors, _ = _run_arrow_nodes(
+        spanning, issue_times, tail, capacity, options
     )
-
-    predecessors: dict[Hashable, Hashable] = {}
-    for v in range(tree.n):
-        predecessors.update(nodes[v].pred_found)
-
     return LongLivedResult(
         issue_times=dict(issue_times),
         completion=net.delays.delay_by_op(),

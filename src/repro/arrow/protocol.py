@@ -46,32 +46,39 @@ class ArrowNode(Node):
         node_id: this vertex.
         link: initial arrow (tree parent toward the tail; the tail points
             at itself).
-        requesting: whether this node issues a queuing operation at time 0.
-        record_successors: kept so the runner can reconstruct the total
-            order without scanning messages.
+        issue_at: when this node issues its queuing operation: ``None``
+            for never, ``0`` in ``on_start``, ``t > 0`` at wake-up ``t``.
+
+    A ``queue()`` message that finds its predecessor here ends in
+    :meth:`_queued`, the one hook subclasses override (the token-passing
+    node of :mod:`repro.directory` does).
     """
 
-    __slots__ = ("link", "parked", "requesting", "pred_found")
+    __slots__ = ("link", "parked", "issue_at", "pred_found")
 
-    def __init__(self, node_id: int, link: int, requesting: bool) -> None:
+    def __init__(self, node_id: int, link: int, issue_at: int | None) -> None:
         super().__init__(node_id)
         self.link = link
         self.parked: Hashable = init_op(node_id) if link == node_id else None
-        self.requesting = requesting
+        self.issue_at = issue_at
         #: predecessor assignments discovered at this node: op -> pred op
         self.pred_found: dict[Hashable, Hashable] = {}
 
     def on_start(self, ctx: NodeContext) -> None:
-        if not self.requesting:
-            return
+        if self.issue_at == 0:
+            self._issue(ctx)
+        elif self.issue_at is not None:
+            ctx.schedule_wakeup(self.issue_at)
+
+    def on_wake(self, ctx: NodeContext) -> None:
+        self._issue(ctx)
+
+    def _issue(self, ctx: NodeContext) -> None:
         a = op_of(self.node_id)
         w = self.link
         self.link = self.node_id
         if w == self.node_id:
-            pred = self.parked
-            self.parked = a
-            self.pred_found[a] = pred
-            ctx.complete(a, result=pred)
+            self._found(a, ctx)
         else:
             self.parked = a
             ctx.send(w, "queue", payload=a)
@@ -80,13 +87,20 @@ class ArrowNode(Node):
         if msg.kind != "queue":  # pragma: no cover - defensive
             raise ValueError(f"arrow node got unexpected message {msg.kind!r}")
         a = msg.payload
-        y = msg.src
         w = self.link
-        self.link = y
+        self.link = msg.src
         if w == self.node_id:
-            pred = self.parked
-            self.parked = a
-            self.pred_found[a] = pred
-            ctx.complete(a, result=pred)
+            self._found(a, ctx)
         else:
             ctx.send(w, "queue", payload=a)
+
+    def _found(self, a: Hashable, ctx: NodeContext) -> None:
+        """``a`` reached the queue tail here: the op parked here precedes it."""
+        pred = self.parked
+        self.parked = a
+        self.pred_found[a] = pred
+        self._queued(a, pred, ctx)
+
+    def _queued(self, a: Hashable, pred: Hashable, ctx: NodeContext) -> None:
+        """Act on ``pred`` preceding ``a``: by default, complete ``a``."""
+        ctx.complete(a, result=pred)

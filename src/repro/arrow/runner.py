@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from repro.arrow.protocol import ArrowNode, init_op
-from repro.sim import RunStats, run_protocol
+from repro.sim import RunStats, SynchronousNetwork, run_protocol
+from repro.topology.base import Graph
 from repro.topology.spanning import SpanningTree
+from repro.tree import RootedTree
 
 
 @dataclass(frozen=True)
@@ -96,43 +98,14 @@ def run_arrow(
     Returns:
         An :class:`ArrowResult` with per-operation delays and the induced
         total order.
+
+    Raises:
+        ValueError: if a request vertex or ``tail`` is not a tree vertex.
     """
-    tree = spanning.tree
-    if tail is None:
-        tail = tree.root
     req = tuple(sorted(set(requests)))
-    for v in req:
-        if not (0 <= v < tree.n):
-            raise ValueError(f"request vertex {v} out of range")
-
-    if capacity is None:
-        capacity = max(1, spanning.max_degree())
-
-    # Arrows point toward the tail: on the tree rooted at the *tail*, each
-    # node's arrow is its parent.  Re-rooting at the tail gives exactly
-    # that orientation.
-    if tail == tree.root:
-        parent_toward_tail = tree.parent
-    else:
-        from repro.tree import RootedTree
-
-        rerooted = RootedTree.from_edges(tree.n, tree.edges(), root=tail)
-        parent_toward_tail = rerooted.parent
-
-    req_set = set(req)
-    nodes = {
-        v: ArrowNode(v, link=parent_toward_tail[v], requesting=(v in req_set))
-        for v in range(tree.n)
-    }
-    net = run_protocol(
-        spanning.as_graph(), nodes,
-        send_capacity=capacity, recv_capacity=capacity, **options,
+    net, predecessors, tail = _run_arrow_nodes(
+        spanning, dict.fromkeys(req, 0), tail, capacity, options
     )
-
-    predecessors: dict[Hashable, Hashable] = {}
-    for v in range(tree.n):
-        predecessors.update(nodes[v].pred_found)
-
     return ArrowResult(
         requests=req,
         tail=tail,
@@ -140,6 +113,63 @@ def run_arrow(
         predecessors=predecessors,
         stats=net.stats,
     )
+
+
+def _run_arrow_nodes(
+    spanning: SpanningTree,
+    issue_times: Mapping[int, int],
+    tail: int | None,
+    capacity: int | None,
+    options: dict[str, Any],
+    make_node: Callable[[int, int, int | None], ArrowNode] = ArrowNode,
+    graph: Graph | None = None,
+) -> tuple[SynchronousNetwork, dict[Hashable, Hashable], int]:
+    """The set-up every arrow-family runner shares, and the run itself.
+
+    ``tail`` defaults to the tree root; it and every vertex of
+    ``issue_times`` (vertex -> issue round) must be tree vertices.  Each
+    arrow starts at the vertex's parent on the tree rooted at the tail.
+    ``capacity`` defaults to the tree's maximum degree.  ``make_node(v,
+    link, issue_at)`` builds the node of ``v`` (default
+    :class:`ArrowNode`), and the run goes on ``graph`` (default: the tree
+    itself) with the run ``options``.
+
+    Returns:
+        ``(network, predecessors, tail)``: the finished network, every
+        op -> predecessor link the nodes found, and the tail used.
+
+    Raises:
+        ValueError: naming the first vertex that is out of range, or a
+            negative issue round.
+    """
+    tree = spanning.tree
+    n = tree.n
+    if tail is None:
+        tail = tree.root
+    elif not 0 <= tail < n:
+        raise ValueError(f"queue tail {tail} out of range for the {n}-node tree")
+    for v, t in issue_times.items():
+        if not 0 <= v < n:
+            raise ValueError(f"request vertex {v} out of range for the {n}-node tree")
+        if t < 0:
+            raise ValueError(f"issue time for {v} must be >= 0, got {t}")
+    if capacity is None:
+        capacity = max(1, spanning.max_degree())
+    # Arrows point toward the tail: each node's parent on the tree
+    # re-rooted at the tail.
+    if tail == tree.root:
+        toward_tail = tree.parent
+    else:
+        toward_tail = RootedTree.from_edges(n, tree.edges(), root=tail).parent
+    nodes = {v: make_node(v, toward_tail[v], issue_times.get(v)) for v in range(n)}
+    net = run_protocol(
+        spanning.as_graph() if graph is None else graph, nodes,
+        send_capacity=capacity, recv_capacity=capacity, **options,
+    )
+    predecessors: dict[Hashable, Hashable] = {}
+    for node in nodes.values():
+        predecessors.update(node.pred_found)
+    return net, predecessors, tail
 
 
 def arrow_order_positions(result: ArrowResult) -> dict[int, int]:

@@ -10,7 +10,8 @@ next requester.
 
 This package implements that full loop on the simulator, separating the
 two kinds of traffic the analysis distinguishes: tree-bound ``queue()``
-messages and graph-bound object moves.
+messages and graph-bound object moves (``token`` messages).  On ``G = T``
+it is exactly the token mutex of :mod:`repro.mutex`.
 """
 
 from repro.directory.protocol import DirectoryOutcome, run_object_directory

@@ -1,10 +1,11 @@
 """Mobile-object directory over the arrow queue.
 
-The node logic is the mutual-exclusion loop of :mod:`repro.mutex` with
-one twist that matters for delay accounting: the *object* is routed
-along shortest paths of the communication graph ``G`` (the directory
-only uses the spanning tree for find requests), so on low-diameter
-graphs the handoff is much cheaper than a tree walk.
+The arrow queue orders the requests on the spanning tree; the object (the
+token) then moves from each holder to its successor along shortest paths
+of the communication graph ``G``, so on low-diameter graphs the hand-off
+is much cheaper than a tree walk.  On ``G = T`` every shortest path is the
+tree path, and the run is exactly Raymond's token mutex
+(:func:`repro.mutex.run_token_mutex` is this runner on the tree itself).
 """
 
 from __future__ import annotations
@@ -12,105 +13,74 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable
 
-from repro.arrow.protocol import init_op, op_of
-from repro.sim import Message, Node, NodeContext, run_protocol
+from repro.arrow.protocol import ArrowNode, init_op, op_of
+from repro.arrow.runner import _run_arrow_nodes
+from repro.sim import Message, NodeContext
 from repro.topology.base import Graph
 from repro.topology.properties import next_hops_toward
 from repro.topology.spanning import SpanningTree
-from repro.tree import RootedTree
 
 
-class _DirectoryNode(Node):
-    """Arrow node + object holder state.
+class _TokenNode(ArrowNode):
+    """Arrow node that also passes the token (the object, the mutex).
+
+    A ``queue()`` message that stops here found its predecessor, which
+    originated here: this node records the successor and hands the token
+    on once its own use is over.
 
     Messages:
-        ``queue``: arrow find request, travels on *tree* edges only.
-        ``object``: the mobile object, payload = destination vertex,
-            routed hop-by-hop along graph shortest paths.
+        ``queue``: the arrow find request, on tree edges only.
+        ``token``: the token, payload = destination vertex, routed hop by
+            hop along shortest paths of ``graph`` (the tree, for the mutex).
+
+    Operations issue at round 0 only: ``on_wake`` ends a use.
     """
 
     __slots__ = (
-        "link",
-        "parked",
-        "requesting",
-        "tree_neighbors",
-        "use_rounds",
-        "has_object",
-        "object_for",
-        "succ_of",
-        "use_completed",
         "graph",
+        "use_rounds",
+        "has_token",
+        "token_for",
+        "succ_of",
+        "released",
     )
 
     def __init__(
         self,
         node_id: int,
         link: int,
-        requesting: bool,
-        tree_neighbors: frozenset[int],
-        use_rounds: int,
-        is_home: bool,
+        issue_at: int | None,
         graph: Graph,
+        use_rounds: int,
     ) -> None:
-        super().__init__(node_id)
-        self.link = link
-        self.parked: Hashable = init_op(node_id) if link == node_id else None
-        self.requesting = requesting
-        self.tree_neighbors = tree_neighbors
-        self.use_rounds = use_rounds
-        self.has_object = is_home
-        self.object_for: Hashable = init_op(node_id) if is_home else None
-        self.succ_of: dict[Hashable, int] = {}
-        self.use_completed: set[Hashable] = {init_op(node_id)} if is_home else set()
+        super().__init__(node_id, link, issue_at)
+        is_home = link == node_id
         self.graph = graph
+        self.use_rounds = use_rounds
+        self.has_token = is_home
+        self.token_for: Hashable = init_op(node_id) if is_home else None
+        #: op originating here -> origin vertex of its successor op
+        self.succ_of: dict[Hashable, int] = {}
+        #: ops originating here whose use of the token has finished
+        self.released: set[Hashable] = {init_op(node_id)} if is_home else set()
 
-    # -- arrow on the tree ---------------------------------------------------
-
-    def _terminate(self, a: Hashable, ctx: NodeContext) -> None:
-        pred = self.parked
-        self.parked = a
+    def _queued(self, a: Hashable, pred: Hashable, ctx: NodeContext) -> None:
         self.succ_of[pred] = a[1]
-        self._try_hand_off(ctx)
-
-    def on_start(self, ctx: NodeContext) -> None:
-        if not self.requesting:
-            return
-        a = op_of(self.node_id)
-        w = self.link
-        self.link = self.node_id
-        if w == self.node_id:
-            self._terminate(a, ctx)
-        else:
-            self.parked = a
-            ctx.send(w, "queue", payload=a)
+        self._try_pass(ctx)
 
     def on_receive(self, msg: Message, ctx: NodeContext) -> None:
-        if msg.kind == "queue":
-            if msg.src not in self.tree_neighbors:  # pragma: no cover
-                raise ValueError("find message arrived off-tree")
-            a = msg.payload
-            w = self.link
-            self.link = msg.src
-            if w == self.node_id:
-                self._terminate(a, ctx)
-            else:
-                ctx.send(w, "queue", payload=a)
-        elif msg.kind == "object":
-            dest = msg.payload
-            if dest == self.node_id:
-                self._acquire(ctx)
-            else:
-                self._send_object(dest, ctx)
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unexpected message kind {msg.kind!r}")
-
-    # -- object lifecycle ------------------------------------------------------
+        if msg.kind != "token":
+            super().on_receive(msg, ctx)
+        elif msg.payload == self.node_id:
+            self._acquire(ctx)
+        else:
+            self._send_token(msg.payload, ctx)
 
     def _acquire(self, ctx: NodeContext) -> None:
-        if self.has_object:
+        if self.has_token:
             return  # spurious second delivery; acquiring is idempotent
-        self.has_object = True
-        self.object_for = op_of(self.node_id)
+        self.has_token = True
+        self.token_for = op_of(self.node_id)
         ctx.complete(op_of(self.node_id), result=ctx.now)
         if self.use_rounds == 0:
             self._release(ctx)
@@ -121,24 +91,25 @@ class _DirectoryNode(Node):
         self._release(ctx)
 
     def _release(self, ctx: NodeContext) -> None:
-        self.use_completed.add(op_of(self.node_id))
-        self._try_hand_off(ctx)
+        self.released.add(op_of(self.node_id))
+        self._try_pass(ctx)
 
-    def _try_hand_off(self, ctx: NodeContext) -> None:
-        if not self.has_object:
+    def _try_pass(self, ctx: NodeContext) -> None:
+        if not self.has_token:
             return
-        op = self.object_for
-        if op not in self.use_completed or op not in self.succ_of:
+        op = self.token_for
+        if op not in self.released or op not in self.succ_of:
             return
         target = self.succ_of[op]
-        self.has_object = False
+        self.has_token = False
         if target == self.node_id:
             self._acquire(ctx)
         else:
-            self._send_object(target, ctx)
+            self._send_token(target, ctx)
 
-    def _send_object(self, dest: int, ctx: NodeContext) -> None:
-        ctx.send(next_hops_toward(self.graph, dest)[self.node_id], "object", payload=dest)
+    def _send_token(self, dest: int, ctx: NodeContext) -> None:
+        hop = next_hops_toward(self.graph, dest)[self.node_id]
+        ctx.send(hop, "token", payload=dest)
 
 
 @dataclass(frozen=True)
@@ -195,49 +166,23 @@ def run_object_directory(
             :func:`repro.sim.run_protocol`.
 
     Raises:
+        ValueError: if a request vertex or ``home`` is not a vertex, or
+            ``use_rounds`` is negative.
         AssertionError: if some requester never obtained the object or
             exclusivity is violated.
     """
-    tree = spanning.tree
-    if home is None:
-        home = tree.root
-    if capacity is None:
-        capacity = max(1, spanning.max_degree())
     if use_rounds < 0:
         raise ValueError(f"use_rounds must be >= 0, got {use_rounds}")
-
-    if home == tree.root:
-        parent_toward_home = tree.parent
-    else:
-        parent_toward_home = RootedTree.from_edges(
-            tree.n, tree.edges(), root=home
-        ).parent
-
-    tree_adj: dict[int, set[int]] = {v: set() for v in range(tree.n)}
-    for p, c in tree.edges():
-        tree_adj[p].add(c)
-        tree_adj[c].add(p)
-
     req = tuple(sorted(set(requests)))
-    req_set = set(req)
-    nodes = {
-        v: _DirectoryNode(
-            v,
-            link=parent_toward_home[v],
-            requesting=(v in req_set),
-            tree_neighbors=frozenset(tree_adj[v]),
-            use_rounds=use_rounds,
-            is_home=(v == home),
-            graph=graph,
-        )
-        for v in range(tree.n)
-    }
-    net = run_protocol(
-        graph, nodes, send_capacity=capacity, recv_capacity=capacity, **options
-    )
 
+    def make_node(v: int, link: int, issue_at: int | None) -> _TokenNode:
+        return _TokenNode(v, link, issue_at, graph, use_rounds)
+
+    net, _, _ = _run_arrow_nodes(
+        spanning, dict.fromkeys(req, 0), home, capacity, options, make_node, graph
+    )
     acquire = {op[1]: r for op, r in net.delays.delay_by_op().items()}
-    if set(acquire) != req_set:
+    if set(acquire) != set(req):
         raise AssertionError(
             f"{len(acquire)} of {len(req)} requesters obtained the object"
         )

@@ -124,15 +124,6 @@ class CountingInvariant(InvariantMonitor):
             )
 
 
-class _NoPredecessors:
-    """Stands in for a node without ``pred_found`` in ArrowInvariant rows."""
-
-    pred_found: dict[Hashable, Hashable] = {}
-
-
-_NO_PREDECESSORS = _NoPredecessors()
-
-
 class ArrowInvariant(InvariantMonitor):
     """Arrow-pointer well-formedness and queue-order consistency.
 
@@ -168,17 +159,16 @@ class ArrowInvariant(InvariantMonitor):
         #: a strong reference would keep every finished network alive
         #: until a cyclic-GC pass.
         self._rows_net: weakref.ref | None = None
-        self._rows: list[tuple[int, Any, frozenset[int], Any]] = []
+        self._rows: list[tuple[int, Any, frozenset[int]]] = []
         self._wrapped = False
 
-    def _resolve_rows(self, net: Any) -> list[tuple[int, Any, frozenset[int], Any]]:
-        """``(v, protocol node, neighbor set, pred_found holder)`` per arrow
-        vertex, once per network.
+    def _resolve_rows(self, net: Any) -> list[tuple[int, Any, frozenset[int]]]:
+        """``(v, protocol node, neighbor set)`` per arrow vertex, once per
+        network.
 
-        Nodes without a ``link`` attribute (mixed networks) get no row.
-        The holder is the node itself, or :data:`_NO_PREDECESSORS` for a
-        node without ``pred_found`` (a directory node), so the per-round
-        scan reads both attributes without ``getattr`` defaults.
+        Nodes without a ``link`` attribute (mixed networks) get no row;
+        every arrow node also keeps ``pred_found``, so the per-round scan
+        reads both attributes without ``getattr`` defaults.
         """
         if self._rows_net is None or self._rows_net() is not net:
             rows = []
@@ -188,8 +178,7 @@ class ArrowInvariant(InvariantMonitor):
                 node = _protocol_node(raw)
                 wrapped = wrapped or node is not raw
                 if hasattr(node, "link"):
-                    holder = node if hasattr(node, "pred_found") else _NO_PREDECESSORS
-                    rows.append((v, node, net.neighbor_set(v), holder))
+                    rows.append((v, node, net.neighbor_set(v)))
             self._rows_net, self._rows, self._wrapped = weakref.ref(net), rows, wrapped
         return self._rows
 
@@ -216,7 +205,7 @@ class ArrowInvariant(InvariantMonitor):
     def on_round(self, net: Any) -> None:
         sinks: list[int] = []
         preds: dict[Hashable, tuple[Hashable, int]] = {}
-        for v, node, nbrs, holder in self._resolve_rows(net):
+        for v, node, nbrs in self._resolve_rows(net):
             link = node.link
             if link == v:
                 sinks.append(v)
@@ -226,7 +215,7 @@ class ArrowInvariant(InvariantMonitor):
                 self._violate(
                     net, f"node {v}'s arrow points at non-neighbor {link}", (v,)
                 )
-            found = holder.pred_found
+            found = node.pred_found
             if not found:
                 continue
             for op, pred in found.items():
@@ -261,34 +250,26 @@ class TokenInvariant(InvariantMonitor):
     the number of token messages in flight must be exactly one — a token
     is never duplicated and never destroyed.
 
+    Holders keep a truthy ``has_token`` and the token travels as
+    ``token`` messages.
+
     Args:
-        holder_attr: node attribute that is truthy while holding the
-            token (``"has_token"`` for the mutex, ``"has_object"`` for
-            the directory).
-        token_kind: message kind that carries the token on the wire.
         name: invariant name for raised violations.
     """
 
-    def __init__(
-        self,
-        holder_attr: str = "has_token",
-        token_kind: str = "token",
-        name: str = "mutex.token-uniqueness",
-    ) -> None:
-        self.holder_attr = holder_attr
-        self.token_kind = token_kind
+    def __init__(self, name: str = "mutex.token-uniqueness") -> None:
         self.name = name
 
     def on_round(self, net: Any) -> None:
         holders = [
             v
             for v in net.node_ids
-            if getattr(_protocol_node(net.node(v)), self.holder_attr, False)
+            if getattr(_protocol_node(net.node(v)), "has_token", False)
         ]
         links, outboxes = net._queued_messages()
         in_flight = sum(
-            1 for q in links for m in q if m.kind == self.token_kind
-        ) + sum(1 for box in outboxes for m in box if m.kind == self.token_kind)
+            1 for q in links for m in q if m.kind == "token"
+        ) + sum(1 for box in outboxes for m in box if m.kind == "token")
         total = len(holders) + in_flight
         if total != 1:
             what = "duplicated" if total > 1 else "lost"

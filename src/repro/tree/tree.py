@@ -160,21 +160,6 @@ class RootedTree:
         a = self.lca(u, v)
         return self.depth[u] + self.depth[v] - 2 * self.depth[a]
 
-    def path(self, u: int, v: int) -> list[int]:
-        """The unique tree path from ``u`` to ``v``, inclusive."""
-        a = self.lca(u, v)
-        left = []
-        x = u
-        while x != a:
-            left.append(x)
-            x = self.parent[x]
-        right = []
-        x = v
-        while x != a:
-            right.append(x)
-            x = self.parent[x]
-        return left + [a] + right[::-1]
-
     def edges(self) -> list[tuple[int, int]]:
         """All tree edges as ``(parent, child)`` pairs."""
         return [(self.parent[v], v) for v in range(self.n) if v != self.root]

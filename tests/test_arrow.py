@@ -12,6 +12,8 @@ from repro.arrow.longlived import poisson_issue_times
 from repro.arrow.protocol import init_op, op_of
 from repro.arrow.runner import arrow_order_positions
 from repro.core.verify import verify_queuing
+from repro.directory import run_object_directory
+from repro.mutex import run_token_mutex
 from repro.topology import complete_graph, mesh_graph, path_graph, star_graph
 from repro.topology.spanning import (
     SpanningTree,
@@ -25,6 +27,19 @@ from repro.topology.spanning import (
 def rand_spanning(n: int, seed: int, max_children: int | None = 3) -> SpanningTree:
     t = random_tree(n, seed, max_children=max_children)
     return SpanningTree(tree_as_graph(t), t, label="rand")
+
+
+# name -> run(requests, tail) on a 6-node path, for every arrow-family runner.
+SIX = path_graph(6)
+SIX_TREE = path_spanning_tree(SIX)
+ARROW_FAMILY = {
+    "run_arrow": lambda r, t: run_arrow(SIX_TREE, r, tail=t),
+    "run_arrow_longlived": lambda r, t: run_arrow_longlived(
+        SIX_TREE, dict.fromkeys(r, 0), tail=t
+    ),
+    "run_token_mutex": lambda r, t: run_token_mutex(SIX_TREE, r, tail=t),
+    "run_object_directory": lambda r, t: run_object_directory(SIX, SIX_TREE, r, home=t),
+}
 
 
 class TestBasics:
@@ -59,10 +74,13 @@ class TestBasics:
         assert res.tail == 4
         assert res.order()[0] == 4
 
-    def test_out_of_range_request(self):
-        st = path_spanning_tree(path_graph(4))
-        with pytest.raises(ValueError):
-            run_arrow(st, [7])
+    @pytest.mark.parametrize("runner", sorted(ARROW_FAMILY))
+    def test_out_of_range_request(self, runner):
+        """A request or tail outside the tree is named before the run."""
+        run = ARROW_FAMILY[runner]
+        for requests, tail, bad in (([1, 9], None, 9), ([-1], None, -1), ([1], 9, 9)):
+            with pytest.raises(ValueError, match=f" {bad} out of range"):
+                run(requests, tail)
 
     def test_result_accessors(self):
         st = path_spanning_tree(path_graph(4))

@@ -8,8 +8,8 @@ import pytest
 
 from repro.directory import run_object_directory
 from repro.mutex import run_token_mutex
-from repro.sim import UniformDelay
-from repro.topology import complete_graph, mesh_graph, path_graph
+from repro.sim import EventTrace, UniformDelay
+from repro.topology import complete_graph, mesh_graph, path_graph, ring_graph
 from repro.topology.spanning import bfs_spanning_tree, path_spanning_tree
 
 
@@ -66,6 +66,29 @@ class TestShortcutting:
         d = run_object_directory(g, st, req, use_rounds=1)
         m = run_token_mutex(st, req, cs_rounds=1)
         assert d.total_waiting == m.total_waiting
+
+
+@pytest.mark.parametrize("cs", [0, 1, 2])
+@pytest.mark.parametrize(
+    "graph, tree, requests, tail",
+    [
+        (path_graph(9), path_spanning_tree, range(9), None),
+        (complete_graph(9), bfs_spanning_tree, [1, 4, 5, 8], 4),
+        (ring_graph(10), bfs_spanning_tree, range(0, 10, 3), 7),
+        (mesh_graph([3, 4]), bfs_spanning_tree, range(12), 5),
+    ],
+    ids=["path", "K9", "ring", "mesh"],
+)
+def test_mutex_is_the_directory_on_its_tree(graph, tree, requests, tail, cs):
+    """Token mutex and directory on G = T emit the same trace, byte for byte."""
+    st = tree(graph)
+    traces = EventTrace(), EventTrace()
+    m = run_token_mutex(st, requests, cs_rounds=cs, tail=tail, trace=traces[0])
+    d = run_object_directory(
+        st.as_graph(), st, requests, use_rounds=cs, home=tail, trace=traces[1]
+    )
+    assert traces[0].to_json() == traces[1].to_json()
+    assert m.entry_rounds == d.acquire_rounds
 
 
 class TestRobustness:

@@ -262,7 +262,7 @@ class TestTimeline:
         g = pg(4)
         trace = ET()
         nodes = {
-            v: ArrowNode(v, link=(v - 1 if v else 0), requesting=True)
+            v: ArrowNode(v, link=(v - 1 if v else 0), issue_at=0)
             for v in range(4)
         }
         net = SynchronousNetwork(g, nodes, trace=trace)

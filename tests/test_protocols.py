@@ -140,7 +140,7 @@ def test_cli_strict_with_faults_exits_with_the_runner_message(capsys):
 
 
 # Runners outside the registry take the same run options.  Each entry:
-# name -> (run(**options), the safety invariant its run must keep).  The
+# name -> (run(**options), the safety invariants its run must keep).  The
 # multicast runners attach the options to phase 1, the coordination run.
 RING = ring_graph(8)
 TREE = bfs_spanning_tree(RING)
@@ -148,28 +148,31 @@ INCREMENTS = {v: v + 1 for v in REQUESTS}
 OTHER_RUNNERS = {
     "longlived": (
         lambda **o: run_arrow_longlived(TREE, {v: v % 3 for v in REQUESTS}, **o),
-        ArrowInvariant,
+        (ArrowInvariant,),
     ),
     "directory": (
         lambda **o: run_object_directory(RING, TREE, REQUESTS, **o),
-        lambda: TokenInvariant("has_object", "object", name="directory.object"),
+        (ArrowInvariant, lambda: TokenInvariant(name="directory.object")),
     ),
-    "mutex": (lambda **o: run_token_mutex(TREE, REQUESTS, **o), TokenInvariant),
+    "mutex": (
+        lambda **o: run_token_mutex(TREE, REQUESTS, **o),
+        (ArrowInvariant, TokenInvariant),
+    ),
     "multicast-counting": (
         lambda **o: run_counting_multicast(RING, TREE, REQUESTS, **o),
-        lambda: CountingInvariant(expected=K),
+        (lambda: CountingInvariant(expected=K),),
     ),
     "multicast-queuing": (
         lambda **o: run_queuing_multicast(RING, TREE, REQUESTS, **o),
-        ArrowInvariant,
+        (ArrowInvariant,),
     ),
     "central-addition": (
         lambda **o: run_central_addition(RING, INCREMENTS, **o),
-        None,
+        (),
     ),
     "combining-addition": (
         lambda **o: run_combining_addition(TREE, INCREMENTS, **o),
-        None,
+        (),
     ),
 }
 
@@ -177,10 +180,10 @@ OTHER_RUNNERS = {
 @pytest.mark.parametrize("name", sorted(OTHER_RUNNERS))
 class TestOtherRunnersTakeTheRunOptions:
     def test_monitors(self, name):
-        run, invariant = OTHER_RUNNERS[name]
+        run, invariants = OTHER_RUNNERS[name]
         checked = MetricsRegistry()
         monitors = MonitorSet(
-            invariants=() if invariant is None else (invariant(),),
+            invariants=tuple(make() for make in invariants),
             watchdog=Watchdog(stall_window=500, livelock_window=5_000),
             metrics=checked,
         )

@@ -113,7 +113,7 @@ class TestCountingInvariant:
 class TestArrowInvariant:
     def _net(self, links: dict[int, int], n: int = 4) -> SynchronousNetwork:
         nodes = {
-            v: ArrowNode(v, link=links.get(v, 0), requesting=False)
+            v: ArrowNode(v, link=links.get(v, 0), issue_at=None)
             for v in range(n)
         }
         return SynchronousNetwork(
@@ -183,8 +183,8 @@ class TestArrowInvariant:
         class Plain(Node):
             pass
 
-        nodes = {0: ArrowNode(0, link=0, requesting=False),
-                 1: ArrowNode(1, link=0, requesting=False),
+        nodes = {0: ArrowNode(0, link=0, issue_at=None),
+                 1: ArrowNode(1, link=0, issue_at=None),
                  2: Plain(2), 3: Plain(3)}
         inv = ArrowInvariant()
         net = SynchronousNetwork(path_graph(4), nodes, monitors=MonitorSet(invariants=(inv,)))
@@ -198,26 +198,16 @@ class TestArrowInvariant:
 
 class TestTokenInvariant:
     def test_duplicated_token_caught(self, monkeypatch):
-        import repro.mutex.raymond as raymond_mod
+        import repro.directory.protocol as directory_mod
 
-        class KeepToken(raymond_mod._MutexNode):
-            def _try_pass(self, ctx):
-                if not self.has_token:
-                    return
-                op = self.token_for
-                if op not in self.cs_completed or op not in self.succ_of:
-                    return
-                target = self.succ_of[op]
-                if target == self.node_id:
-                    self.has_token = False
-                    self._acquire(ctx)
-                else:
-                    # BUG: has_token is not cleared before sending -> the
-                    # old holder and the in-flight token coexist
-                    path = self.tree.path(self.node_id, target)[1:]
-                    ctx.send(path[0], "token", payload=path[1:])
+        class KeepToken(directory_mod._TokenNode):
+            def _send_token(self, dest, ctx):
+                # BUG: has_token is set again when the token leaves -> the
+                # old holder and the in-flight token coexist
+                self.has_token = True
+                super()._send_token(dest, ctx)
 
-        monkeypatch.setattr(raymond_mod, "_MutexNode", KeepToken)
+        monkeypatch.setattr(directory_mod, "_TokenNode", KeepToken)
         mon = MonitorSet(invariants=(TokenInvariant(),))
         with pytest.raises(InvariantViolation) as ei:
             run_token_mutex(bfs_spanning_tree(complete_graph(5)), range(5),
@@ -455,7 +445,7 @@ class TestCheckpoint:
     def test_resume_requires_prior_run(self):
         net = SynchronousNetwork(
             path_graph(2),
-            {v: ArrowNode(v, link=0, requesting=False) for v in range(2)},
+            {v: ArrowNode(v, link=0, issue_at=None) for v in range(2)},
             send_capacity=1,
             recv_capacity=1,
         )

@@ -101,12 +101,6 @@ class TestQueries:
         assert t.distance(0, 0) == 0
         assert t.distance(6, 6) == 0
 
-    def test_path(self):
-        t = self.make()
-        assert t.path(6, 5) == [6, 3, 1, 0, 2, 5]
-        assert t.path(4, 4) == [4]
-        assert t.path(0, 6) == [0, 1, 3, 6]
-
     def test_ancestor(self):
         t = self.make()
         assert t.ancestor(6, 1) == 3
