@@ -197,6 +197,23 @@ def _case_metrics_arrow_ft_path() -> Any:
     )
 
 
+def _case_metrics_central_ft_star() -> Any:
+    from repro.faults import FaultPlan, LinkOutage, NodeCrash, run_central_counting_ft
+    from repro.resilience import CountingInvariant
+
+    plan = FaultPlan(
+        seed=5, drop_rate=0.1, duplicate_rate=0.05, max_consecutive_drops=2,
+        outages=(LinkOutage(0, 3, start=4, end=15),),
+        crashes=(NodeCrash(node=7, start=6, end=14),),
+    )
+    g = star_graph(12)
+    reqs = [1, 2, 3, 5, 7, 8, 10, 11]
+    return _observed_metrics(
+        lambda **hooks: run_central_counting_ft(g, reqs, plan, **hooks),
+        len(reqs), CountingInvariant(expected=len(reqs)),
+    )
+
+
 CASES = {
     "arrow": _case_arrow,
     "central_counting": _case_central_counting,
@@ -210,6 +227,7 @@ CASES = {
     "metrics_flood_path": _case_metrics_flood_path,
     "metrics_flood_ft_ring": _case_metrics_flood_ft_ring,
     "metrics_arrow_ft_path": _case_metrics_arrow_ft_path,
+    "metrics_central_ft_star": _case_metrics_central_ft_star,
 }
 
 
