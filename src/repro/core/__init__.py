@@ -12,24 +12,34 @@ generators, and the counting-vs-queuing comparison harness that produces
 the paper's headline tables.
 """
 
+import importlib
+
 from repro.core.problem import CountingResult, QueuingResult
-from repro.core.request import (
-    RequestScenario,
-    all_nodes,
-    random_subset,
-    far_half,
-    alternating,
-    single_node,
-    scenario_suite,
-)
 from repro.core.verify import (
     VerificationError,
     verify_counting,
     verify_queuing,
     verify_total_order_consistency,
 )
-from repro.core.adversary import AdversarySearchResult, adversarial_search
-from repro.core.comparison import ComparisonRow, compare_on_graph, growth_exponent
+
+#: public name -> the submodule that defines it, for the names resolved
+#: on first access (PEP 562): every runner imports ``repro.core.problem``,
+#: and loading this package must not load the scenario generators, the
+#: adversary search or the comparison harness along with it.
+_LAZY = {
+    "RequestScenario": "repro.core.request",
+    "all_nodes": "repro.core.request",
+    "random_subset": "repro.core.request",
+    "far_half": "repro.core.request",
+    "alternating": "repro.core.request",
+    "single_node": "repro.core.request",
+    "scenario_suite": "repro.core.request",
+    "ComparisonRow": "repro.core.comparison",
+    "compare_on_graph": "repro.core.comparison",
+    "growth_exponent": "repro.core.comparison",
+    "AdversarySearchResult": "repro.core.adversary",
+    "adversarial_search": "repro.core.adversary",
+}
 
 __all__ = [
     "CountingResult",
@@ -51,3 +61,18 @@ __all__ = [
     "AdversarySearchResult",
     "adversarial_search",
 ]
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` and cache the value here."""
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro.core' has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -17,8 +17,47 @@ from repro.arrow.protocol import ArrowNode, init_op, op_of
 from repro.arrow.runner import _run_arrow_nodes
 from repro.sim import Message, NodeContext
 from repro.topology.base import Graph
-from repro.topology.properties import next_hops_toward
 from repro.topology.spanning import SpanningTree
+
+
+def hand_off_path(graph: Graph, src: int, dest: int) -> list[int]:
+    """The shortest ``src -> dest`` path of ``graph`` a token takes, ``src`` excluded.
+
+    Each step goes to the first neighbor in sorted ``adj`` one hop
+    closer to ``dest``, the tie-break of
+    :func:`repro.topology.properties.next_hops_toward`.  The BFS from
+    ``dest`` stops as soon as it reaches ``src``: every level below
+    ``src``'s is settled by then, and the walk looks at nothing else.
+
+    Raises:
+        ValueError: if ``dest`` cannot be reached from ``src``.
+    """
+    adj = graph.adj
+    dist = {dest: 0}
+    frontier = [dest]
+    d = 0
+    while src not in dist:
+        if not frontier:
+            raise ValueError(f"vertex {dest} is unreachable from {src} in {graph.name}")
+        d += 1
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+            if src in dist:
+                break
+        frontier = nxt
+    path = []
+    v = src
+    for k in range(d - 1, -1, -1):
+        for u in adj[v]:
+            if dist.get(u) == k:
+                v = u
+                break
+        path.append(v)
+    return path
 
 
 class _TokenNode(ArrowNode):
@@ -30,8 +69,12 @@ class _TokenNode(ArrowNode):
 
     Messages:
         ``queue``: the arrow find request, on tree edges only.
-        ``token``: the token, payload = destination vertex, routed hop by
-            hop along shortest paths of ``graph`` (the tree, for the mutex).
+        ``token``: the token, payload = ``(path, hop)``: source-routed
+            along the shortest path of ``graph`` (the tree, for the
+            mutex) that the holder computed once, with
+            :func:`hand_off_path`.  ``path[hop]`` is the receiving vertex
+            and ``path[-1]`` the destination; every hop shares the one
+            list.
 
     Operations issue at round 0 only: ``on_wake`` ends a use.
     """
@@ -71,10 +114,13 @@ class _TokenNode(ArrowNode):
     def on_receive(self, msg: Message, ctx: NodeContext) -> None:
         if msg.kind != "token":
             super().on_receive(msg, ctx)
-        elif msg.payload == self.node_id:
+            return
+        path, hop = msg.payload
+        hop += 1
+        if hop == len(path):
             self._acquire(ctx)
         else:
-            self._send_token(msg.payload, ctx)
+            ctx.send(path[hop], "token", payload=(path, hop))
 
     def _acquire(self, ctx: NodeContext) -> None:
         if self.has_token:
@@ -108,8 +154,9 @@ class _TokenNode(ArrowNode):
             self._send_token(target, ctx)
 
     def _send_token(self, dest: int, ctx: NodeContext) -> None:
-        hop = next_hops_toward(self.graph, dest)[self.node_id]
-        ctx.send(hop, "token", payload=dest)
+        """Hand the token off toward ``dest`` along its routed path."""
+        path = hand_off_path(self.graph, self.node_id, dest)
+        ctx.send(path[0], "token", payload=(path, 0))
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,19 @@ class FaultInjector:
         "plan",
         "_rng_drop",
         "_rng_dup",
+        "_drop_rate",
+        "_dup_rate",
+        "_max_drops",
+        "_draw_drop",
+        "_draw_dup",
         "_drop_runs",
         "_crashes_by_node",
         "_outages_by_edge",
         "_boundaries",
     )
+
+    #: Slots rebuilt, not copied, by :meth:`__setstate__`.
+    _BOUND = ("_draw_drop", "_draw_dup")
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
@@ -55,7 +63,12 @@ class FaultInjector:
         # PYTHONHASHSEED — replays are stable across interpreters.
         self._rng_drop = random.Random(f"drop:{plan.seed}")
         self._rng_dup = random.Random(f"dup:{plan.seed}")
-        #: directed link -> current run of consecutive random drops.
+        self._drop_rate = plan.drop_rate
+        self._dup_rate = plan.duplicate_rate
+        self._max_drops = plan.max_consecutive_drops
+        self._bind_draws()
+        #: directed link -> current run of consecutive random drops (a
+        #: link whose last verdict was not a random drop has no entry).
         self._drop_runs: dict[tuple[int, int], int] = {}
         self._crashes_by_node: dict[int, list] = {}
         for c in plan.crashes:
@@ -69,6 +82,26 @@ class FaultInjector:
             [(c.start, "crash", c.node) for c in plan.crashes]
             + [(c.end, "recover", c.node) for c in plan.crashes if c.end is not None]
         )
+
+    def _bind_draws(self) -> None:
+        """Bind each stream's ``random`` for :meth:`on_link_entry`, or ``None``
+        when its rate is zero (the stream is then never drawn)."""
+        self._draw_drop = self._rng_drop.random if self._drop_rate > 0.0 else None
+        self._draw_dup = self._rng_dup.random if self._dup_rate > 0.0 else None
+
+    def __getstate__(self) -> dict:
+        # copy.deepcopy treats a bound builtin method as an atom: a copied
+        # ``_draw_drop`` would keep drawing from the original's stream.
+        # Copies and pickles carry the streams and re-bind the draws.
+        return {
+            slot: getattr(self, slot) for slot in self.__slots__
+            if slot not in self._BOUND
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        for slot, value in state.items():
+            setattr(self, slot, value)
+        self._bind_draws()
 
     # ------------------------------------------------------------- crashes
 
@@ -129,11 +162,14 @@ class FaultInjector:
             if event == "crash":
                 stats.node_crashes += 1
             if metrics is not None:
-                metrics.inc(
+                metrics.counter(
                     "faults.node_crashes" if event == "crash"
                     else "faults.node_recoveries"
-                )
-                metrics.sample(f"faults.{event}", at, node)
+                ).value += 1
+                series = metrics.series.get(f"faults.{event}")
+                if series is None:
+                    series = metrics.series[f"faults.{event}"] = []
+                series.append((at, node))
             if trace is not None:
                 trace.record(event, at, node=node)
 
@@ -149,7 +185,6 @@ class FaultInjector:
         are drawn unconditionally so verdicts never depend on earlier
         forced deliveries.
         """
-        plan = self.plan
         outages = self._outages_by_edge
         if outages:
             src, dst = msg.src, msg.dst
@@ -157,17 +192,20 @@ class FaultInjector:
             for o in outages.get(edge, ()):
                 if o.down(round_):
                     return OUTAGE
-        if plan.drop_rate > 0.0:
-            lossy = self._rng_drop.random() < plan.drop_rate
-            key = (msg.src, msg.dst)
-            run = self._drop_runs.get(key, 0)
-            if lossy and (
-                plan.max_consecutive_drops is None
-                or run < plan.max_consecutive_drops
-            ):
-                self._drop_runs[key] = run + 1
-                return DROP
-            self._drop_runs[key] = 0
-        if plan.duplicate_rate > 0.0 and self._rng_dup.random() < plan.duplicate_rate:
+        draw = self._draw_drop
+        if draw is not None:
+            runs = self._drop_runs
+            if draw() < self._drop_rate:
+                key = (msg.src, msg.dst)
+                run = runs.get(key, 0)
+                cap = self._max_drops
+                if cap is None or run < cap:
+                    runs[key] = run + 1
+                    return DROP
+                runs.pop(key, None)  # a forced delivery ends the run
+            elif runs:
+                runs.pop((msg.src, msg.dst), None)
+        draw = self._draw_dup
+        if draw is not None and draw() < self._dup_rate:
             return DUPLICATE
         return DELIVER

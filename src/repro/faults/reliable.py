@@ -205,22 +205,30 @@ class ReliableNode(Node):
     ``reliable.app_sends`` (application messages enveloped),
     ``reliable.retransmits``, ``reliable.acks_sent``, and
     ``reliable.duplicates_absorbed`` (copies suppressed by the
-    seen-set).  The four per-message counters are looked up on their first
-    increment and bumped directly afterwards, so ``metrics`` must be a
-    registry with ``counter(name)``; a counter is never created before
-    its first increment.  As everywhere, ``metrics=None`` costs nothing.
+    seen-set), plus ``reliable.budget_pauses`` (retransmits deferred past
+    a scheduled outage or crash window).  The counters are looked up on
+    their first increment and bumped directly afterwards, so ``metrics``
+    must be a registry with ``counter(name)``; a counter is never created
+    before its first increment.  As everywhere, ``metrics=None`` costs
+    nothing.
 
     Retransmit timers live in :attr:`timers`, a heap of ``(due, seq)``
     with lazy deletion: an ack only drops the envelope from
     :attr:`pending`, and a heap entry whose ``seq`` is no longer pending
     is discarded when it surfaces.  Every pending envelope has exactly
     one heap entry, carrying its current ``due``.
+
+    A wake at round ``t`` covers the armed rounds and inner wakeups up to
+    ``t``.  Only a node that can crash ever sees one before ``t`` (the
+    engine defers a crashed node's wakeups to its recovery), so any
+    other node matches ``t`` alone, without scanning either set.
     """
 
     __slots__ = (
         "inner", "policy", "metrics", "plan", "next_seq", "pending", "timers",
-        "seen", "armed", "inner_wakes", "_rctx",
+        "seen", "armed", "inner_wakes", "_rctx", "_windows", "_deferrable",
         "_app_sends", "_acks_sent", "_duplicates_absorbed", "_retransmits",
+        "_budget_pauses",
     )
 
     def __init__(
@@ -238,6 +246,14 @@ class ReliableNode(Node):
         #: pause the retry budget instead of burning it (crash-aware
         #: retries — see docs/FAULTS.md).
         self.plan = plan
+        #: whether the plan schedules outage or crash windows: only then
+        #: can a retransmit be blocked (see _retransmit_due).
+        self._windows = plan is not None and bool(plan.outages or plan.crashes)
+        #: whether the engine may defer this node's wakeups: only when it
+        #: can crash (assumed when the plan is unknown).
+        self._deferrable = plan is None or any(
+            c.node == inner.node_id for c in plan.crashes
+        )
         self.next_seq = 0
         #: seq -> unacked envelope.
         self.pending: dict[int, _Pending] = {}
@@ -255,6 +271,7 @@ class ReliableNode(Node):
         self._acks_sent: Any = None
         self._duplicates_absorbed: Any = None
         self._retransmits: Any = None
+        self._budget_pauses: Any = None
 
     # ----------------------------------------------------------- plumbing
 
@@ -278,8 +295,9 @@ class ReliableNode(Node):
         if not timers:
             return
         due = timers[0][0]
-        if due <= ctx.now:
-            due = ctx.now + 1
+        now = ctx.now
+        if due <= now:
+            due = now + 1
         if due not in self.armed:
             self.armed.add(due)
             ctx.schedule_wakeup(due)
@@ -330,23 +348,29 @@ class ReliableNode(Node):
         t = ctx.now
         armed = self.armed
         armed.discard(t)
-        if armed and min(armed) < t:
-            # The engine deferred a wakeup armed for an earlier round past
-            # a crash window; this wake covers it too.
-            armed.difference_update([r for r in armed if r < t])
-        # Fire every inner wakeup due at or *before* t: when this node
-        # crashes over its scheduled round, the engine defers the wakeup
-        # to the recovery round, so an exact-round match would silently
-        # swallow the wrapped node's timer and stall its protocol (the
-        # old flood_ft-under-crash-windows failure).  Deferred wakeups
-        # are coalesced into one late on_wake, matching the "wake at or
-        # after r" semantics a crash-deferred timer can honestly offer.
         inner_wakes = self.inner_wakes
-        if inner_wakes:
-            due_inner = [r for r in inner_wakes if r <= t]
-            if due_inner:
-                inner_wakes.difference_update(due_inner)
-                self.inner.on_wake(self._proxy(ctx))
+        if not self._deferrable:
+            if t in inner_wakes:
+                inner_wakes.discard(t)
+                self.inner.on_wake(self._rctx or self._proxy(ctx))
+        else:
+            if armed and min(armed) < t:
+                # The engine deferred a wakeup armed for an earlier round
+                # past a crash window; this wake covers it too.
+                armed.difference_update([r for r in armed if r < t])
+            # Fire every inner wakeup due at or *before* t: when this node
+            # crashes over its scheduled round, the engine defers the
+            # wakeup to the recovery round, so an exact-round match would
+            # silently swallow the wrapped node's timer and stall its
+            # protocol (the old flood_ft-under-crash-windows failure).
+            # Deferred wakeups are coalesced into one late on_wake,
+            # matching the "wake at or after r" semantics a crash-deferred
+            # timer can honestly offer.
+            if inner_wakes:
+                due_inner = [r for r in inner_wakes if r <= t]
+                if due_inner:
+                    inner_wakes.difference_update(due_inner)
+                    self.inner.on_wake(self._rctx or self._proxy(ctx))
         timers = self.timers
         if timers and timers[0][0] <= t:
             self._retransmit_due(ctx, t)
@@ -364,9 +388,10 @@ class ReliableNode(Node):
         due.sort()
         policy = self.policy
         plan = self.plan
+        windows = self._windows
         for seq in due:
             p = pending[seq]
-            if plan is not None:
+            if windows:
                 clear = plan.blocked_until(self.node_id, p.dst, t)
                 if clear is not None and clear > t:
                     # Scheduled outage / crash window: retransmitting now
@@ -376,7 +401,10 @@ class ReliableNode(Node):
                     p.due = clear
                     heappush(timers, (clear, seq))
                     if self.metrics is not None:
-                        self.metrics.inc("reliable.budget_pauses")
+                        c = self._budget_pauses or self._counter(
+                            "_budget_pauses", "reliable.budget_pauses"
+                        )
+                        c.value += 1
                     continue
             if p.attempts > policy.max_retries:
                 raise RetryBudgetExceeded(

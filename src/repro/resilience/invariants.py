@@ -21,12 +21,14 @@ e.g. the reliable-delivery wrapper) to the protocol state underneath.
 from __future__ import annotations
 
 import weakref
+from itertools import chain
 from typing import Any, Hashable, Iterable
 
 from repro.sim.errors import InvariantViolation, StallDetected
 
 #: Rounds of trace context attached before the violation round.
 TRACE_CONTEXT_ROUNDS = 10
+
 
 
 def _protocol_node(node: Any) -> Any:
@@ -124,6 +126,31 @@ class CountingInvariant(InvariantMonitor):
             )
 
 
+#: Nodes per block of :class:`ArrowInvariant`'s link column.
+_BLOCK = 64
+
+
+class _ArrowRows:
+    """:class:`ArrowInvariant`'s columns over one network's arrow vertices.
+
+    Attributes:
+        vs, nodes, nbrs: the vertices, their protocol nodes and their
+            neighbor sets.
+        passed: per block of :data:`_BLOCK` vertices, the links it last
+            passed the pointer test with (``None`` before its first).
+        sinks: per block, its number of self-pointing vertices at that
+            test.
+    """
+
+    __slots__ = ("vs", "nodes", "nbrs", "passed", "sinks")
+
+    def __init__(self, vs: list[int], nodes: list[Any], nbrs: list[frozenset[int]]) -> None:
+        self.vs, self.nodes, self.nbrs = vs, nodes, nbrs
+        blocks = -(-len(vs) // _BLOCK)
+        self.passed: list[list[Any] | None] = [None] * blocks
+        self.sinks = [0] * blocks
+
+
 class ArrowInvariant(InvariantMonitor):
     """Arrow-pointer well-formedness and queue-order consistency.
 
@@ -159,34 +186,36 @@ class ArrowInvariant(InvariantMonitor):
         #: a strong reference would keep every finished network alive
         #: until a cyclic-GC pass.
         self._rows_net: weakref.ref | None = None
-        self._rows: list[tuple[int, Any, frozenset[int]]] = []
+        self._rows: _ArrowRows | None = None
         self._wrapped = False
 
-    def _resolve_rows(self, net: Any) -> list[tuple[int, Any, frozenset[int]]]:
-        """``(v, protocol node, neighbor set)`` per arrow vertex, once per
-        network.
+    def _resolve_rows(self, net: Any) -> _ArrowRows:
+        """The arrow vertices' columns, resolved once per network.
 
         Nodes without a ``link`` attribute (mixed networks) get no row;
         every arrow node also keeps ``pred_found``, so the per-round scan
         reads both attributes without ``getattr`` defaults.
         """
         if self._rows_net is None or self._rows_net() is not net:
-            rows = []
+            vs, nodes, nbrs = [], [], []
             wrapped = False
             for v in net.node_ids:
                 raw = net.node(v)
                 node = _protocol_node(raw)
                 wrapped = wrapped or node is not raw
                 if hasattr(node, "link"):
-                    rows.append((v, node, net.neighbor_set(v)))
-            self._rows_net, self._rows, self._wrapped = weakref.ref(net), rows, wrapped
+                    vs.append(v)
+                    nodes.append(node)
+                    nbrs.append(net.neighbor_set(v))
+            self._rows_net, self._wrapped = weakref.ref(net), wrapped
+            self._rows = _ArrowRows(vs, nodes, nbrs)
         return self._rows
 
     def __getstate__(self) -> dict[str, Any]:
         # Copies and pickles leave the row cache out (a weak reference
         # cannot be pickled); it is re-resolved on the next round.
         state = dict(self.__dict__)
-        state.update(_rows_net=None, _rows=[], _wrapped=False)
+        state.update(_rows_net=None, _rows=None, _wrapped=False)
         return state
 
     def _in_flight_queue_msgs(self, net: Any) -> int:
@@ -203,13 +232,54 @@ class ArrowInvariant(InvariantMonitor):
         return count
 
     def on_round(self, net: Any) -> None:
-        sinks: list[int] = []
+        # Every node every round: the link and pred_found columns are read
+        # whole, and every claimed predecessor is counted.  The pointer
+        # test runs per block of the link column, and only on a block
+        # whose links differ from the ones it last passed with (a block
+        # compares in C); an unchanged block keeps its verdict and sink
+        # count.  A round that fails a test pays the per-node scan, which
+        # names the first offender in node order.
+        rows = self._resolve_rows(net)
+        vs, nbrs = rows.vs, rows.nbrs
+        links = [node.link for node in rows.nodes]
+        found = [f for node in rows.nodes if (f := node.pred_found)]
+        claimed = list(chain.from_iterable(map(dict.values, found)))
+        if len(set(claimed)) != len(claimed):
+            self._scan(net, rows)
+        passed, block_sinks = rows.passed, rows.sinks
+        for i, lo in enumerate(range(0, len(links), _BLOCK)):
+            hi = lo + _BLOCK
+            block = links[lo:hi]
+            if block == passed[i]:
+                continue
+            here = 0
+            for v, link, ok in zip(vs[lo:hi], block, nbrs[lo:hi]):
+                if link == v:
+                    here += 1
+                elif link not in ok and link is not None:
+                    self._scan(net, rows)
+            block_sinks[i] = here
+            passed[i] = block
+        sinks = sum(block_sinks)
+        if not sinks:
+            self._violate(net, "no node points at itself: the queue tail is lost")
+        if not self._wrapped:
+            q = self._in_flight_queue_msgs(net)
+            if sinks != 1 + q:
+                self._violate(
+                    net,
+                    f"{sinks} self-pointing nodes but {q} queue "
+                    f"messages in flight (expected sinks = 1 + in-flight)",
+                    [v for v, link in zip(vs, links) if link == v],
+                )
+
+    def _scan(self, net: Any, rows: _ArrowRows) -> None:
+        """Raise for the first off-tree arrow or forked predecessor, in
+        node order (a node whose link is ``None`` is skipped whole)."""
         preds: dict[Hashable, tuple[Hashable, int]] = {}
-        for v, node, nbrs in self._resolve_rows(net):
+        for v, node, ok in zip(rows.vs, rows.nodes, rows.nbrs):
             link = node.link
-            if link == v:
-                sinks.append(v)
-            elif link not in nbrs:
+            if link != v and link not in ok:
                 if link is None:
                     continue  # no arrow this round
                 self._violate(
@@ -230,17 +300,6 @@ class ArrowInvariant(InvariantMonitor):
                         (v, other_v),
                     )
                 preds[pred] = (op, v)
-        if not sinks:
-            self._violate(net, "no node points at itself: the queue tail is lost")
-        if not self._wrapped:
-            q = self._in_flight_queue_msgs(net)
-            if len(sinks) != 1 + q:
-                self._violate(
-                    net,
-                    f"{len(sinks)} self-pointing nodes but {q} queue "
-                    f"messages in flight (expected sinks = 1 + in-flight)",
-                    sinks,
-                )
 
 
 class TokenInvariant(InvariantMonitor):
@@ -312,14 +371,23 @@ class MonitorSet:
         self.watchdog = watchdog
         self.checkpointer = checkpointer
         self.metrics = metrics
+        #: ``resilience.rounds_checked``, bound on its first increment.
+        self._rounds_checked: Any = None
 
     # ------------------------------------------------------- engine hooks
 
     def on_round(self, net: Any) -> None:
+        # Counted before the checkpoint, so a copy resumed from it (which
+        # never re-checks this round) ends with the uninterrupted count.
+        if self.metrics is not None:
+            c = self._rounds_checked
+            if c is None:
+                c = self._rounds_checked = self.metrics.counter(
+                    "resilience.rounds_checked"
+                )
+            c.value += 1
         if self.checkpointer is not None:
             self.checkpointer.on_round(net)
-        if self.metrics is not None:
-            self.metrics.inc("resilience.rounds_checked")
         try:
             for inv in self.invariants:
                 inv.on_round(net)

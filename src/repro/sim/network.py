@@ -89,6 +89,109 @@ class RunStats:
     node_crashes: int = 0
 
 
+class _EngineMetrics:
+    """The engine's instruments in an attached metrics registry.
+
+    Each counter, gauge, histogram and series is looked up in the
+    registry on its first publish and updated directly afterwards, as
+    :class:`repro.faults.ReliableNode` does for ``reliable.*``: a metric
+    never exists before it has a value, and a phase publishes with one
+    call here instead of one registry call per metric.  Holding registry
+    objects (not bound methods) keeps a checkpoint's deep copy publishing
+    into the copied registry.
+    """
+
+    __slots__ = (
+        "registry", "sent", "delivered", "link_wait_total", "dropped",
+        "duplicated", "completions", "send_backlog", "recv_backlog",
+        "in_flight", "in_flight_series", "rounds", "op_delay", "link_wait",
+    )
+
+    def __init__(self, registry: Any) -> None:
+        self.registry = registry
+        self.sent = self.delivered = self.link_wait_total = None
+        self.dropped = self.duplicated = self.completions = None
+        self.send_backlog = self.recv_backlog = self.in_flight = None
+        self.in_flight_series = self.rounds = None
+        self.op_delay = self.link_wait = None
+
+    def _bind(self, slot: str, kind: str, name: str) -> Any:
+        """Look up ``name`` (made by ``registry.<kind>(name)``), bind it to ``slot``."""
+        reg = self.registry
+        if kind == "series":
+            obj = reg.series.get(name)
+            if obj is None:
+                obj = reg.series[name] = []
+        else:
+            obj = getattr(reg, kind)(name)
+        setattr(self, slot, obj)
+        return obj
+
+    def received(self, delivered: int, wait_total: int, waits: dict[int, int]) -> None:
+        """One receive phase's deliveries and their link waits."""
+        c = self.delivered or self._bind("delivered", "counter", "engine.messages_delivered")
+        c.value += delivered
+        c = self.link_wait_total or self._bind(
+            "link_wait_total", "counter", "engine.link_wait_total"
+        )
+        c.value += wait_total
+        h = self.link_wait or self._bind("link_wait", "histogram", "msg.link_wait")
+        for wait, n in waits.items():
+            h.observe(wait, n)
+
+    def sent_phase(
+        self, sent: int, peak: int, last: int, dropped: int, duplicated: int
+    ) -> None:
+        """One send phase's link entries, losses and duplicates.
+
+        ``peak`` is the run's largest link queue so far and ``last`` the
+        last link length: writing both leaves the gauge's high and value
+        where one write per link entry would have.
+        """
+        if sent:
+            c = self.sent or self._bind("sent", "counter", "engine.messages_sent")
+            c.value += sent
+            g = self.recv_backlog or self._bind("recv_backlog", "gauge", "engine.recv_backlog")
+            g.set(peak)
+            g.set(last)
+        if dropped:
+            c = self.dropped or self._bind("dropped", "counter", "engine.messages_dropped")
+            c.value += dropped
+        if duplicated:
+            c = self.duplicated or self._bind(
+                "duplicated", "counter", "engine.messages_duplicated"
+            )
+            c.value += duplicated
+
+    def send_backlog_seen(self, peak: int, last: int) -> None:
+        """The outbox lengths of the enqueues since the last publish (see
+        :meth:`sent_phase` for the two writes)."""
+        g = self.send_backlog or self._bind("send_backlog", "gauge", "engine.send_backlog")
+        g.set(peak)
+        g.set(last)
+
+    def round_end(self, t: int, in_flight: int) -> None:
+        """The messages in flight at the end of round ``t``."""
+        g = self.in_flight or self._bind("in_flight", "gauge", "engine.in_flight")
+        g.set(in_flight)
+        s = self.in_flight_series
+        if s is None:
+            s = self._bind("in_flight_series", "series", "engine.in_flight")
+        s.append((t, in_flight))
+
+    def completed(self, t: int) -> None:
+        """One operation completed in round ``t``."""
+        c = self.completions or self._bind("completions", "counter", "engine.completions")
+        c.value += 1
+        h = self.op_delay or self._bind("op_delay", "histogram", "op.delay")
+        h.observe(t)
+
+    def finished(self, t: int) -> None:
+        """The run quiesced at round ``t``."""
+        g = self.rounds or self._bind("rounds", "gauge", "engine.rounds")
+        g.set(t)
+
+
 def _as_adjacency(graph: Any) -> Mapping[int, tuple[int, ...]]:
     """Normalize a graph-like input to a sorted adjacency mapping.
 
@@ -128,12 +231,22 @@ class SynchronousNetwork:
             delay; defaults to the paper's synchronous unit delay.  See
             :mod:`repro.sim.delays` for the asynchronous extensions.
         trace: optional :class:`EventTrace` to record engine events into.
+            The engine appends its own records through the trace's
+            producer entry point (``trace.log.extend``, bound once per
+            phase), so an ``EventTrace`` subclass that overrides
+            ``record`` does not see them.
         metrics: optional :class:`repro.obs.MetricsRegistry` (duck-typed:
-            anything with ``inc``/``set_gauge``/``observe``/``sample``;
-            ``observe`` takes an optional count).
+            ``counter(name)``, ``gauge(name)`` and ``histogram(name)``
+            return get-or-create objects with an integer ``value``, a
+            ``set(value)`` and an ``observe(value, n)``, and ``series``
+            maps a name to a list of ``(round, value)`` pairs).
             When attached, the engine publishes message counters, per-op
             completion-delay and link-wait histograms, and per-round
-            in-flight/backlog gauges.  The engine publishes message
+            in-flight/backlog gauges.  It looks each object up on its
+            first publish and updates it directly afterwards, so a
+            registry subclass that overrides ``inc``/``set_gauge``/
+            ``observe``/``sample`` does not see the engine's updates.
+            The engine publishes message
             counters (drops and duplicates included), link waits and
             backlogs from local tallies once per phase or round, even
             when a handler raises; completions and crash boundaries are
@@ -221,6 +334,7 @@ class SynchronousNetwork:
         # Observability hooks (see repro.obs).  Both are duck-typed so the
         # engine never imports the obs package; None disables publishing.
         self.metrics = metrics
+        self._pub = _EngineMetrics(metrics) if metrics is not None else None
         self.profiler = profiler
         # Resilience hook (see repro.resilience).  Duck-typed like the
         # obs hooks; None disables all end-of-round checking.
@@ -324,25 +438,25 @@ class SynchronousNetwork:
 
         self.now = 0
         inj = self._injector
-        met = self.metrics
+        pub = self._pub
         prof = self.profiler
         mon = self.monitors
         t_run = prof.clock() if prof is not None else 0.0
         try:
             if inj is not None:
-                inj.tick(0, self.stats, self.trace, met)
+                inj.tick(0, self.stats, self.trace, self.metrics)
             self._timed("node.on_start", self._start_nodes)
             self._timed("send", self._send_phase)
-            if met is not None:
-                self._publish_send_backlog(met)
+            if pub is not None:
+                self._publish_send_backlog(pub)
             if mon is not None:
                 self._timed("monitors", mon.on_round, self)
 
             return self._loop(max_rounds, t_run)
         finally:
-            if met is not None:
+            if pub is not None:
                 # A handler raised mid-round: publish what it enqueued.
-                self._publish_send_backlog(met)
+                self._publish_send_backlog(pub)
 
     def resume(self, max_rounds: int = 1_000_000) -> RunStats:
         """Continue a started network to quiescence.
@@ -366,8 +480,8 @@ class SynchronousNetwork:
         try:
             return self._loop(max_rounds, t_run)
         finally:
-            if self.metrics is not None:
-                self._publish_send_backlog(self.metrics)
+            if self._pub is not None:
+                self._publish_send_backlog(self._pub)
 
     def _start_nodes(self) -> None:
         for node, ctx in zip(self._nodes, self._ctx):
@@ -397,6 +511,7 @@ class SynchronousNetwork:
         maybe_jump = None if self._unit_delay else self._maybe_jump
         inj = self._injector
         met = self.metrics
+        pub = self._pub
         prof = self.profiler
         mon = self.monitors
 
@@ -435,10 +550,9 @@ class SynchronousNetwork:
                 prof.add("receive", t0 - t1)
                 send_phase()
                 prof.add("send", prof.clock() - t0)
-            if met is not None:
-                self._publish_send_backlog(met)
-                met.set_gauge("engine.in_flight", self._in_flight)
-                met.sample("engine.in_flight", self.now, self._in_flight)
+            if pub is not None:
+                self._publish_send_backlog(pub)
+                pub.round_end(self.now, self._in_flight)
             if mon is not None:
                 # Sync the executed-round counter so monitors (and any
                 # checkpoint they capture) see a consistent engine.
@@ -449,8 +563,8 @@ class SynchronousNetwork:
 
         self.rounds_executed = executed
         self.stats.rounds = self.now
-        if met is not None:
-            met.set_gauge("engine.rounds", self.now)
+        if pub is not None:
+            pub.finished(self.now)
         if mon is not None:
             mon.on_finish(self)
         if prof is not None:
@@ -527,13 +641,14 @@ class SynchronousNetwork:
         stats = self.stats
         if backlog > stats.max_send_backlog:
             stats.max_send_backlog = backlog
-        if self.metrics is not None:
+        if self._pub is not None:
             self._send_backlog_last = backlog
-        if self.trace is not None:
-            self.trace.record("enqueue", self.now, src, dst, kind)
+        trace = self.trace
+        if trace is not None:
+            trace.log.extend(("enqueue", self.now, src, dst, kind))
         return msg
 
-    def _publish_send_backlog(self, met: Any) -> None:
+    def _publish_send_backlog(self, pub: _EngineMetrics) -> None:
         """Publish ``engine.send_backlog`` for the enqueues since the last call.
 
         Two gauge writes, the run's peak and then the last outbox length,
@@ -542,8 +657,7 @@ class SynchronousNetwork:
         """
         last = self._send_backlog_last
         if last:
-            met.set_gauge("engine.send_backlog", self.stats.max_send_backlog)
-            met.set_gauge("engine.send_backlog", last)
+            pub.send_backlog_seen(self.stats.max_send_backlog, last)
             self._send_backlog_last = 0
 
     def _schedule_wakeup(self, node_id: int, round_: int) -> None:
@@ -635,18 +749,18 @@ class SynchronousNetwork:
 
     def _record_completion(self, op_id: Any, result: Any, node_id: int) -> None:
         self.delays.record(op_id, self.now, result=result, at_node=node_id)
-        if self.metrics is not None:
-            self.metrics.inc("engine.completions")
-            self.metrics.observe("op.delay", self.now)
+        if self._pub is not None:
+            self._pub.completed(self.now)
         if self.trace is not None:
-            self.trace.record("complete", self.now, node_id, op_id)
+            self.trace.log.extend(("complete", self.now, node_id, op_id))
         if self.monitors is not None:
             self.monitors.on_complete(self, op_id, result, node_id)
 
     # ------------------------------------------------------------ phases
     #
     # Stats and engine metrics are tallied locally and folded once per
-    # phase, even when a handler raises.
+    # phase, even when a handler raises.  Trace records go through the
+    # trace's producer entry point, bound as a local per phase.
 
     def _receive_phase(self) -> None:
         active = self._recv_active
@@ -654,9 +768,9 @@ class SynchronousNetwork:
             return
         t = self.now
         crashed = self._crashed
-        met = self.metrics
+        pub = self._pub
         prof = self.profiler
-        trace = self.trace
+        emit = self.trace.log.extend if self.trace is not None else None
         strict = self.strict
         cap = self.recv_capacity
         heappop = heapq.heappop
@@ -701,10 +815,10 @@ class SynchronousNetwork:
                     delivered += 1
                     wait = t - msg.ready_at
                     wait_total += wait
-                    if met is not None:
+                    if pub is not None:
                         waits[wait] = waits.get(wait, 0) + 1
-                    if trace is not None:
-                        trace.record("deliver", t, src, v, msg.kind, wait)
+                    if emit is not None:
+                        emit(("deliver", t, src, v, msg.kind, wait))
                     # Per message, so the unprofiled call stays a bare call.
                     if prof is None:
                         node.on_receive(msg, ctx)
@@ -721,21 +835,18 @@ class SynchronousNetwork:
             # count every delivery made, the raising one included.
             self.stats.messages_delivered += delivered
             self.stats.total_link_wait += wait_total
-            if met is not None and delivered:
-                met.inc("engine.messages_delivered", delivered)
-                met.inc("engine.link_wait_total", wait_total)
-                for wait, n in waits.items():
-                    met.observe("msg.link_wait", wait, n)
+            if pub is not None and delivered:
+                pub.received(delivered, wait_total, waits)
 
     def _send_phase(self) -> None:
         active = self._send_active
         if not active:
             return
         t = self.now
-        inj = self._injector
+        verdict_of = self._injector.on_link_entry if self._injector is not None else None
         crashed = self._crashed
-        met = self.metrics
-        trace = self.trace
+        pub = self._pub
+        emit = self.trace.log.extend if self.trace is not None else None
         cap = self.send_capacity
         unit = self._unit_delay
         delay_model = self.delay_model
@@ -765,14 +876,14 @@ class SynchronousNetwork:
                     msg = box.popleft()
                     msg.sent_at = t
                     duplicate = False
-                    if inj is not None:
-                        verdict = inj.on_link_entry(msg, t)
+                    if verdict_of is not None:
+                        verdict = verdict_of(msg, t)
                         if verdict in ("drop", "outage"):
                             # Lost on the wire: the send slot is consumed but
                             # the message never enters the link.
                             dropped += 1
-                            if trace is not None:
-                                trace.record("drop", t, u, msg.dst, msg.kind, verdict)
+                            if emit is not None:
+                                emit(("drop", t, u, msg.dst, msg.kind, verdict))
                             continue
                         duplicate = verdict == "duplicate"
                     # Inlined link entry (the hot path).
@@ -793,8 +904,8 @@ class SynchronousNetwork:
                             recv_active.append(dst)
                         heappush(heap, (ready_at, msg.seq, u))
                     sent += 1
-                    if trace is not None:
-                        trace.record("send", t, u, dst, msg.kind)
+                    if emit is not None:
+                        emit(("send", t, u, dst, msg.kind))
                     if duplicate:
                         clone = Message(
                             src=msg.src, dst=dst, kind=msg.kind,
@@ -811,9 +922,11 @@ class SynchronousNetwork:
                         if lq > max_backlog:
                             max_backlog = lq
                         sent += 1
-                        if trace is not None:
-                            trace.record("send", t, u, dst, msg.kind)
-                            trace.record("duplicate", t, u, dst, msg.kind)
+                        if emit is not None:
+                            emit((
+                                "send", t, u, dst, msg.kind,
+                                "duplicate", t, u, dst, msg.kind,
+                            ))
                 if box:
                     active.append(u)
         finally:
@@ -821,17 +934,8 @@ class SynchronousNetwork:
             stats.messages_sent += sent
             stats.messages_dropped += dropped
             stats.messages_duplicated += duplicated
-            if met is not None:
-                if sent:
-                    met.inc("engine.messages_sent", sent)
-                    # The run's peak, then the last link length: the gauge's
-                    # high and value as one write per link entry leaves them.
-                    met.set_gauge("engine.recv_backlog", max_backlog)
-                    met.set_gauge("engine.recv_backlog", lq)
-                if dropped:
-                    met.inc("engine.messages_dropped", dropped)
-                if duplicated:
-                    met.inc("engine.messages_duplicated", duplicated)
+            if pub is not None:
+                pub.sent_phase(sent, max_backlog, lq, dropped, duplicated)
 
 
 def run_protocol(

@@ -92,19 +92,32 @@ def _reject(event: str, fields: tuple[Any, ...], data: dict[str, Any]) -> None:
 class EventTrace:
     """An append-only event log with query helpers.
 
-    :meth:`record` appends to one flat list: ``event, round, *fields`` for
-    a positional record, ``event, round, _Keywords, data`` for a keyword
-    one.  A positional record adds no container to the log, only the
-    values passed, so a long engine trace neither adds work to garbage
-    collection passes nor triggers them; a keyword record adds one dict,
-    which CPython leaves untracked while it holds only atoms.
+    :meth:`record` appends to one flat list, :attr:`log`: ``event, round,
+    *fields`` for a positional record, ``event, round, _Keywords, data``
+    for a keyword one.  A positional record adds no container to the log,
+    only the values passed, so a long engine trace neither adds work to
+    garbage collection passes nor triggers them; a keyword record adds one
+    dict, which CPython leaves untracked while it holds only atoms.
     :attr:`events` builds the frozen :class:`TraceEvent` objects on read,
     incrementally, and caches them, so an event read twice is the same
     object.
+
+    Producer entry point: ``log.extend((event, round, *fields))`` appends
+    one positional record exactly as ``record(event, round, *fields)``
+    does, without the arity check or a Python call.  The engine writes
+    its own events this way, binding ``trace.log.extend`` as a local once
+    per phase, so a subclass that overrides :meth:`record` sees only the
+    injector's, monitors' and protocols' keyword records, not the
+    engine's.  The fields must be :data:`EVENT_FIELDS`'s, in its order.
+    The list object is the trace's for life (the :attr:`events` setter
+    refills it in place), but a bound ``log.extend`` must not be stored
+    on an object a checkpoint copies: :func:`copy.deepcopy` treats bound
+    builtin methods as atoms, so a copy would write into this log.
     """
 
     def __init__(self) -> None:
-        self._log: list[Any] = []
+        #: The flat record log (see the class docstring).
+        self.log: list[Any] = []
         self._events: list[TraceEvent] = []
         #: Log index up to which :attr:`_events` has been built.
         self._read = 0
@@ -126,12 +139,12 @@ class EventTrace:
         if fields:
             if data or _ARITY.get(event) != len(fields):
                 _reject(event, fields, data)
-            log = self._log
+            log = self.log
             log.append(event)
             log.append(round_)
             log.extend(fields)
         else:
-            self._log.extend((event, round_, _Keywords, data))
+            self.log.extend((event, round_, _Keywords, data))
 
     @property
     def events(self) -> list[TraceEvent]:
@@ -141,7 +154,7 @@ class EventTrace:
         read are appended to it, earlier ones keep their identity.
         """
         events = self._events
-        log = self._log
+        log = self.log
         if self._read < len(log):
             events.extend(
                 TraceEvent(event, round_, data)
@@ -153,10 +166,10 @@ class EventTrace:
     @events.setter
     def events(self, value: Iterable[TraceEvent]) -> None:
         self._events = list(value)
-        self._log = [
+        self.log[:] = [
             f for e in self._events for f in (e.kind, e.round, _Keywords, e.data)
         ]
-        self._read = len(self._log)
+        self._read = len(self.log)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -204,7 +217,7 @@ class EventTrace:
             return value
 
         return json.dumps(
-            [[kind, round_, enc(data)] for kind, round_, data in _rows(self._log, 0)],
+            [[kind, round_, enc(data)] for kind, round_, data in _rows(self.log, 0)],
             separators=(",", ":"),
         )
 

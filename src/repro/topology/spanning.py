@@ -15,6 +15,7 @@ graph it spans, with validation that every tree edge is a graph edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from repro.topology.base import Graph, TopologyError
@@ -54,7 +55,15 @@ class SpanningTree:
         return self.tree.max_degree()
 
     def as_graph(self) -> Graph:
-        """The tree itself as a :class:`Graph` (for running protocols on it)."""
+        """The tree itself as a :class:`Graph` (for running protocols on it).
+
+        Built on the first call and cached on the tree, so every run on
+        one tree shares one graph and its routing tables.
+        """
+        return self._graph
+
+    @cached_property
+    def _graph(self) -> Graph:
         return Graph.from_edges(self.n, self.tree.edges(), name=f"tree[{self.label}]")
 
 

@@ -119,3 +119,35 @@ class TestRobustness:
         g = path_graph(4)
         out = run_object_directory(g, path_spanning_tree(g), [1, 3])
         assert out.total_waiting == sum(out.acquire_rounds.values())
+
+
+class TestHandOffPath:
+    """The token's source route is the hop-by-hop routing table's path."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [mesh_graph([4, 5]), ring_graph(9), complete_graph(6), path_graph(7),
+         bfs_spanning_tree(mesh_graph([5, 5])).as_graph()],
+        ids=lambda g: g.name,
+    )
+    def test_matches_next_hops_toward(self, graph):
+        from repro.directory.protocol import hand_off_path
+        from repro.topology import next_hops_toward
+
+        for src in graph.vertices():
+            for dest in graph.vertices():
+                if src == dest:
+                    continue
+                hops, v = [], src
+                while v != dest:
+                    v = next_hops_toward(graph, dest)[v]
+                    hops.append(v)
+                assert hand_off_path(graph, src, dest) == hops, (src, dest)
+
+    def test_unreachable_destination_raises(self):
+        from repro.directory.protocol import hand_off_path
+        from repro.topology.base import Graph
+
+        g = Graph.from_edges(4, [(0, 1), (2, 3)], name="two-edges")
+        with pytest.raises(ValueError, match="unreachable"):
+            hand_off_path(g, 0, 3)

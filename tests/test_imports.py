@@ -30,6 +30,13 @@ for name in light:
     importlib.import_module(name)
 loaded = [m for m in ("numpy", "repro.experiments") if m in sys.modules]
 
+for mod in [m for m in sys.modules if m == "repro" or m.startswith("repro.")]:
+    del sys.modules[mod]
+for name in ["repro.counting", "repro.arrow", "repro.faults"]:
+    importlib.import_module(name)
+core_loaded = [m for m in ("repro.core.comparison", "repro.core.adversary")
+               if m in sys.modules]
+
 first = {}
 for name in ["repro.protocols", "repro.cli", "repro.resilience.chaos",
              "repro.experiments.suite"]:
@@ -40,7 +47,7 @@ for name in ["repro.protocols", "repro.cli", "repro.resilience.chaos",
         first[name] = None
     except Exception as exc:
         first[name] = f"{type(exc).__name__}: {exc}"
-print(json.dumps({"loaded": loaded, "first": first}))
+print(json.dumps({"loaded": loaded, "core_loaded": core_loaded, "first": first}))
 """
 
 
@@ -59,6 +66,9 @@ def fresh() -> dict:
 class TestFreshInterpreter:
     def test_simulator_stack_loads_no_numpy_or_suite(self, fresh):
         assert fresh["loaded"] == []
+
+    def test_runners_leave_the_comparison_harness_unloaded(self, fresh):
+        assert fresh["core_loaded"] == []
 
     @pytest.mark.parametrize(
         "module",
@@ -86,6 +96,17 @@ class TestLazyNamespace:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             repro.no_such_name
+
+    def test_core_names_resolve(self):
+        import repro.core
+        from repro.core.comparison import compare_on_graph
+
+        for name in repro.core.__all__:
+            assert getattr(repro.core, name) is not None, name
+        assert repro.core.compare_on_graph is compare_on_graph
+        assert set(repro.core.__all__) <= set(dir(repro.core))
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            repro.core.no_such_name
 
     def test_resilience_chaos_names_resolve(self):
         for name in repro.resilience.__all__:

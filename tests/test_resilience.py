@@ -196,6 +196,41 @@ class TestArrowInvariant:
             inv.on_round(net)
 
 
+class _PlantLink(InvariantMonitor):
+    """Sets ``node(v).link`` to ``link`` at the end of round ``at``."""
+
+    def __init__(self, at: int, v: int, link: int) -> None:
+        self.at, self.v, self.link = at, v, link
+
+    def on_round(self, net):
+        if net.now == self.at:
+            node = net.node(self.v)
+            getattr(node, "inner", node).link = self.link
+
+
+class TestArrowInvariantMidRun:
+    @pytest.mark.parametrize("faulty", [False, True], ids=["plain", "reliable"])
+    def test_bad_link_planted_at_an_idle_node_is_caught(self, faulty):
+        """The only request starts at 15 and walks toward the tail at 0,
+        so at round 2 node 3 has neither sent nor received anything: the
+        invariant scans it anyway and catches the planted link."""
+        options = {}
+        if faulty:
+            from repro.faults import RetryPolicy
+
+            options = {"faults": FaultPlan(seed=2, drop_rate=0.1),
+                       "reliable": RetryPolicy()}
+        trace = EventTrace()
+        mon = MonitorSet(invariants=(_PlantLink(2, 3, 7), ArrowInvariant()))
+        with pytest.raises(InvariantViolation, match="node 3's arrow points at non-neighbor 7") as ei:
+            run_arrow(path_spanning_tree(path_graph(16)), [15], trace=trace,
+                      monitors=mon, **options)
+        assert ei.value.round == 2 and ei.value.nodes == (3,)
+        acted = {v for e in trace.events if e.round == 2
+                 for v in (e.data.get("src"), e.data.get("dst"))}
+        assert 3 not in acted
+
+
 class TestTokenInvariant:
     def test_duplicated_token_caught(self, monkeypatch):
         import repro.directory.protocol as directory_mod
@@ -413,6 +448,75 @@ class TestCheckpoint:
         path.write_bytes(pickle.dumps({"not": "a checkpoint"}))
         with pytest.raises(TypeError):
             Checkpoint.load(path)
+
+    @pytest.mark.parametrize("pickled", [False, True], ids=["copy", "pickle"])
+    def test_resumed_copy_writes_only_its_own_trace_and_registry(self, pickled):
+        """A checkpoint of a traced, metered, faulty run resumes into its own
+        trace and registry: the original's documents stay as they were, and
+        the copy's equal those of the uninterrupted run."""
+        import pickle
+
+        from repro.faults import run_flood_counting_ft
+        from repro.obs import MetricsRegistry
+
+        plan = FaultPlan(seed=4, drop_rate=0.1, duplicate_rate=0.1,
+                         crashes=(NodeCrash(2, 5, 12),))
+        reg, trace = MetricsRegistry(), EventTrace()
+        cpr = PeriodicCheckpointer(every=7, keep=3)
+        run_flood_counting_ft(
+            mesh_graph([2, 4]), range(8), plan, trace=trace, metrics=reg,
+            monitors=MonitorSet(invariants=(CountingInvariant(expected=8),),
+                                checkpointer=cpr, metrics=reg),
+        )
+        full_trace, full_metrics = trace.to_json(), reg.to_dict()
+        mid = [cp for cp in cpr.checkpoints if cp.round > 0]
+        assert mid
+        for cp in mid:
+            if pickled:
+                cp = pickle.loads(pickle.dumps(cp))
+            net = cp.restore()
+            assert net.trace is not trace and net.metrics is not reg
+            net.resume()
+            assert trace.to_json() == full_trace, cp.round
+            assert reg.to_dict() == full_metrics, cp.round
+            assert net.trace.to_json() == full_trace, cp.round
+            assert net.metrics.to_dict() == full_metrics, cp.round
+
+    def test_no_bound_builtin_on_network_contexts_or_nodes(self):
+        """copy.deepcopy shares a bound builtin method (say ``list.extend``)
+        with the original, so none may live where a checkpoint copies."""
+        import types
+
+        from repro.faults import RetryPolicy
+        from repro.obs import MetricsRegistry
+
+        def values(obj):
+            if hasattr(obj, "__dict__"):
+                yield from vars(obj).values()
+            for cls in type(obj).__mro__:
+                for slot in getattr(cls, "__slots__", ()):
+                    if hasattr(obj, slot):
+                        yield getattr(obj, slot)
+
+        class Inspect(InvariantMonitor):
+            seen = 0
+
+            def on_round(self, net):
+                objs = [net, *map(net.context, net.node_ids)]
+                for v in net.node_ids:
+                    node = net.node(v)
+                    objs += [node, getattr(node, "inner", node)]
+                for obj in objs:
+                    for value in values(obj):
+                        assert not isinstance(value, types.BuiltinMethodType), (obj, value)
+                Inspect.seen += 1
+
+        run_flood_counting(
+            mesh_graph([2, 3]), range(6), trace=EventTrace(), metrics=MetricsRegistry(),
+            faults=FaultPlan(seed=1, drop_rate=0.1), reliable=RetryPolicy(),
+            monitors=MonitorSet(invariants=(Inspect(),)),
+        )
+        assert Inspect.seen > 3
 
     def test_keep_limit_is_fifo(self):
         cpr = PeriodicCheckpointer(every=2, keep=3)

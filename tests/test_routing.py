@@ -172,9 +172,14 @@ class TestColdVsWarm:
         assert warm == cold
 
     def test_object_directory(self):
+        """The directory routes each hand-off with a BFS of its own, so it
+        leaves the cache as the spanning tree left it, and a graph with
+        every table warm gives the cold run's trace."""
         g = mesh_graph([3, 4])
         sp = bfs_spanning_tree(g)
         cold = _traced(run_object_directory, g, sp, range(1, 12, 3))
-        assert len(g._next_hops) > 1
+        assert set(g._next_hops) == {sp.root}
+        for dest in g.vertices():
+            next_hops_toward(g, dest)
         warm = _traced(run_object_directory, g, sp, range(1, 12, 3))
         assert warm == cold

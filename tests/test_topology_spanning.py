@@ -122,3 +122,23 @@ class TestValidation:
         st = bfs_spanning_tree(mesh_graph([3, 3]))
         tg = st.as_graph()
         assert tg.n == 9 and tg.m == 8
+
+    def test_as_graph_is_cached(self):
+        st = bfs_spanning_tree(mesh_graph([3, 3]))
+        assert st.as_graph() is st.as_graph()
+
+    def test_reused_tree_runs_like_a_fresh_one(self):
+        """A tree whose graph (and routing tables) earlier runs warmed
+        gives the same arrow trace as a freshly built tree."""
+        from repro import run_arrow
+        from repro.sim import EventTrace
+
+        def trace(st):
+            tr = EventTrace()
+            run_arrow(st, range(0, 16, 3), trace=tr)
+            return tr.to_json()
+
+        reused = path_spanning_tree(mesh_graph([4, 4]))
+        first = trace(reused)
+        assert trace(reused) == first
+        assert trace(path_spanning_tree(mesh_graph([4, 4]))) == first
