@@ -166,10 +166,7 @@ class FaultInjector:
                     "faults.node_crashes" if event == "crash"
                     else "faults.node_recoveries"
                 ).value += 1
-                series = metrics.series.get(f"faults.{event}")
-                if series is None:
-                    series = metrics.series[f"faults.{event}"] = []
-                series.append((at, node))
+                metrics.series.setdefault(f"faults.{event}", []).append((at, node))
             if trace is not None:
                 trace.record(event, at, node=node)
 

@@ -16,11 +16,14 @@ flood-vs-arrow separation shows up as mass in different buckets, not as
 different bucket edges.
 
 The registry is deliberately engine-agnostic: :mod:`repro.sim` never
-imports this module, it only calls the small duck-typed surface
-(:meth:`MetricsRegistry.inc`, :meth:`~MetricsRegistry.set_gauge`,
-:meth:`~MetricsRegistry.observe`, :meth:`~MetricsRegistry.sample`).
-``observe`` takes an optional count, so the engine publishes each phase's
-link waits as one call per distinct value.
+imports this module, it only uses the small duck-typed surface of the
+get-or-create accessors (:meth:`MetricsRegistry.counter`,
+:meth:`~MetricsRegistry.gauge`, :meth:`~MetricsRegistry.histogram`) and
+the :attr:`~MetricsRegistry.series` mapping.  The engine looks each
+object up on its first publish and updates it directly afterwards, as
+the fault injector, the reliable-delivery wrapper and the monitor set
+do; :meth:`Histogram.observe` takes an optional count, so the engine
+publishes each phase's link waits as one call per distinct value.
 """
 
 from __future__ import annotations
@@ -153,11 +156,13 @@ class MetricsRegistry:
     """Named counters, gauges, histograms, and per-round samples.
 
     Instruments publish through the get-or-create accessors
-    (:meth:`counter`/:meth:`gauge`/:meth:`histogram`) or the one-shot
-    conveniences (:meth:`inc`/:meth:`set_gauge`/:meth:`observe`) that the
-    engine's hot paths use.  :meth:`sample` appends to a per-round time
-    series (e.g. in-flight messages per round), kept separate from gauges
-    because a series grows with the run.
+    (:meth:`counter`/:meth:`gauge`/:meth:`histogram`, binding the object
+    once and updating it directly, as the engine does) or the one-shot
+    conveniences (:meth:`inc`/:meth:`set_gauge`/:meth:`observe`), which
+    look the object up on every call.  :meth:`sample` appends to a
+    per-round time series in :attr:`series` (e.g. in-flight messages per
+    round), kept separate from gauges because a series grows with the
+    run.
     """
 
     def __init__(self) -> None:

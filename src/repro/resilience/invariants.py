@@ -30,7 +30,6 @@ from repro.sim.errors import InvariantViolation, StallDetected
 TRACE_CONTEXT_ROUNDS = 10
 
 
-
 def _protocol_node(node: Any) -> Any:
     """The protocol node behind ``node``, unwrapping adapter layers."""
     seen = 0
@@ -420,7 +419,7 @@ class MonitorSet:
     def _stamp(self, net: Any, exc: Exception) -> None:
         """Attach trace evidence to a violation and record it."""
         if self.metrics is not None:
-            self.metrics.inc("resilience.violations")
+            self.metrics.counter("resilience.violations").value += 1
         if net.trace is not None:
             net.trace.record(
                 "violation",

@@ -118,16 +118,11 @@ class _EngineMetrics:
     def _bind(self, slot: str, kind: str, name: str) -> Any:
         """Look up ``name`` (made by ``registry.<kind>(name)``), bind it to ``slot``."""
         reg = self.registry
-        if kind == "series":
-            obj = reg.series.get(name)
-            if obj is None:
-                obj = reg.series[name] = []
-        else:
-            obj = getattr(reg, kind)(name)
+        obj = reg.series.setdefault(name, []) if kind == "series" else getattr(reg, kind)(name)
         setattr(self, slot, obj)
         return obj
 
-    def received(self, delivered: int, wait_total: int, waits: dict[int, int]) -> None:
+    def receive_phase(self, delivered: int, wait_total: int, waits: dict[int, int]) -> None:
         """One receive phase's deliveries and their link waits."""
         c = self.delivered or self._bind("delivered", "counter", "engine.messages_delivered")
         c.value += delivered
@@ -139,7 +134,7 @@ class _EngineMetrics:
         for wait, n in waits.items():
             h.observe(wait, n)
 
-    def sent_phase(
+    def send_phase(
         self, sent: int, peak: int, last: int, dropped: int, duplicated: int
     ) -> None:
         """One send phase's link entries, losses and duplicates.
@@ -163,9 +158,9 @@ class _EngineMetrics:
             )
             c.value += duplicated
 
-    def send_backlog_seen(self, peak: int, last: int) -> None:
+    def outboxes(self, peak: int, last: int) -> None:
         """The outbox lengths of the enqueues since the last publish (see
-        :meth:`sent_phase` for the two writes)."""
+        :meth:`send_phase` for the two writes)."""
         g = self.send_backlog or self._bind("send_backlog", "gauge", "engine.send_backlog")
         g.set(peak)
         g.set(last)
@@ -643,9 +638,8 @@ class SynchronousNetwork:
             stats.max_send_backlog = backlog
         if self._pub is not None:
             self._send_backlog_last = backlog
-        trace = self.trace
-        if trace is not None:
-            trace.log.extend(("enqueue", self.now, src, dst, kind))
+        if self.trace is not None:
+            self.trace.log.extend(("enqueue", self.now, src, dst, kind))
         return msg
 
     def _publish_send_backlog(self, pub: _EngineMetrics) -> None:
@@ -657,7 +651,7 @@ class SynchronousNetwork:
         """
         last = self._send_backlog_last
         if last:
-            pub.send_backlog_seen(self.stats.max_send_backlog, last)
+            pub.outboxes(self.stats.max_send_backlog, last)
             self._send_backlog_last = 0
 
     def _schedule_wakeup(self, node_id: int, round_: int) -> None:
@@ -836,7 +830,7 @@ class SynchronousNetwork:
             self.stats.messages_delivered += delivered
             self.stats.total_link_wait += wait_total
             if pub is not None and delivered:
-                pub.received(delivered, wait_total, waits)
+                pub.receive_phase(delivered, wait_total, waits)
 
     def _send_phase(self) -> None:
         active = self._send_active
@@ -935,7 +929,7 @@ class SynchronousNetwork:
             stats.messages_dropped += dropped
             stats.messages_duplicated += duplicated
             if pub is not None:
-                pub.sent_phase(sent, max_backlog, lq, dropped, duplicated)
+                pub.send_phase(sent, max_backlog, lq, dropped, duplicated)
 
 
 def run_protocol(

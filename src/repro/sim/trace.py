@@ -107,8 +107,8 @@ class EventTrace:
     does, without the arity check or a Python call.  The engine writes
     its own events this way, binding ``trace.log.extend`` as a local once
     per phase, so a subclass that overrides :meth:`record` sees only the
-    injector's, monitors' and protocols' keyword records, not the
-    engine's.  The fields must be :data:`EVENT_FIELDS`'s, in its order.
+    keyword records (the injector's crash boundaries, a monitor's
+    violation), not the engine's.  The fields must be :data:`EVENT_FIELDS`'s, in its order.
     The list object is the trace's for life (the :attr:`events` setter
     refills it in place), but a bound ``log.extend`` must not be stored
     on an object a checkpoint copies: :func:`copy.deepcopy` treats bound

@@ -33,6 +33,7 @@ from repro import (
     run_flood_counting,
     star_graph,
 )
+from repro.core.verify import VerificationError
 from repro.faults import run_flood_counting_ft
 from repro.faults.injector import DELIVER, DROP, DUPLICATE, OUTAGE, FaultInjector
 from repro.faults.reliable import ReliableNode, RetryBudgetExceeded, unwrap
@@ -539,7 +540,9 @@ def _diff_outcome(wrapper, name, graph, plan, policy):
             outcome: tuple = ("ok", result.stats)
         except RetryBudgetExceeded as exc:
             outcome = ("budget", exc.node_id, exc.dst, exc.kind, exc.attempts, exc.round)
-        except SimulationError as exc:
+        except (SimulationError, VerificationError) as exc:
+            # A permanent crash can stop a run at quiescence with an
+            # incomplete output, which the runner's own check rejects.
             outcome = (type(exc).__name__, str(exc))
     return outcome, trace.to_json(), registry.to_dict()
 

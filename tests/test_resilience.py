@@ -462,7 +462,7 @@ class TestCheckpoint:
         plan = FaultPlan(seed=4, drop_rate=0.1, duplicate_rate=0.1,
                          crashes=(NodeCrash(2, 5, 12),))
         reg, trace = MetricsRegistry(), EventTrace()
-        cpr = PeriodicCheckpointer(every=7, keep=3)
+        cpr = PeriodicCheckpointer(every=25, keep=20)
         run_flood_counting_ft(
             mesh_graph([2, 4]), range(8), plan, trace=trace, metrics=reg,
             monitors=MonitorSet(invariants=(CountingInvariant(expected=8),),
