@@ -1,4 +1,4 @@
-"""Problem definitions, request-set scenarios, verification, comparison.
+"""Problem definitions, request-set scenarios, verification, growth fits.
 
 The paper's two problems (Section 2.2):
 
@@ -8,8 +8,8 @@ The paper's two problems (Section 2.2):
 
 This package defines the result types all algorithm runners return, the
 validators that every run is checked against, the adversarial request-set
-generators, and the counting-vs-queuing comparison harness that produces
-the paper's headline tables.
+generators, and the growth-exponent fit the experiments check the
+paper's separations with.
 """
 
 import importlib
@@ -25,7 +25,7 @@ from repro.core.verify import (
 #: public name -> the submodule that defines it, for the names resolved
 #: on first access (PEP 562): every runner imports ``repro.core.problem``,
 #: and loading this package must not load the scenario generators, the
-#: adversary search or the comparison harness along with it.
+#: adversary search or the growth-exponent fit (and numpy) along with it.
 _LAZY = {
     "RequestScenario": "repro.core.request",
     "all_nodes": "repro.core.request",
@@ -34,8 +34,6 @@ _LAZY = {
     "alternating": "repro.core.request",
     "single_node": "repro.core.request",
     "scenario_suite": "repro.core.request",
-    "ComparisonRow": "repro.core.comparison",
-    "compare_on_graph": "repro.core.comparison",
     "growth_exponent": "repro.core.comparison",
     "AdversarySearchResult": "repro.core.adversary",
     "adversarial_search": "repro.core.adversary",
@@ -55,8 +53,6 @@ __all__ = [
     "verify_counting",
     "verify_queuing",
     "verify_total_order_consistency",
-    "ComparisonRow",
-    "compare_on_graph",
     "growth_exponent",
     "AdversarySearchResult",
     "adversarial_search",

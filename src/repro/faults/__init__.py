@@ -8,7 +8,7 @@ The package splits into four layers:
   runtime state the engine consults (built via :meth:`FaultPlan.injector`);
 * :mod:`repro.faults.reliable` — :class:`ReliableNode`, the ack/retry
   adapter that makes any protocol node survive an eventually-delivering
-  plan;
+  plan, and :class:`ReliableRun`, the state its wrappers of one run share;
 * :mod:`repro.faults.runners` — ``run_*_ft`` entry points wiring wrapped
   protocols and plans through the existing runners and verifiers.
 
@@ -19,6 +19,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, LinkOutage, NodeCrash
 from repro.faults.reliable import (
     ReliableNode,
+    ReliableRun,
     RetryBudgetExceeded,
     RetryPolicy,
     unwrap,
@@ -35,6 +36,7 @@ __all__ = [
     "LinkOutage",
     "NodeCrash",
     "ReliableNode",
+    "ReliableRun",
     "RetryBudgetExceeded",
     "RetryPolicy",
     "unwrap",

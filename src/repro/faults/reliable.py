@@ -115,6 +115,50 @@ class RetryPolicy:
         return min(self.max_interval, max(interval + 1, int(interval * self.backoff)))
 
 
+class ReliableRun:
+    """What every :class:`ReliableNode` of one run shares.
+
+    Holds the retry policy, the run's fault plan (when known), its
+    metrics registry, and the ``reliable.*`` counters.  Each counter is
+    looked up in the registry on its first increment, by whichever
+    wrapper makes it, and bumped directly by every wrapper afterwards:
+    one lookup per counter per run, and no counter before its first
+    increment.  :func:`repro.sim.run_protocol` builds one per run.
+    """
+
+    __slots__ = (
+        "policy", "plan", "metrics", "windows", "app_sends", "acks_sent",
+        "duplicates_absorbed", "retransmits", "budget_pauses",
+    )
+
+    def __init__(
+        self,
+        policy: RetryPolicy | None = None,
+        metrics: Any | None = None,
+        plan: Any | None = None,
+    ) -> None:
+        self.policy = policy if policy is not None else RetryPolicy()
+        self.metrics = metrics
+        #: the run's FaultPlan, when known: scheduled outage/crash windows
+        #: pause the retry budget instead of burning it (crash-aware
+        #: retries — see docs/FAULTS.md).
+        self.plan = plan
+        #: whether the plan schedules outage or crash windows: only then
+        #: can a retransmit be blocked (see ReliableNode._retransmit_due).
+        self.windows = plan is not None and bool(plan.outages or plan.crashes)
+        self.app_sends: Any = None
+        self.acks_sent: Any = None
+        self.duplicates_absorbed: Any = None
+        self.retransmits: Any = None
+        self.budget_pauses: Any = None
+
+    def bind(self, slot: str) -> Any:
+        """Bind counter ``reliable.<slot>`` to ``slot`` and return it."""
+        c = self.metrics.counter("reliable." + slot)
+        setattr(self, slot, c)
+        return c
+
+
 class _Pending:
     """One unacked envelope awaiting retransmission."""
 
@@ -159,15 +203,16 @@ class _ReliableContext:
     def send(self, dst: int, kind: str, payload: Any = None) -> Message:
         """Send ``(kind, payload)`` reliably: envelope, track, arm timer."""
         owner = self._owner
+        shared = owner.shared
         ctx = self._ctx
         seq = owner.next_seq
         owner.next_seq = seq + 1
-        timeout = owner.policy.timeout
+        timeout = shared.policy.timeout
         due = ctx.now + timeout
         owner.pending[seq] = _Pending(dst, kind, payload, timeout, due)
         heappush(owner.timers, (due, seq))
-        if owner.metrics is not None:
-            c = owner._app_sends or owner._counter("_app_sends", "reliable.app_sends")
+        if shared.metrics is not None:
+            c = shared.app_sends or shared.bind("app_sends")
             c.value += 1
         msg = ctx.send(dst, "rel", (seq, kind, payload))
         owner._arm_timer(ctx)
@@ -189,7 +234,8 @@ class ReliableNode(Node):
 
     Args:
         inner: the wrapped protocol node (supplies the node id).
-        policy: retransmission parameters (default :class:`RetryPolicy`).
+        shared: the run's :class:`ReliableRun` (default: the default
+            :class:`RetryPolicy`, no registry, no plan).
 
     Message kinds on the wire:
         ``rel``: payload ``(seq, kind, payload)`` — one application
@@ -198,19 +244,18 @@ class ReliableNode(Node):
             copy received (acks are not themselves acked).
 
     Runners wrap every node in one when given ``reliable=`` (see
-    :func:`repro.sim.run_protocol`), passing the run's ``metrics`` and
-    fault plan along.  When a :class:`repro.obs.MetricsRegistry` is
-    attached (``metrics=``), the wrapper publishes the reliability
-    overhead that aggregate message counts hide:
+    :func:`repro.sim.run_protocol`), all sharing one :class:`ReliableRun`
+    with the run's ``metrics`` and fault plan.  When a
+    :class:`repro.obs.MetricsRegistry` is attached, the wrapper publishes
+    the reliability overhead that aggregate message counts hide:
     ``reliable.app_sends`` (application messages enveloped),
     ``reliable.retransmits``, ``reliable.acks_sent``, and
     ``reliable.duplicates_absorbed`` (copies suppressed by the
     seen-set), plus ``reliable.budget_pauses`` (retransmits deferred past
-    a scheduled outage or crash window).  The counters are looked up on
-    their first increment and bumped directly afterwards, so ``metrics``
-    must be a registry with ``counter(name)``; a counter is never created
-    before its first increment.  As everywhere, ``metrics=None`` costs
-    nothing.
+    a scheduled outage or crash window).  The counters live in the
+    shared :class:`ReliableRun`, so ``metrics`` must be a registry with
+    ``counter(name)``; a counter is never created before its first
+    increment.  As everywhere, ``metrics=None`` costs nothing.
 
     Retransmit timers live in :attr:`timers`, a heap of ``(due, seq)``
     with lazy deletion: an ack only drops the envelope from
@@ -225,30 +270,17 @@ class ReliableNode(Node):
     """
 
     __slots__ = (
-        "inner", "policy", "metrics", "plan", "next_seq", "pending", "timers",
-        "seen", "armed", "inner_wakes", "_rctx", "_windows", "_deferrable",
-        "_app_sends", "_acks_sent", "_duplicates_absorbed", "_retransmits",
-        "_budget_pauses",
+        "inner", "shared", "next_seq", "pending", "timers", "seen", "armed",
+        "inner_wakes", "_rctx", "_deferrable",
     )
 
-    def __init__(
-        self,
-        inner: Node,
-        policy: RetryPolicy | None = None,
-        metrics: Any | None = None,
-        plan: Any | None = None,
-    ) -> None:
+    def __init__(self, inner: Node, shared: ReliableRun | None = None) -> None:
         super().__init__(inner.node_id)
         self.inner = inner
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.metrics = metrics
-        #: the run's FaultPlan, when known: scheduled outage/crash windows
-        #: pause the retry budget instead of burning it (crash-aware
-        #: retries — see docs/FAULTS.md).
-        self.plan = plan
-        #: whether the plan schedules outage or crash windows: only then
-        #: can a retransmit be blocked (see _retransmit_due).
-        self._windows = plan is not None and bool(plan.outages or plan.crashes)
+        if shared is None:
+            shared = ReliableRun()
+        self.shared = shared
+        plan = shared.plan
         #: whether the engine may defer this node's wakeups: only when it
         #: can crash (assumed when the plan is unknown).
         self._deferrable = plan is None or any(
@@ -266,12 +298,6 @@ class ReliableNode(Node):
         #: rounds at which the wrapped node asked to be woken.
         self.inner_wakes: set[int] = set()
         self._rctx: _ReliableContext | None = None
-        # The reliable.* per-message counters, bound on first increment.
-        self._app_sends: Any = None
-        self._acks_sent: Any = None
-        self._duplicates_absorbed: Any = None
-        self._retransmits: Any = None
-        self._budget_pauses: Any = None
 
     # ----------------------------------------------------------- plumbing
 
@@ -279,12 +305,6 @@ class ReliableNode(Node):
         if self._rctx is None:
             self._rctx = _ReliableContext(ctx, self)
         return self._rctx
-
-    def _counter(self, slot: str, name: str) -> Any:
-        """Bind counter ``name`` of the registry to ``slot`` and return it."""
-        c = self.metrics.counter(name)
-        setattr(self, slot, c)
-        return c
 
     def _arm_timer(self, ctx: NodeContext) -> None:
         """Ensure a wakeup covers the earliest pending retransmission."""
@@ -312,18 +332,17 @@ class ReliableNode(Node):
             seq, kind, payload = msg.payload
             src = msg.src
             ctx.send(src, "ack", seq)
-            met = self.metrics
-            if met is not None:
-                c = self._acks_sent or self._counter("_acks_sent", "reliable.acks_sent")
+            shared = self.shared
+            metered = shared.metrics is not None
+            if metered:
+                c = shared.acks_sent or shared.bind("acks_sent")
                 c.value += 1
             seen = self.seen.get(src)
             if seen is None:
                 seen = self.seen[src] = set()
             if seq in seen:
-                if met is not None:
-                    c = self._duplicates_absorbed or self._counter(
-                        "_duplicates_absorbed", "reliable.duplicates_absorbed"
-                    )
+                if metered:
+                    c = shared.duplicates_absorbed or shared.bind("duplicates_absorbed")
                     c.value += 1
                 return  # duplicate (injected or retransmitted): ack only
             seen.add(seq)
@@ -386,9 +405,10 @@ class ReliableNode(Node):
             if seq in pending:
                 due.append(seq)
         due.sort()
-        policy = self.policy
-        plan = self.plan
-        windows = self._windows
+        shared = self.shared
+        policy = shared.policy
+        plan = shared.plan
+        windows = shared.windows
         for seq in due:
             p = pending[seq]
             if windows:
@@ -400,10 +420,8 @@ class ReliableNode(Node):
                     # without charging the retry budget.
                     p.due = clear
                     heappush(timers, (clear, seq))
-                    if self.metrics is not None:
-                        c = self._budget_pauses or self._counter(
-                            "_budget_pauses", "reliable.budget_pauses"
-                        )
+                    if shared.metrics is not None:
+                        c = shared.budget_pauses or shared.bind("budget_pauses")
                         c.value += 1
                     continue
             if p.attempts > policy.max_retries:
@@ -415,8 +433,8 @@ class ReliableNode(Node):
             p.interval = policy.next_interval(p.interval)
             p.due = t + p.interval
             heappush(timers, (p.due, seq))
-            if self.metrics is not None:
-                c = self._retransmits or self._counter("_retransmits", "reliable.retransmits")
+            if shared.metrics is not None:
+                c = shared.retransmits or shared.bind("retransmits")
                 c.value += 1
             ctx.send(p.dst, "rel", (seq, p.kind, p.payload))
 
@@ -428,6 +446,7 @@ def unwrap(node: Node) -> Node:
 
 __all__ = [
     "ReliableNode",
+    "ReliableRun",
     "RetryPolicy",
     "RetryBudgetExceeded",
     "unwrap",

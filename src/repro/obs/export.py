@@ -129,7 +129,7 @@ def chrome_trace(trace: "EventTrace", *, label: str = "repro") -> dict[str, Any]
                     sent * ROUND_US,
                     max(1, (e.round - sent)) * ROUND_US,
                     d["dst"],
-                    {"src": d["src"], "kind": d["kind"], "wait": d.get("wait", 0)},
+                    {"src": d["src"], "kind": d["kind"], "wait": d["wait"]},
                 )
             )
         elif e.kind == "complete":
@@ -150,7 +150,7 @@ def chrome_trace(trace: "EventTrace", *, label: str = "repro") -> dict[str, Any]
                     e.round * ROUND_US,
                     d["src"],
                     {"dst": d["dst"], "kind": d["kind"],
-                     "reason": d.get("reason", "drop")},
+                     "reason": d["reason"]},
                 )
             )
             # A dropped message consumed its outbox slot; discard the
@@ -177,11 +177,10 @@ def chrome_trace(trace: "EventTrace", *, label: str = "repro") -> dict[str, Any]
             # render on track 0 so the red marker is hard to miss.
             events.append(
                 _instant(
-                    f"violation {d.get('invariant', '?')}",
+                    f"violation {d['invariant']}",
                     e.round * ROUND_US,
                     0,
-                    {"invariant": d.get("invariant", "?"),
-                     "detail": d.get("detail", "")},
+                    {"invariant": d["invariant"], "detail": d["detail"]},
                 )
             )
 

@@ -19,11 +19,13 @@ The registry is deliberately engine-agnostic: :mod:`repro.sim` never
 imports this module, it only uses the small duck-typed surface of the
 get-or-create accessors (:meth:`MetricsRegistry.counter`,
 :meth:`~MetricsRegistry.gauge`, :meth:`~MetricsRegistry.histogram`) and
-the :attr:`~MetricsRegistry.series` mapping.  The engine looks each
-object up on its first publish and updates it directly afterwards, as
-the fault injector, the reliable-delivery wrapper and the monitor set
-do; :meth:`Histogram.observe` takes an optional count, so the engine
-publishes each phase's link waits as one call per distinct value.
+the :attr:`~MetricsRegistry.series` mapping.  The engine publishes its
+``engine.*`` metrics once, when a run returns or raises, from its own
+tallies; the fault injector, the reliable-delivery wrapper and the
+monitor set look each object up on its first update and update it
+directly afterwards.  :meth:`Histogram.observe` takes an optional
+count, so the engine publishes its link waits as one call per distinct
+value.
 """
 
 from __future__ import annotations
@@ -218,7 +220,7 @@ class MetricsRegistry:
         """Record ``value`` ``n`` times into histogram ``name`` (default buckets).
 
         The count lets a publisher that tallies locally (the engine, once
-        per phase) emit one call per distinct value.
+        per run) emit one call per distinct value.
         """
         self.histogram(name).observe(value, n)
 
@@ -260,9 +262,9 @@ class MetricsRegistry:
     def run_stats_view(self):
         """The engine-published metrics as a ``RunStats`` (thin view).
 
-        Demonstrates that the instrumented call sites fully cover the
-        legacy aggregate: for any instrumented run this equals the
-        engine's own ``net.stats``.
+        Demonstrates that the published metrics fully cover the
+        aggregate: once a run with this registry attached has returned
+        or raised, this equals the engine's own ``net.stats``.
         """
         from repro.sim.network import RunStats
 

@@ -46,7 +46,7 @@ from repro.sim.network import (
     RunStats,
     run_protocol,
 )
-from repro.sim.metrics import DelayRecorder, OperationRecord, summarize_delays
+from repro.sim.metrics import DelayRecorder, OperationRecord
 from repro.sim.timeline import message_flow_summary, render_timeline
 from repro.sim.trace import EventTrace, TraceEvent
 
@@ -69,7 +69,6 @@ __all__ = [
     "run_protocol",
     "DelayRecorder",
     "OperationRecord",
-    "summarize_delays",
     "EventTrace",
     "TraceEvent",
     "render_timeline",

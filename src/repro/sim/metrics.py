@@ -3,14 +3,14 @@
 The metric of the paper (Section 2.2) is the *total delay*: the sum over
 all requesters of the round in which their operation completed, maximized
 over request sets.  :class:`DelayRecorder` collects per-operation
-completion rounds during a run; :func:`summarize_delays` reduces them to
-the totals the experiments report.
+completion rounds during a run and reduces them to the totals the
+experiments report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Mapping
+from typing import Any, Hashable
 
 from repro.sim.errors import ProtocolViolation
 
@@ -78,39 +78,3 @@ class DelayRecorder:
     def records(self) -> list[OperationRecord]:
         """All completion records, sorted by (round, op id repr)."""
         return sorted(self._records.values(), key=lambda r: (r.round, repr(r.op_id)))
-
-
-@dataclass(slots=True, frozen=True)
-class DelaySummary:
-    """Reduced view of a set of operation delays."""
-
-    count: int
-    total: int
-    maximum: int
-    mean: float
-
-    def to_dict(self) -> dict[str, float | int]:
-        """JSON-safe form (what metrics exports and reports embed)."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "max": self.maximum,
-            "mean": self.mean,
-        }
-
-
-def summarize_delays(delays: Mapping[Hashable, int] | Iterable[int]) -> DelaySummary:
-    """Reduce per-operation delays to (count, total, max, mean).
-
-    Accepts either the mapping from :meth:`DelayRecorder.delay_by_op` or a
-    bare iterable of rounds.
-    """
-    values = list(delays.values()) if isinstance(delays, Mapping) else list(delays)
-    n = len(values)
-    total = sum(values)
-    return DelaySummary(
-        count=n,
-        total=total,
-        maximum=max(values, default=0),
-        mean=(total / n) if n else 0.0,
-    )

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.sim.delays import ConstantDelay, DelayModel
@@ -89,102 +89,13 @@ class RunStats:
     node_crashes: int = 0
 
 
-class _EngineMetrics:
-    """The engine's instruments in an attached metrics registry.
-
-    Each counter, gauge, histogram and series is looked up in the
-    registry on its first publish and updated directly afterwards, as
-    :class:`repro.faults.ReliableNode` does for ``reliable.*``: a metric
-    never exists before it has a value, and a phase publishes with one
-    call here instead of one registry call per metric.  Holding registry
-    objects (not bound methods) keeps a checkpoint's deep copy publishing
-    into the copied registry.
-    """
-
-    __slots__ = (
-        "registry", "sent", "delivered", "link_wait_total", "dropped",
-        "duplicated", "completions", "send_backlog", "recv_backlog",
-        "in_flight", "in_flight_series", "rounds", "op_delay", "link_wait",
-    )
-
-    def __init__(self, registry: Any) -> None:
-        self.registry = registry
-        self.sent = self.delivered = self.link_wait_total = None
-        self.dropped = self.duplicated = self.completions = None
-        self.send_backlog = self.recv_backlog = self.in_flight = None
-        self.in_flight_series = self.rounds = None
-        self.op_delay = self.link_wait = None
-
-    def _bind(self, slot: str, kind: str, name: str) -> Any:
-        """Look up ``name`` (made by ``registry.<kind>(name)``), bind it to ``slot``."""
-        reg = self.registry
-        obj = reg.series.setdefault(name, []) if kind == "series" else getattr(reg, kind)(name)
-        setattr(self, slot, obj)
-        return obj
-
-    def receive_phase(self, delivered: int, wait_total: int, waits: dict[int, int]) -> None:
-        """One receive phase's deliveries and their link waits."""
-        c = self.delivered or self._bind("delivered", "counter", "engine.messages_delivered")
-        c.value += delivered
-        c = self.link_wait_total or self._bind(
-            "link_wait_total", "counter", "engine.link_wait_total"
-        )
-        c.value += wait_total
-        h = self.link_wait or self._bind("link_wait", "histogram", "msg.link_wait")
-        for wait, n in waits.items():
-            h.observe(wait, n)
-
-    def send_phase(
-        self, sent: int, peak: int, last: int, dropped: int, duplicated: int
-    ) -> None:
-        """One send phase's link entries, losses and duplicates.
-
-        ``peak`` is the run's largest link queue so far and ``last`` the
-        last link length: writing both leaves the gauge's high and value
-        where one write per link entry would have.
-        """
-        if sent:
-            c = self.sent or self._bind("sent", "counter", "engine.messages_sent")
-            c.value += sent
-            g = self.recv_backlog or self._bind("recv_backlog", "gauge", "engine.recv_backlog")
-            g.set(peak)
-            g.set(last)
-        if dropped:
-            c = self.dropped or self._bind("dropped", "counter", "engine.messages_dropped")
-            c.value += dropped
-        if duplicated:
-            c = self.duplicated or self._bind(
-                "duplicated", "counter", "engine.messages_duplicated"
-            )
-            c.value += duplicated
-
-    def outboxes(self, peak: int, last: int) -> None:
-        """The outbox lengths of the enqueues since the last publish (see
-        :meth:`send_phase` for the two writes)."""
-        g = self.send_backlog or self._bind("send_backlog", "gauge", "engine.send_backlog")
-        g.set(peak)
-        g.set(last)
-
-    def round_end(self, t: int, in_flight: int) -> None:
-        """The messages in flight at the end of round ``t``."""
-        g = self.in_flight or self._bind("in_flight", "gauge", "engine.in_flight")
-        g.set(in_flight)
-        s = self.in_flight_series
-        if s is None:
-            s = self._bind("in_flight_series", "series", "engine.in_flight")
-        s.append((t, in_flight))
-
-    def completed(self, t: int) -> None:
-        """One operation completed in round ``t``."""
-        c = self.completions or self._bind("completions", "counter", "engine.completions")
-        c.value += 1
-        h = self.op_delay or self._bind("op_delay", "histogram", "op.delay")
-        h.observe(t)
-
-    def finished(self, t: int) -> None:
-        """The run quiesced at round ``t``."""
-        g = self.rounds or self._bind("rounds", "gauge", "engine.rounds")
-        g.set(t)
+#: ``RunStats`` field -> the ``engine.*`` counter that publishes it.
+_ENGINE_COUNTERS = (
+    ("messages_sent", "engine.messages_sent"),
+    ("messages_delivered", "engine.messages_delivered"),
+    ("messages_dropped", "engine.messages_dropped"),
+    ("messages_duplicated", "engine.messages_duplicated"),
+)
 
 
 def _as_adjacency(graph: Any) -> Mapping[int, tuple[int, ...]]:
@@ -235,21 +146,26 @@ class SynchronousNetwork:
             return get-or-create objects with an integer ``value``, a
             ``set(value)`` and an ``observe(value, n)``, and ``series``
             maps a name to a list of ``(round, value)`` pairs).
-            When attached, the engine publishes message counters, per-op
-            completion-delay and link-wait histograms, and per-round
-            in-flight/backlog gauges.  It looks each object up on its
-            first publish and updates it directly afterwards, so a
-            registry subclass that overrides ``inc``/``set_gauge``/
+            When attached, the engine publishes its ``engine.*`` message
+            counters and backlog gauges from ``stats``, the
+            ``engine.completions`` counter and ``op.delay`` histogram
+            from ``delays``, the ``msg.link_wait`` histogram from a
+            wait -> count tally, and the ``engine.in_flight`` gauge and
+            series from a per-round log; it keeps the tally and the log
+            only while a registry is attached.  It publishes once, when
+            :meth:`run` or :meth:`resume` returns or raises, adding only
+            what changed since the last publish, so a registry holds no
+            ``engine.*`` metric until then, and a resumed run or a second
+            run into the same registry counts nothing twice.  A metric is
+            created with its first value; ``engine.rounds`` is set only
+            when the run quiesces.  The engine calls ``counter``/
+            ``gauge``/``histogram`` and updates the objects directly, so
+            a registry subclass that overrides ``inc``/``set_gauge``/
             ``observe``/``sample`` does not see the engine's updates.
-            The engine publishes message
-            counters (drops and duplicates included), link waits and
-            backlogs from local tallies once per phase or round, even
-            when a handler raises; completions and crash boundaries are
-            published per event.  When ``None`` (the default)
-            every instrumented call site reduces to one ``is not None`` check,
-            so the run is unobserved at zero cost.  ``RunStats`` stays
-            the always-on thin aggregate view; an attached registry
-            reproduces it exactly (``metrics.run_stats_view()``).
+            When ``None`` (the default) every instrumented call site
+            reduces to one ``is not None`` check.  ``RunStats`` stays the
+            always-on aggregate; after a run the registry reproduces it
+            exactly (``metrics.run_stats_view()``).
         profiler: optional :class:`repro.obs.PhaseProfiler` (duck-typed:
             ``clock``/``add``/``tick_round``).  Times the engine phases
             (send drain, delivery, wakeups, fault ticks, and the nested
@@ -329,7 +245,22 @@ class SynchronousNetwork:
         # Observability hooks (see repro.obs).  Both are duck-typed so the
         # engine never imports the obs package; None disables publishing.
         self.metrics = metrics
-        self._pub = _EngineMetrics(metrics) if metrics is not None else None
+        #: What the registry already holds (see _publish_metrics): the
+        #: stats and the completions published so far.
+        self._published = RunStats()
+        self._published_ops = 0
+        #: link wait -> deliveries, and (round, in flight) per executed
+        #: round, since the last publish; kept only with a registry.
+        self._link_waits: dict[int, int] | None = {} if metrics is not None else None
+        self._in_flight_log: list[tuple[int, int]] | None = (
+            [] if metrics is not None else None
+        )
+        #: The outbox length at the last enqueue and the link length at
+        #: the last link entry since the last publish (0: none).
+        self._last_outbox = 0
+        self._last_link = 0
+        #: Whether the run quiesced (``engine.rounds`` is published then).
+        self._quiesced = False
         self.profiler = profiler
         # Resilience hook (see repro.resilience).  Duck-typed like the
         # obs hooks; None disables all end-of-round checking.
@@ -346,10 +277,6 @@ class SynchronousNetwork:
             if self._injector is not None and self._injector.has_crashes()
             else None
         )
-        #: Last outbox length since ``engine.send_backlog`` was published
-        #: (0: nothing to publish).  With metrics attached the engine
-        #: publishes the gauge once per round, not per enqueue.
-        self._send_backlog_last = 0
         # Strict-mode send accounting: node -> (round, sends so far).
         self._send_budget: dict[int, tuple[int, int]] = {}
 
@@ -376,9 +303,10 @@ class SynchronousNetwork:
         #: round that currently has (or once had) scheduled wakeups; rounds
         #: no longer in ``_wakeups`` are discarded lazily on peek.
         self._wake_heap: list[int] = []
-        #: Rounds the run loop actually iterated (idle stretches that the
-        #: clock jumped over are not counted).  ``stats.rounds`` stays the
-        #: model-level clock; this is the engine-level work measure.
+        #: Rounds the run loop completed (idle stretches that the clock
+        #: jumped over are not counted, nor a round cut short by a
+        #: raise).  ``stats.rounds`` stays the model-level clock; this is
+        #: the engine-level work measure.
         self.rounds_executed = 0
 
     # ---------------------------------------------------------------- API
@@ -433,7 +361,6 @@ class SynchronousNetwork:
 
         self.now = 0
         inj = self._injector
-        pub = self._pub
         prof = self.profiler
         mon = self.monitors
         t_run = prof.clock() if prof is not None else 0.0
@@ -442,16 +369,13 @@ class SynchronousNetwork:
                 inj.tick(0, self.stats, self.trace, self.metrics)
             self._timed("node.on_start", self._start_nodes)
             self._timed("send", self._send_phase)
-            if pub is not None:
-                self._publish_send_backlog(pub)
             if mon is not None:
                 self._timed("monitors", mon.on_round, self)
 
             return self._loop(max_rounds, t_run)
         finally:
-            if pub is not None:
-                # A handler raised mid-round: publish what it enqueued.
-                self._publish_send_backlog(pub)
+            if self.metrics is not None:
+                self._publish_metrics()
 
     def resume(self, max_rounds: int = 1_000_000) -> RunStats:
         """Continue a started network to quiescence.
@@ -460,7 +384,10 @@ class SynchronousNetwork:
         :class:`repro.resilience.Checkpoint` re-enters the round loop
         here and finishes byte-identically to the original — same trace
         events, same stats, same completion order.  ``max_rounds`` is the
-        same *absolute* round budget :meth:`run` takes.
+        same *absolute* round budget :meth:`run` takes.  A network that
+        raised :class:`RoundLimitExceeded` stands at the end of its last
+        complete round, so resuming it with a larger budget also finishes
+        exactly as one uninterrupted run would.
 
         Raises:
             ProtocolViolation: if the network was never started (call
@@ -475,8 +402,8 @@ class SynchronousNetwork:
         try:
             return self._loop(max_rounds, t_run)
         finally:
-            if self._pub is not None:
-                self._publish_send_backlog(self._pub)
+            if self.metrics is not None:
+                self._publish_metrics()
 
     def _start_nodes(self) -> None:
         for node, ctx in zip(self._nodes, self._ctx):
@@ -506,60 +433,59 @@ class SynchronousNetwork:
         maybe_jump = None if self._unit_delay else self._maybe_jump
         inj = self._injector
         met = self.metrics
-        pub = self._pub
+        in_flight_log = self._in_flight_log
         prof = self.profiler
         mon = self.monitors
 
         executed = self.rounds_executed
-        while self._in_flight > 0 or self._wakeups:
-            self.now += 1
-            executed += 1
-            if self.now > max_rounds:
-                self.rounds_executed = executed
-                raise RoundLimitExceeded(
-                    max_rounds,
-                    self._in_flight,
-                    pending_nodes=self._pending_nodes(),
-                    oldest=self._oldest_undelivered(),
-                )
-            # Per round, so the unprofiled phases pay one branch, not four.
-            if prof is None:
-                if inj is not None:
-                    inj.tick(self.now, self.stats, self.trace, met)
-                self._wake_phase(max_rounds)
-                receive_phase()
-                send_phase()
-            else:
-                prof.tick_round()
-                t0 = prof.clock()
-                if inj is not None:
-                    inj.tick(self.now, self.stats, self.trace, met)
+        try:
+            while self._in_flight > 0 or self._wakeups:
+                # Idle rounds are skipped at the top of every round after
+                # round 0, so a network resumed after a raise or from a
+                # checkpoint skips exactly what an uninterrupted run does.
+                if maybe_jump is not None and self.now:
+                    maybe_jump(max_rounds)
+                # Checked before the clock advances: a network that raises
+                # stands at the end of its last complete round.
+                if self.now >= max_rounds:
+                    raise self._round_limit(max_rounds)
+                self.now += 1
+                # Per round, so the unprofiled phases pay one branch, not four.
+                if prof is None:
+                    if inj is not None:
+                        inj.tick(self.now, self.stats, self.trace, met)
+                    self._wake_phase(max_rounds)
+                    receive_phase()
+                    send_phase()
+                else:
+                    prof.tick_round()
+                    t0 = prof.clock()
+                    if inj is not None:
+                        inj.tick(self.now, self.stats, self.trace, met)
+                        t1 = prof.clock()
+                        prof.add("faults.tick", t1 - t0)
+                        t0 = t1
+                    self._wake_phase(max_rounds)
                     t1 = prof.clock()
-                    prof.add("faults.tick", t1 - t0)
-                    t0 = t1
-                self._wake_phase(max_rounds)
-                t1 = prof.clock()
-                prof.add("wake", t1 - t0)
-                receive_phase()
-                t0 = prof.clock()
-                prof.add("receive", t0 - t1)
-                send_phase()
-                prof.add("send", prof.clock() - t0)
-            if pub is not None:
-                self._publish_send_backlog(pub)
-                pub.round_end(self.now, self._in_flight)
-            if mon is not None:
-                # Sync the executed-round counter so monitors (and any
-                # checkpoint they capture) see a consistent engine.
-                self.rounds_executed = executed
-                self._timed("monitors", mon.on_round, self)
-            if maybe_jump is not None:
-                maybe_jump(max_rounds)
+                    prof.add("wake", t1 - t0)
+                    receive_phase()
+                    t0 = prof.clock()
+                    prof.add("receive", t0 - t1)
+                    send_phase()
+                    prof.add("send", prof.clock() - t0)
+                executed += 1
+                if in_flight_log is not None:
+                    in_flight_log.append((self.now, self._in_flight))
+                if mon is not None:
+                    # Sync the executed-round counter so monitors (and any
+                    # checkpoint they capture) see a consistent engine.
+                    self.rounds_executed = executed
+                    self._timed("monitors", mon.on_round, self)
+        finally:
+            self.rounds_executed = executed
 
-        self.rounds_executed = executed
         self.stats.rounds = self.now
-        if pub is not None:
-            pub.finished(self.now)
+        self._quiesced = True
         if mon is not None:
             mon.on_finish(self)
         if prof is not None:
@@ -570,6 +496,69 @@ class SynchronousNetwork:
         for ctx in self._ctx:
             ctx._network = ctx._enqueue = ctx._wakeup = None
         return self.stats
+
+    def _publish_metrics(self) -> None:
+        """Add what the run tallied since the last call to ``self.metrics``.
+
+        The engine's only write into the registry (see the ``metrics``
+        argument).  Counters and histograms gain the difference since
+        the last publish; each gauge is written as its peak and then its
+        last value, which leaves its ``value`` and ``high`` where a write
+        per change would have.
+        """
+        reg = self.metrics
+        stats = self.stats
+        done = self._published
+        for field, name in _ENGINE_COUNTERS:
+            n = getattr(stats, field) - getattr(done, field)
+            if n:
+                reg.counter(name).value += n
+        if stats.messages_delivered > done.messages_delivered:
+            # Created with the first delivery, even while every wait is 0.
+            reg.counter("engine.link_wait_total").value += (
+                stats.total_link_wait - done.total_link_wait
+            )
+        self._published = replace(stats)
+        waits = self._link_waits
+        if waits:
+            h = reg.histogram("msg.link_wait")
+            for wait, n in waits.items():
+                h.observe(wait, n)
+            waits.clear()
+        rounds = list(self.delays.delay_by_op().values())[self._published_ops:]
+        if rounds:
+            self._published_ops += len(rounds)
+            reg.counter("engine.completions").value += len(rounds)
+            h = reg.histogram("op.delay")
+            for r in rounds:
+                h.observe(r)
+        for name, peak, last in (
+            ("engine.send_backlog", stats.max_send_backlog, self._last_outbox),
+            ("engine.recv_backlog", stats.max_recv_backlog, self._last_link),
+        ):
+            if last:
+                g = reg.gauge(name)
+                g.set(peak)
+                g.set(last)
+        self._last_outbox = self._last_link = 0
+        log = self._in_flight_log
+        if log:
+            g = reg.gauge("engine.in_flight")
+            g.set(max(v for _, v in log))
+            g.set(log[-1][1])
+            reg.series.setdefault("engine.in_flight", []).extend(log)
+            log.clear()
+        if self._quiesced:
+            reg.gauge("engine.rounds").set(stats.rounds)
+
+    def _round_limit(self, max_rounds: int) -> RoundLimitExceeded:
+        """The error for a run that has not quiesced within ``max_rounds``."""
+        return RoundLimitExceeded(
+            max_rounds,
+            self._in_flight,
+            pending_nodes=self._pending_nodes(),
+            oldest=self._oldest_undelivered(),
+        )
 
     def _pending_nodes(self) -> tuple[int, ...]:
         """Nodes with unsent outbound or undelivered inbound messages."""
@@ -636,23 +625,10 @@ class SynchronousNetwork:
         stats = self.stats
         if backlog > stats.max_send_backlog:
             stats.max_send_backlog = backlog
-        if self._pub is not None:
-            self._send_backlog_last = backlog
+        self._last_outbox = backlog
         if self.trace is not None:
             self.trace.log.extend(("enqueue", self.now, src, dst, kind))
         return msg
-
-    def _publish_send_backlog(self, pub: _EngineMetrics) -> None:
-        """Publish ``engine.send_backlog`` for the enqueues since the last call.
-
-        Two gauge writes, the run's peak and then the last outbox length,
-        leave the gauge's ``high`` and ``value`` exactly where one write
-        per enqueue would have.
-        """
-        last = self._send_backlog_last
-        if last:
-            pub.outboxes(self.stats.max_send_backlog, last)
-            self._send_backlog_last = 0
 
     def _schedule_wakeup(self, node_id: int, round_: int) -> None:
         if round_ <= self.now:
@@ -686,11 +662,11 @@ class SynchronousNetwork:
         due = self._wakeups.pop(self.now, None)
         if not due:
             # If nothing is in flight, jump the clock to the next wakeup so
-            # idle stretches of a long-lived schedule cost no work.  The
-            # jump stops at the budget; the loop then raises a round later.
+            # idle stretches of a long-lived schedule cost no work.
             if self._in_flight == 0 and self._wakeups:
                 nxt = self._next_wakeup()
                 if nxt is not None and nxt > self.now:
+                    # The jump stops at the budget.
                     self.now = min(nxt, max_rounds)
                     due = self._wakeups.pop(self.now, None)
                     # The loop ticked the faults for the round it left;
@@ -698,6 +674,10 @@ class SynchronousNetwork:
                     # crash/recover boundaries jumped over are emitted.
                     if self._injector is not None:
                         self._injector.tick(self.now, self.stats, self.trace, self.metrics)
+                    if nxt > max_rounds:
+                        # Nothing happens up to the budget: stop there,
+                        # with no round undone, so resume() jumps on.
+                        raise self._round_limit(max_rounds)
             if not due:
                 return
         crashed = self._crashed
@@ -743,8 +723,6 @@ class SynchronousNetwork:
 
     def _record_completion(self, op_id: Any, result: Any, node_id: int) -> None:
         self.delays.record(op_id, self.now, result=result, at_node=node_id)
-        if self._pub is not None:
-            self._pub.completed(self.now)
         if self.trace is not None:
             self.trace.log.extend(("complete", self.now, node_id, op_id))
         if self.monitors is not None:
@@ -752,9 +730,9 @@ class SynchronousNetwork:
 
     # ------------------------------------------------------------ phases
     #
-    # Stats and engine metrics are tallied locally and folded once per
-    # phase, even when a handler raises.  Trace records go through the
-    # trace's producer entry point, bound as a local per phase.
+    # Stats are tallied locally and folded once per phase, even when a
+    # handler raises.  Trace records go through the trace's producer entry
+    # point, bound as a local per phase.
 
     def _receive_phase(self) -> None:
         active = self._recv_active
@@ -762,7 +740,7 @@ class SynchronousNetwork:
             return
         t = self.now
         crashed = self._crashed
-        pub = self._pub
+        waits = self._link_waits
         prof = self.profiler
         emit = self.trace.log.extend if self.trace is not None else None
         strict = self.strict
@@ -777,8 +755,6 @@ class SynchronousNetwork:
         active.clear()
         delivered = 0
         wait_total = 0
-        # link wait -> deliveries this phase (only with metrics attached).
-        waits: dict[int, int] = {}
         try:
             for v in order:
                 heap = rheaps[v]
@@ -809,7 +785,7 @@ class SynchronousNetwork:
                     delivered += 1
                     wait = t - msg.ready_at
                     wait_total += wait
-                    if pub is not None:
+                    if waits is not None:
                         waits[wait] = waits.get(wait, 0) + 1
                     if emit is not None:
                         emit(("deliver", t, src, v, msg.kind, wait))
@@ -825,12 +801,10 @@ class SynchronousNetwork:
                         raise StrictModeViolation(v, t, "receive", cap)
                     active.append(v)
         finally:
-            # Folded even when a handler raised, so stats and metrics
-            # count every delivery made, the raising one included.
+            # Folded even when a handler raised, so the stats count every
+            # delivery made, the raising one included.
             self.stats.messages_delivered += delivered
             self.stats.total_link_wait += wait_total
-            if pub is not None and delivered:
-                pub.receive_phase(delivered, wait_total, waits)
 
     def _send_phase(self) -> None:
         active = self._send_active
@@ -839,7 +813,6 @@ class SynchronousNetwork:
         t = self.now
         verdict_of = self._injector.on_link_entry if self._injector is not None else None
         crashed = self._crashed
-        pub = self._pub
         emit = self.trace.log.extend if self.trace is not None else None
         cap = self.send_capacity
         unit = self._unit_delay
@@ -928,8 +901,8 @@ class SynchronousNetwork:
             stats.messages_sent += sent
             stats.messages_dropped += dropped
             stats.messages_duplicated += duplicated
-            if pub is not None:
-                pub.send_phase(sent, max_backlog, lq, dropped, duplicated)
+            if sent:
+                self._last_link = lq
 
 
 def run_protocol(
@@ -949,9 +922,10 @@ def run_protocol(
       :meth:`SynchronousNetwork.run`);
     * ``reliable``: an optional :class:`repro.faults.RetryPolicy`.  When
       set, every node is wrapped in a :class:`repro.faults.ReliableNode`
-      (acks, timeouts, bounded retries) that shares the run's ``metrics``
-      and ``faults`` plan; runners still read results off their own,
-      unwrapped nodes;
+      (acks, timeouts, bounded retries); all wrappers share one
+      :class:`repro.faults.ReliableRun` holding the policy, the run's
+      ``metrics`` and ``faults`` plan, and the ``reliable.*`` counters.
+      Runners still read results off their own, unwrapped nodes;
     * everything else goes to the :class:`SynchronousNetwork` constructor
       as is: ``send_capacity``, ``recv_capacity``, ``delay_model``,
       ``trace``, ``metrics``, ``profiler``, ``strict``, ``faults`` and
@@ -972,14 +946,10 @@ def run_protocol(
                 "strict mode is incompatible with reliable delivery: acks "
                 "and retransmits legitimately exceed the per-round budgets"
             )
-        from repro.faults.reliable import ReliableNode
+        from repro.faults.reliable import ReliableNode, ReliableRun
 
-        metrics = engine.get("metrics")
-        plan = engine.get("faults")
-        nodes = {
-            v: ReliableNode(node, reliable, metrics=metrics, plan=plan)
-            for v, node in nodes.items()
-        }
+        shared = ReliableRun(reliable, engine.get("metrics"), engine.get("faults"))
+        nodes = {v: ReliableNode(node, shared) for v, node in nodes.items()}
     net = SynchronousNetwork(graph, nodes, **engine)
     net.run(max_rounds=max_rounds)
     return net

@@ -32,7 +32,7 @@ def render_timeline(trace: EventTrace, max_rounds: int | None = None) -> str:
     by_round: dict[int, list[str]] = defaultdict(list)
     for e in trace.events:
         if e.kind == "deliver":
-            wait = e.data.get("wait", 0)
+            wait = e.data["wait"]
             suffix = f"+{wait}" if wait else ""
             by_round[e.round].append(
                 f"{e.data['src']}->{e.data['dst']} {e.data['kind']}{suffix}"
@@ -40,7 +40,7 @@ def render_timeline(trace: EventTrace, max_rounds: int | None = None) -> str:
         elif e.kind == "complete":
             by_round[e.round].append(f"{e.data['node']}!{e.data['op']}")
         elif e.kind == "drop":
-            suffix = " (outage)" if e.data.get("reason") == "outage" else ""
+            suffix = " (outage)" if e.data["reason"] == "outage" else ""
             by_round[e.round].append(
                 f"{e.data['src']}-x>{e.data['dst']} {e.data['kind']}{suffix}"
             )

@@ -22,7 +22,8 @@ class TraceEvent:
             entered a link), ``"deliver"`` (message processed by receiver),
             or ``"complete"`` (operation finished).  With a fault plan
             attached the injector adds ``"drop"``, ``"duplicate"``,
-            ``"crash"`` and ``"recover"`` events.
+            ``"crash"`` and ``"recover"`` events, and a resilience
+            monitor that trips records a ``"violation"``.
         round: round in which the event happened.
         data: event-specific fields (src, dst, kind of message, ...).
     """
@@ -32,11 +33,11 @@ class TraceEvent:
     data: dict[str, Any]
 
 
-#: Field names of the events the engine records positionally, in the
-#: order the engine passes them (the order of the keyword records they
-#: replaced).  Reading the trace names a positional record's fields with
-#: this table, so ``record("send", t, src, dst, kind)`` reads exactly like
-#: ``record("send", t, src=src, dst=dst, kind=kind)``.
+#: Field names of every trace event, in log order.  The engine writes
+#: its records positionally in this order; :meth:`EventTrace.record`
+#: maps keyword fields onto it, so ``record("send", t, src=src, dst=dst,
+#: kind=kind)`` and ``record("send", t, src, dst, kind)`` log the same
+#: record, and reading the trace names each record's fields from here.
 EVENT_FIELDS: dict[str, tuple[str, ...]] = {
     "enqueue": ("src", "dst", "kind"),
     "send": ("src", "dst", "kind"),
@@ -44,16 +45,43 @@ EVENT_FIELDS: dict[str, tuple[str, ...]] = {
     "deliver": ("src", "dst", "kind", "wait"),
     "drop": ("src", "dst", "kind", "reason"),
     "complete": ("node", "op"),
+    "crash": ("node",),
+    "recover": ("node",),
+    "violation": ("invariant", "detail"),
 }
 
-_ARITY = {event: len(names) for event, names in EVENT_FIELDS.items()}
 
+def _names(event: str) -> tuple[str, ...]:
+    """The field names of ``event``.
 
-class _Keywords:
-    """Log marker: the next log item is a keyword record's ``data`` dict.
-
-    The class itself is the marker, so copies and pickles keep it.
+    Raises:
+        ValueError: naming ``event`` when it is not in :data:`EVENT_FIELDS`.
     """
+    names = EVENT_FIELDS.get(event)
+    if names is None:
+        raise ValueError(
+            f"unknown trace event {event!r}; EVENT_FIELDS names "
+            f"{sorted(EVENT_FIELDS)}"
+        )
+    return names
+
+
+def _ordered(event: str, data: dict[str, Any]) -> list[Any]:
+    """``data``'s values in the order :data:`EVENT_FIELDS` gives ``event``.
+
+    Raises:
+        ValueError: naming the event, or the fields ``data`` has that the
+            event does not take or lacks that it does.
+    """
+    names = _names(event)
+    unknown = sorted(data.keys() - set(names))
+    missing = [n for n in names if n not in data]
+    if unknown or missing:
+        raise ValueError(
+            f"trace event {event!r} takes fields {names}; unknown {unknown}, "
+            f"missing {missing}"
+        )
+    return [data[n] for n in names]
 
 
 def _rows(log: list[Any], i: int) -> Iterator[tuple[str, int, dict[str, Any]]]:
@@ -61,55 +89,30 @@ def _rows(log: list[Any], i: int) -> Iterator[tuple[str, int, dict[str, Any]]]:
     n = len(log)
     while i < n:
         event = log[i]
-        round_ = log[i + 1]
-        if log[i + 2] is _Keywords:
-            data = log[i + 3]
-            i += 4
-        else:
-            names = EVENT_FIELDS[event]
-            j = i + 2 + len(names)
-            data = dict(zip(names, log[i + 2 : j]))
-            i = j
-        yield event, round_, data
-
-
-def _reject(event: str, fields: tuple[Any, ...], data: dict[str, Any]) -> None:
-    """Raise for a positional record :meth:`EventTrace.record` cannot name."""
-    if data:
-        raise TypeError(f"trace event {event!r} mixes positional and keyword fields")
-    names = EVENT_FIELDS.get(event)
-    if names is None:
-        raise ValueError(
-            f"trace event {event!r} has no positional field names; record it "
-            f"with keywords or add it to EVENT_FIELDS"
-        )
-    raise ValueError(
-        f"trace event {event!r} takes {len(names)} positional fields "
-        f"{names}, got {len(fields)}"
-    )
+        names = EVENT_FIELDS[event]
+        j = i + 2 + len(names)
+        yield event, log[i + 1], dict(zip(names, log[i + 2 : j]))
+        i = j
 
 
 class EventTrace:
     """An append-only event log with query helpers.
 
     :meth:`record` appends to one flat list, :attr:`log`: ``event, round,
-    *fields`` for a positional record, ``event, round, _Keywords, data``
-    for a keyword one.  A positional record adds no container to the log,
-    only the values passed, so a long engine trace neither adds work to
-    garbage collection passes nor triggers them; a keyword record adds one
-    dict, which CPython leaves untracked while it holds only atoms.
-    :attr:`events` builds the frozen :class:`TraceEvent` objects on read,
-    incrementally, and caches them, so an event read twice is the same
-    object.
+    *fields``, the fields in the order :data:`EVENT_FIELDS` gives the
+    event.  A record adds no container to the log, only its values, so a
+    long engine trace neither adds work to garbage collection passes nor
+    triggers them.  :attr:`events` builds the frozen :class:`TraceEvent`
+    objects on read, incrementally, and caches them, so an event read
+    twice is the same object.
 
     Producer entry point: ``log.extend((event, round, *fields))`` appends
-    one positional record exactly as ``record(event, round, *fields)``
-    does, without the arity check or a Python call.  The engine writes
-    its own events this way, binding ``trace.log.extend`` as a local once
-    per phase, so a subclass that overrides :meth:`record` sees only the
-    keyword records (the injector's crash boundaries, a monitor's
-    violation), not the engine's.  The fields must be :data:`EVENT_FIELDS`'s, in its order.
-    The list object is the trace's for life (the :attr:`events` setter
+    one record exactly as ``record(event, round, *fields)`` does, without
+    the checks or a Python call.  The engine writes its own events this
+    way, binding ``trace.log.extend`` as a local once per phase, so a
+    subclass that overrides :meth:`record` sees only the injector's crash
+    boundaries and a monitor's violations, not the engine's events.  The
+    list object is the trace's for life (the :attr:`events` setter
     refills it in place), but a bound ``log.extend`` must not be stored
     on an object a checkpoint copies: :func:`copy.deepcopy` treats bound
     builtin methods as atoms, so a copy would write into this log.
@@ -125,26 +128,33 @@ class EventTrace:
     def record(self, event: str, round_: int, *fields: Any, **data: Any) -> None:
         """Append one event.
 
-        The engine passes its events' fields positionally, in the order
+        The fields are passed positionally, in the order
         :data:`EVENT_FIELDS` names them (``record("send", t, src, dst,
-        kind)``).  Any event may pass keywords instead (``record("crash",
-        t, node=3)``); ``data`` may carry a ``kind`` key for the *message*
-        kind without colliding.
+        kind)``), or as keywords, which are put in that order
+        (``record("crash", t, node=3)``); ``kind`` is the *message*
+        kind's field, so it does not collide with the event's name.
 
         Raises:
-            ValueError: on positional fields for an event type missing
-                from :data:`EVENT_FIELDS`, or of the wrong number.
+            ValueError: naming an event missing from :data:`EVENT_FIELDS`,
+                a keyword field the event does not take or one it lacks,
+                or on the wrong number of positional fields.
             TypeError: when positional and keyword fields are mixed.
         """
-        if fields:
-            if data or _ARITY.get(event) != len(fields):
-                _reject(event, fields, data)
-            log = self.log
-            log.append(event)
-            log.append(round_)
-            log.extend(fields)
+        if data:
+            if fields:
+                raise TypeError(f"trace event {event!r} mixes positional and keyword fields")
+            fields = _ordered(event, data)
         else:
-            self.log.extend((event, round_, _Keywords, data))
+            names = _names(event)
+            if len(fields) != len(names):
+                raise ValueError(
+                    f"trace event {event!r} takes {len(names)} positional fields "
+                    f"{names}, got {len(fields)}"
+                )
+        log = self.log
+        log.append(event)
+        log.append(round_)
+        log.extend(fields)
 
     @property
     def events(self) -> list[TraceEvent]:
@@ -165,10 +175,9 @@ class EventTrace:
 
     @events.setter
     def events(self, value: Iterable[TraceEvent]) -> None:
-        self._events = list(value)
-        self.log[:] = [
-            f for e in self._events for f in (e.kind, e.round, _Keywords, e.data)
-        ]
+        events = list(value)
+        self.log[:] = [f for e in events for f in (e.kind, e.round, *_ordered(e.kind, e.data))]
+        self._events = events
         self._read = len(self.log)
 
     def __len__(self) -> int:

@@ -25,6 +25,7 @@ class LinearScanReliableNode(ReliableNode):
             ctx.schedule_wakeup(due)
 
     def on_wake(self, ctx):
+        shared = self.shared
         t = ctx.now
         self.armed.discard(t)
         due_inner = [r for r in sorted(self.inner_wakes) if r <= t]
@@ -35,22 +36,22 @@ class LinearScanReliableNode(ReliableNode):
             p = self.pending[seq]
             if p.due > t:
                 continue
-            if self.plan is not None:
-                clear = self.plan.blocked_until(self.node_id, p.dst, t)
+            if shared.plan is not None:
+                clear = shared.plan.blocked_until(self.node_id, p.dst, t)
                 if clear is not None and clear > t:
                     p.due = clear
-                    if self.metrics is not None:
-                        self.metrics.inc("reliable.budget_pauses")
+                    if shared.metrics is not None:
+                        shared.metrics.inc("reliable.budget_pauses")
                     continue
-            if p.attempts > self.policy.max_retries:
+            if p.attempts > shared.policy.max_retries:
                 raise RetryBudgetExceeded(
                     self.node_id, p.dst, p.kind, p.attempts, round_=t,
-                    faulty=self.plan is not None and not self.plan.is_empty(),
+                    faulty=shared.plan is not None and not shared.plan.is_empty(),
                 )
             p.attempts += 1
-            p.interval = self.policy.next_interval(p.interval)
+            p.interval = shared.policy.next_interval(p.interval)
             p.due = t + p.interval
-            if self.metrics is not None:
-                self.metrics.inc("reliable.retransmits")
+            if shared.metrics is not None:
+                shared.metrics.inc("reliable.retransmits")
             ctx.send(p.dst, "rel", payload=(seq, p.kind, p.payload))
         self._arm_timer(ctx)

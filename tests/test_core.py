@@ -1,4 +1,4 @@
-"""Core problem types, verifiers, request scenarios, comparison harness."""
+"""Core problem types, verifiers, request scenarios, growth-exponent fit."""
 
 from __future__ import annotations
 
@@ -17,9 +17,8 @@ from repro.core import (
     verify_queuing,
     verify_total_order_consistency,
 )
-from repro.core.comparison import AlgorithmSpec, ComparisonRow, compare_on_graph, ratio_series
 from repro.core.request import exhaustive_request_sets, request_sets_of_size
-from repro.topology import complete_graph, path_graph, star_graph
+from repro.topology import complete_graph, path_graph
 
 
 class TestVerifyCounting:
@@ -162,25 +161,6 @@ class TestScenarios:
 
 
 class TestComparison:
-    def test_compare_on_graph_rows(self):
-        from repro.counting import run_central_counting
-
-        spec = AlgorithmSpec(
-            name="central",
-            kind="counting",
-            run=lambda g, req: run_central_counting(g, req),
-        )
-        rows = compare_on_graph(star_graph(6), [spec], [all_nodes()])
-        assert len(rows) == 1
-        row = rows[0]
-        assert isinstance(row, ComparisonRow)
-        assert row.requesters == 6 and row.kind == "counting"
-        assert row.total_delay > 0
-
-    def test_spec_kind_validated(self):
-        with pytest.raises(ValueError):
-            AlgorithmSpec(name="x", kind="sorting", run=lambda g, r: None)
-
     def test_growth_exponent_shapes(self):
         ns = [8, 16, 32, 64]
         assert abs(growth_exponent(ns, [n * n for n in ns]) - 2.0) < 1e-9
@@ -191,13 +171,3 @@ class TestComparison:
             growth_exponent([1], [1])
         with pytest.raises(ValueError):
             growth_exponent([1, 2], [0, 5])
-
-    def test_ratio_series(self):
-        rows = [
-            ComparisonRow("g", 8, "all", "count", "counting", 8, 80, 10),
-            ComparisonRow("g", 8, "all", "queue", "queuing", 8, 20, 5),
-            ComparisonRow("g", 16, "all", "count", "counting", 16, 320, 20),
-            ComparisonRow("g", 16, "all", "queue", "queuing", 16, 40, 10),
-        ]
-        series = ratio_series(rows, "count", "queue")
-        assert series == {8: 4.0, 16: 8.0}

@@ -360,6 +360,32 @@ class TestReliableWrapper:
         assert seq == sorted(seq)
         assert seq[-1] == 32
 
+    def test_reliable_counters_looked_up_once_per_run(self):
+        """The wrappers of one run share their counters: each
+        ``reliable.*`` counter is looked up once, at its first increment."""
+
+        class CountingRegistry(MetricsRegistry):
+            def __init__(self):
+                super().__init__()
+                self.lookups = {}
+
+            def counter(self, name):
+                self.lookups[name] = self.lookups.get(name, 0) + 1
+                return super().counter(name)
+
+        plan = FaultPlan(seed=3, drop_rate=0.2, duplicate_rate=0.1,
+                         crashes=(NodeCrash(0, 2, 12),))
+        reg = CountingRegistry()
+        run_central_counting_ft(star_graph(8), range(8), plan, metrics=reg)
+        looked_up = {n: k for n, k in reg.lookups.items() if n.startswith("reliable.")}
+        assert looked_up == {
+            f"reliable.{name}": 1 for name in (
+                "app_sends", "acks_sent", "duplicates_absorbed", "retransmits",
+                "budget_pauses",
+            )
+        }
+        assert all(reg.counters[n].value > 0 for n in looked_up)
+
     def test_unwrap_round_trips(self):
         from repro.sim import Node
 

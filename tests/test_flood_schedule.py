@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.counting.flood import _FloodNode
 from repro.faults import FaultPlan, RetryPolicy
-from repro.faults.reliable import ReliableNode
+from repro.faults.reliable import ReliableNode, ReliableRun
 from repro.sim import EventTrace, Message, Node, NodeContext, SynchronousNetwork
 from repro.topology import complete_graph, star_graph
 from repro.topology.base import Graph
@@ -127,8 +127,8 @@ def _run(graph: Graph, requests: frozenset[int], node_type, plan=None):
         v: node_type(v, v in requests) for v in graph.vertices()
     }
     if plan is not None:
-        policy = RetryPolicy()
-        nodes = {v: ReliableNode(node, policy, plan=plan) for v, node in nodes.items()}
+        shared = ReliableRun(RetryPolicy(), plan=plan)
+        nodes = {v: ReliableNode(node, shared) for v, node in nodes.items()}
     trace = EventTrace()
     net = SynchronousNetwork(
         graph, nodes, send_capacity=1, recv_capacity=1, trace=trace, faults=plan

@@ -99,11 +99,11 @@ class TestLazyNamespace:
 
     def test_core_names_resolve(self):
         import repro.core
-        from repro.core.comparison import compare_on_graph
+        from repro.core.comparison import growth_exponent
 
         for name in repro.core.__all__:
             assert getattr(repro.core, name) is not None, name
-        assert repro.core.compare_on_graph is compare_on_graph
+        assert repro.core.growth_exponent is growth_exponent
         assert set(repro.core.__all__) <= set(dir(repro.core))
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             repro.core.no_such_name

@@ -89,7 +89,7 @@ class DenseStateNode(Node):
         _ = net._crashed  # MARK-CRASHED
         _ = net._injector  # MARK-INJECTOR
         _ = net._send_budget  # MARK-SEND-BUDGET
-        _ = net._send_backlog_last  # MARK-SEND-BACKLOG-LAST
+        _ = net._last_outbox  # MARK-LAST-OUTBOX
         _ = net._started  # MARK-STARTED
         _ = net._unit_delay  # MARK-UNIT-DELAY
 """
@@ -111,7 +111,7 @@ class TestR1EngineInternals:
             "MARK-GENERIC-OUTBOX", "MARK-OUTBOXES", "MARK-IN-LINKS", "MARK-RHEAPS",
             "MARK-SEND-ACTIVE", "MARK-RECV-ACTIVE", "MARK-NODES-L",
             "MARK-CTX-L", "MARK-WAKE-HEAP", "MARK-CRASHED", "MARK-INJECTOR",
-            "MARK-SEND-BUDGET", "MARK-SEND-BACKLOG-LAST", "MARK-STARTED",
+            "MARK-SEND-BUDGET", "MARK-LAST-OUTBOX", "MARK-STARTED",
             "MARK-UNIT-DELAY",
         ):
             assert marked_line(SRC_R1_DENSE, marker) in lines, marker

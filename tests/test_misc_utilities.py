@@ -10,7 +10,7 @@ import pytest
 
 from repro.experiments.figures import ALL_FIGURES, figure_latency_profiles, figure_separation_curve
 from repro.experiments.harness import fit_slope
-from repro.sim.metrics import DelayRecorder, summarize_delays
+from repro.sim.metrics import DelayRecorder
 from repro.sim.node import Node, make_nodes
 from repro.topology import (
     all_pairs_distances,
@@ -25,18 +25,6 @@ from repro.topology.base import Graph
 
 
 class TestMetrics:
-    def test_summarize_mapping(self):
-        s = summarize_delays({"a": 2, "b": 4})
-        assert (s.count, s.total, s.maximum, s.mean) == (2, 6, 4, 3.0)
-
-    def test_summarize_iterable(self):
-        s = summarize_delays([1, 2, 3])
-        assert s.total == 6 and s.maximum == 3
-
-    def test_summarize_empty(self):
-        s = summarize_delays([])
-        assert s.count == 0 and s.mean == 0.0 and s.maximum == 0
-
     def test_recorder_accessors(self):
         rec = DelayRecorder()
         rec.record("x", 5, result=42, at_node=1)

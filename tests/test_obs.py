@@ -276,7 +276,7 @@ class TestEngineInstrumentation:
 
 
 class TestPerPhasePublishing:
-    """The dense engine publishes its tallies once per phase (or round)."""
+    """The engine publishes its tallies when the run returns or raises."""
 
     def test_counters_exact_after_a_raised_run(self, monkeypatch):
         """A monitor raising inside ``on_receive`` leaves ``stats`` and the
@@ -332,8 +332,8 @@ class TestPerPhasePublishing:
 
     @pytest.mark.parametrize("crash", [False, True])
     def test_faulty_run_registry_matches_stats(self, crash):
-        """Under drops, duplicates and a crash window the per-phase
-        registry still reproduces ``RunStats``."""
+        """Under drops, duplicates and a crash window the registry still
+        reproduces ``RunStats``."""
         from repro.faults import FaultPlan, NodeCrash, run_flood_counting_ft
         from repro.topology import ring_graph
 
@@ -345,6 +345,33 @@ class TestPerPhasePublishing:
         res = run_flood_counting_ft(ring_graph(10), range(0, 10, 2), plan, metrics=reg)
         assert reg.run_stats_view() == res.stats
         assert reg.to_dict()["counters"]["engine.messages_duplicated"] > 0
+
+    def test_two_runs_into_one_registry_add_up(self):
+        """A registry shared by consecutive runs sums their ``RunStats``
+        and holds every completion of both."""
+        from repro.faults import FaultPlan, run_flood_counting_ft
+        from repro.topology import ring_graph
+
+        reg = MetricsRegistry()
+        runs = [
+            run_flood_counting_ft(
+                ring_graph(10), range(0, 10, 2),
+                FaultPlan(seed=4, drop_rate=0.1, duplicate_rate=0.1), metrics=reg,
+            ),
+            run_central_counting(star_graph(6), range(6), metrics=reg),
+        ]
+        c = reg.counters
+        for field in ("messages_sent", "messages_delivered", "messages_dropped",
+                      "messages_duplicated"):
+            assert c[f"engine.{field}"].value == sum(getattr(r.stats, field) for r in runs)
+        assert c["engine.link_wait_total"].value == sum(r.stats.total_link_wait for r in runs)
+        completions = sum(len(r.delays) for r in runs)
+        assert reg.histograms["op.delay"].count == c["engine.completions"].value == completions
+        assert reg.histograms["op.delay"].total == sum(sum(r.delays.values()) for r in runs)
+        for field, name in (("max_send_backlog", "send_backlog"),
+                            ("max_recv_backlog", "recv_backlog")):
+            assert reg.gauges[f"engine.{name}"].high == max(getattr(r.stats, field) for r in runs)
+        assert reg.gauges["engine.rounds"].value == runs[-1].stats.rounds
 
 
 class TestProfiler:
@@ -409,12 +436,6 @@ class TestSeparation:
 
 
 class TestSimMetricsHelpers:
-    def test_delay_summary_to_dict(self):
-        from repro.sim.metrics import summarize_delays
-
-        s = summarize_delays([1, 2, 3])
-        assert s.to_dict() == {"count": 3, "total": 6, "max": 3, "mean": 2.0}
-
     def test_trace_helpers(self):
         tr = EventTrace()
         tr.record("send", 2, src=0, dst=1, kind="x")

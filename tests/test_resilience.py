@@ -30,8 +30,8 @@ from repro import (
     path_spanning_tree,
     run_arrow,
     run_central_counting,
+    run_counting_network,
     run_flood_counting,
-    run_object_directory,
     run_token_mutex,
     star_graph,
 )
@@ -44,7 +44,7 @@ from repro.resilience import (
     InvariantMonitor,
     TokenInvariant,
 )
-from repro.sim import EventTrace, SynchronousNetwork
+from repro.sim import EventTrace, Node, SynchronousNetwork
 from repro.sim.errors import InvariantViolation, ProtocolViolation, StallDetected
 from repro.topology import next_hops_toward
 
@@ -377,14 +377,14 @@ class TestCheckpoint:
             )
 
     def test_warm_routing_cache_is_shared_not_copied(self, tmp_path):
-        """The directory routes on tables cached on the graph.  A
+        """The counting network routes on tables cached on the graph.  A
         checkpoint shares that immutable graph instead of copying it,
         resumes exactly, and saves no routing table."""
 
         def run(graph, checkpointer=None):
             t, final = EventTrace(), _FinalStats()
-            run_object_directory(
-                graph, bfs_spanning_tree(graph), range(0, 12, 3), trace=t,
+            run_counting_network(
+                graph, range(0, 12, 3), trace=t,
                 monitors=MonitorSet(invariants=(final,), checkpointer=checkpointer),
             )
             return t.to_json(), final.stats
@@ -398,13 +398,14 @@ class TestCheckpoint:
         assert len(cpr.checkpoints) > 2
         for cp in cpr.checkpoints:
             net = cp.restore()
-            assert net.node(0).graph is g
+            assert net.node(0).shared.graph is g
             assert net.resume() == ref_stats
             assert net.trace.to_json() == ref_trace
 
         cold = mesh_graph([3, 4])
         cpr = PeriodicCheckpointer(every=100, keep=1)
         run(cold, cpr)
+        assert cold._next_hops  # the run routed on cached tables
         before = tmp_path / "before.ckpt"
         cpr.latest().save(before)
         for dest in cold.vertices():
@@ -413,7 +414,7 @@ class TestCheckpoint:
         cpr.latest().save(after)
         assert after.stat().st_size == before.stat().st_size
         loaded = Checkpoint.load(after).restore()
-        assert "_next_hops" not in vars(loaded.node(0).graph)
+        assert "_next_hops" not in vars(loaded.node(0).shared.graph)
 
     def test_restore_twice_is_independent(self):
         cpr = PeriodicCheckpointer(every=4, keep=4)
@@ -581,3 +582,85 @@ class TestCheckpoint:
         assert again.value.invariant == first.value.invariant
         assert again.value.round == first.value.round
         assert again.value.nodes == first.value.nodes
+
+
+
+# ------------------------------------------------ resume after a round limit
+
+
+class _Keep:
+    """A monitor that keeps the network it watches, to resume it."""
+
+    net = None
+
+    def on_round(self, net):
+        self.net = net
+
+    def on_complete(self, net, op_id, result, node_id):
+        pass
+
+    def on_finish(self, net):
+        pass
+
+
+class _Sleeper(Node):
+    """Pings its neighbor at start, then completes after a long sleep, so
+    the clock jumps over the idle rounds in between."""
+
+    def on_start(self, ctx):
+        ctx.send(ctx.neighbors[0], "ping")
+        ctx.schedule_wakeup(40)
+
+    def on_wake(self, ctx):
+        ctx.complete(self.node_id, result=ctx.now)
+
+
+def _run_sleepers(delay_model, *, max_rounds, **hooks):
+    graph = path_graph(4)
+    net = SynchronousNetwork(
+        graph, {v: _Sleeper(v) for v in graph.vertices()}, delay_model=delay_model, **hooks
+    )
+    net.run(max_rounds=max_rounds)
+
+
+#: Each cell runs with ``trace``, ``metrics``, ``monitors`` and ``max_rounds``.
+_LIMIT_CELLS = {
+    "central/star": lambda **kw: run_central_counting(star_graph(8), range(8), **kw),
+    "flood/path": lambda **kw: run_flood_counting(path_graph(8), range(8), **kw),
+    # the wake phase's jump to round 40 crosses the budget
+    "sleepers/jump": lambda **kw: _run_sleepers(None, **kw),
+    # the idle-round jump of a non-unit delay crosses the budget
+    "sleepers/delay": lambda **kw: _run_sleepers(ConstantDelay(12), **kw),
+}
+
+
+def _observed_run(cell, budget=None):
+    """Trace JSON, stats, completions, metrics and executed rounds of one
+    run of ``cell``; with a ``budget``, the run raises there first and is
+    then resumed."""
+    from repro.obs import MetricsRegistry
+    from repro.sim import RoundLimitExceeded
+
+    trace, reg, keep = EventTrace(), MetricsRegistry(), _Keep()
+    run = _LIMIT_CELLS[cell]
+    if budget is None:
+        run(trace=trace, metrics=reg, monitors=keep, max_rounds=100_000)
+    else:
+        with pytest.raises(RoundLimitExceeded):
+            run(trace=trace, metrics=reg, monitors=keep, max_rounds=budget)
+        assert keep.net.now == budget
+        keep.net.resume(100_000)
+    net = keep.net
+    completions = [(r.op_id, r.round, r.result, r.at_node) for r in net.delays.records()]
+    return trace.to_json(), net.stats, completions, reg.to_dict(), net.rounds_executed
+
+
+class TestResumeAfterRoundLimit:
+    """A network that raised RoundLimitExceeded stands at the end of its
+    last complete round: resumed with a larger budget it ends exactly as
+    one uninterrupted run: trace, stats, completions, metrics and the
+    rounds the loop executed alike."""
+
+    @pytest.mark.parametrize("cell", sorted(_LIMIT_CELLS))
+    def test_resume_matches_uninterrupted_run(self, cell):
+        assert _observed_run(cell, budget=5) == _observed_run(cell)

@@ -442,11 +442,10 @@ class TestTraceSliceAndJson:
 
     def test_json_roundtrip_nested_payloads(self):
         tr = EventTrace()
-        tr.record("deliver", 3, src=0, dst=1,
-                  payload=(("op", 2), [("op", 3), 4], {"k": (5, 6)}))
+        tr.record("complete", 3, node=1, op=(("op", 2), [("op", 3), 4], {"k": (5, 6)}))
         back = EventTrace.from_json(tr.to_json())
         assert back.events == tr.events
-        assert back.events[0].data["payload"][0] == ("op", 2)
+        assert back.events[0].data["op"][0] == ("op", 2)
 
 
 class TestFlatTraceLog:
@@ -500,7 +499,7 @@ class TestFlatTraceLog:
     def test_json_round_trip_with_tuple_op_ids(self):
         tr = EventTrace()
         tr.record("complete", 4, node=1, op=("op", 1))
-        tr.record("deliver", 5, src=0, dst=1, kind="queue", payload=[("op", 2), 3])
+        tr.record("complete", 5, node=0, op=[("op", 2), 3])
         text = tr.to_json()
         back = EventTrace.from_json(text)
         assert back.events == tr.events
@@ -548,8 +547,8 @@ class TestFlatTraceLog:
 
 
 
-#: One record of every engine event type, as the keyword records the
-#: positional encoding replaced (field order is the keyword order).
+#: One record of every engine event type, with its fields as keywords in
+#: the order EVENT_FIELDS gives them.
 _ENGINE_RECORDS = [
     ("enqueue", 1, {"src": 0, "dst": 1, "kind": "req"}),
     ("send", 1, {"src": 0, "dst": 1, "kind": "req"}),
@@ -634,8 +633,8 @@ class TestPositionalTraceRecords:
         assert kw.to_json() == tr.to_json()
 
     def test_positional_records_trigger_no_collection(self):
-        """Unlike a keyword record's dict, a positional record leaves no new
-        GC object alive, so recording never starts a collection pass."""
+        """A record leaves no new GC object alive, so recording never
+        starts a collection pass."""
         tr = EventTrace()
         gc.collect()
         before = gc.get_stats()[0]["collections"]
@@ -652,9 +651,18 @@ class TestPositionalTraceRecords:
             tr.record("send", 3, 1, 2)
         with pytest.raises(TypeError, match="mixes"):
             tr.record("send", 3, 1, 2, kind="x")
+        with pytest.raises(ValueError, match="'foo'"):
+            tr.record("foo", 3, a=1)
+        with pytest.raises(ValueError, match="unknown \\['knd'\\]"):
+            tr.record("send", 3, src=1, dst=2, knd="x")
+        with pytest.raises(ValueError, match="missing \\['reason'\\]"):
+            tr.record("drop", 3, src=1, dst=2, kind="x")
+        with pytest.raises(ValueError, match="'foo'"):
+            tr.events = [TraceEvent("foo", 3, {"a": 1})]
         assert len(tr) == 0
-        tr.record("foo", 3, a=1)  # keyword records of any event still work
-        assert tr.events == [TraceEvent("foo", 3, {"a": 1})]
+        tr.record("send", 3, kind="x", dst=2, src=1)  # keywords in any order
+        assert tr.events == [TraceEvent("send", 3, {"src": 1, "dst": 2, "kind": "x"})]
+        assert tr.to_json() == '[["send",3,{"src":1,"dst":2,"kind":"x"}]]'
 
 
 
