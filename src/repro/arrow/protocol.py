@@ -62,7 +62,8 @@ class ArrowNode(Node):
         self.parked: Hashable = init_op(node_id) if link == node_id else None
         self.issue_at = issue_at
         #: predecessor assignments discovered at this node: op -> pred op
-        self.pred_found: dict[Hashable, Hashable] = {}
+        #: (None until the first one).
+        self.pred_found: dict[Hashable, Hashable] | None = None
 
     def on_start(self, ctx: NodeContext) -> None:
         if self.issue_at == 0:
@@ -98,7 +99,10 @@ class ArrowNode(Node):
         """``a`` reached the queue tail here: the op parked here precedes it."""
         pred = self.parked
         self.parked = a
-        self.pred_found[a] = pred
+        found = self.pred_found
+        if found is None:
+            found = self.pred_found = {}
+        found[a] = pred
         self._queued(a, pred, ctx)
 
     def _queued(self, a: Hashable, pred: Hashable, ctx: NodeContext) -> None:

@@ -168,7 +168,8 @@ def _run_arrow_nodes(
     )
     predecessors: dict[Hashable, Hashable] = {}
     for node in nodes.values():
-        predecessors.update(node.pred_found)
+        if node.pred_found:
+            predecessors.update(node.pred_found)
     return net, predecessors, tail
 
 

@@ -60,11 +60,13 @@ class _CentralNode(Node):
         self.increment = increment
         self.queuing = queuing
         self.total = 0
-        self.last_op: Hashable = ("init", node_id)
+        root = next_hop == node_id
+        #: root only: the op served last (queuing's reply).
+        self.last_op: Hashable = ("init", node_id) if root else None
         #: root only: origins in the order they were served.
-        self.served: list[int] = []
+        self.served: list[int] | None = [] if root else None
         #: root only: requester -> path root->...->origin (excluding the root).
-        self.down_paths: dict[int, list[int]] = {}
+        self.down_paths: dict[int, list[int]] | None = {} if root else None
 
     def _value(self, origin: int, increment: int) -> Hashable:
         """Root-side: the reply to the request served next."""

@@ -17,7 +17,8 @@ The wrapper is itself a conforming protocol node: it only talks through
 the :class:`~repro.sim.node.NodeContext` API (rules R1-R5 of
 ``docs/LINT.md`` apply to it like to any other node), so wrapped
 protocols run on the unmodified engine and their runs remain
-deterministic.
+deterministic.  The wrapped node's callbacks receive the wrapper itself
+as their context.
 
 Guarantee: under a plan where every message is eventually deliverable
 (finite outages and crash windows, bounded drop runs — see
@@ -127,8 +128,8 @@ class ReliableRun:
     """
 
     __slots__ = (
-        "policy", "plan", "metrics", "windows", "app_sends", "acks_sent",
-        "duplicates_absorbed", "retransmits", "budget_pauses",
+        "policy", "plan", "metrics", "windows", "crashable", "app_sends",
+        "acks_sent", "duplicates_absorbed", "retransmits", "budget_pauses",
     )
 
     def __init__(
@@ -146,6 +147,12 @@ class ReliableRun:
         #: whether the plan schedules outage or crash windows: only then
         #: can a retransmit be blocked (see ReliableNode._retransmit_due).
         self.windows = plan is not None and bool(plan.outages or plan.crashes)
+        #: the vertices the plan may crash, or None when the plan is
+        #: unknown (then every vertex is assumed to; see
+        #: ReliableNode.on_wake).
+        self.crashable = (
+            None if plan is None else frozenset(c.node for c in plan.crashes)
+        )
         self.app_sends: Any = None
         self.acks_sent: Any = None
         self.duplicates_absorbed: Any = None
@@ -173,62 +180,6 @@ class _Pending:
         self.due = due
 
 
-class _ReliableContext:
-    """The :class:`NodeContext` facade handed to the wrapped node.
-
-    Looks exactly like the engine's context (``node_id``/``now``/
-    ``neighbors``/``send``/``complete``/``schedule_wakeup``) but routes
-    sends through the reliability envelope and multiplexes the wrapped
-    node's wakeups with the wrapper's retransmit timers.
-    """
-
-    __slots__ = ("_ctx", "_owner")
-
-    def __init__(self, ctx: NodeContext, owner: "ReliableNode") -> None:
-        self._ctx = ctx
-        self._owner = owner
-
-    @property
-    def node_id(self) -> int:
-        return self._ctx.node_id
-
-    @property
-    def now(self) -> int:
-        return self._ctx.now
-
-    @property
-    def neighbors(self) -> tuple[int, ...]:
-        return self._ctx.neighbors
-
-    def send(self, dst: int, kind: str, payload: Any = None) -> Message:
-        """Send ``(kind, payload)`` reliably: envelope, track, arm timer."""
-        owner = self._owner
-        shared = owner.shared
-        ctx = self._ctx
-        seq = owner.next_seq
-        owner.next_seq = seq + 1
-        timeout = shared.policy.timeout
-        due = ctx.now + timeout
-        owner.pending[seq] = _Pending(dst, kind, payload, timeout, due)
-        heappush(owner.timers, (due, seq))
-        if shared.metrics is not None:
-            c = shared.app_sends or shared.bind("app_sends")
-            c.value += 1
-        msg = ctx.send(dst, "rel", (seq, kind, payload))
-        owner._arm_timer(ctx)
-        return msg
-
-    def complete(self, op_id: Any, result: Any = None) -> None:
-        self._ctx.complete(op_id, result=result)
-
-    def schedule_wakeup(self, round_: int) -> None:
-        owner = self._owner
-        owner.inner_wakes.add(round_)
-        if round_ not in owner.armed:
-            owner.armed.add(round_)
-            self._ctx.schedule_wakeup(round_)
-
-
 class ReliableNode(Node):
     """Ack + timeout + bounded-retry wrapper around any protocol node.
 
@@ -242,6 +193,13 @@ class ReliableNode(Node):
             message under a per-sender sequence number.
         ``ack``: payload ``seq`` — receipt confirmation, sent for every
             copy received (acks are not themselves acked).
+
+    The wrapper is the wrapped node's context: it looks exactly like the
+    engine's (``node_id``/``now``/``neighbors``/``send``/``complete``/
+    ``schedule_wakeup``), routes sends through the reliability envelope,
+    and multiplexes the wrapped node's wakeups with its own retransmit
+    timers.  It keeps the engine's context of its vertex from
+    ``on_start`` on.
 
     Runners wrap every node in one when given ``reliable=`` (see
     :func:`repro.sim.run_protocol`), all sharing one :class:`ReliableRun`
@@ -257,6 +215,11 @@ class ReliableNode(Node):
     ``counter(name)``; a counter is never created before its first
     increment.  As everywhere, ``metrics=None`` costs nothing.
 
+    The per-vertex containers (:attr:`pending` and :attr:`timers`,
+    :attr:`seen`, :attr:`armed`, :attr:`inner_wakes`) are ``None`` until
+    their first use, so a vertex that never sends, receives or sleeps
+    allocates none of them.
+
     Retransmit timers live in :attr:`timers`, a heap of ``(due, seq)``
     with lazy deletion: an ack only drops the envelope from
     :attr:`pending`, and a heap entry whose ``seq`` is no longer pending
@@ -271,61 +234,102 @@ class ReliableNode(Node):
 
     __slots__ = (
         "inner", "shared", "next_seq", "pending", "timers", "seen", "armed",
-        "inner_wakes", "_rctx", "_deferrable",
+        "inner_wakes", "_ctx",
     )
 
     def __init__(self, inner: Node, shared: ReliableRun | None = None) -> None:
         super().__init__(inner.node_id)
         self.inner = inner
-        if shared is None:
-            shared = ReliableRun()
-        self.shared = shared
-        plan = shared.plan
-        #: whether the engine may defer this node's wakeups: only when it
-        #: can crash (assumed when the plan is unknown).
-        self._deferrable = plan is None or any(
-            c.node == inner.node_id for c in plan.crashes
-        )
+        self.shared = shared if shared is not None else ReliableRun()
         self.next_seq = 0
-        #: seq -> unacked envelope.
-        self.pending: dict[int, _Pending] = {}
+        #: seq -> unacked envelope; made with :attr:`timers` on the first send.
+        self.pending: dict[int, _Pending] | None = None
         #: heap of (due, seq) retransmit timers; stale once seq is acked.
-        self.timers: list[tuple[int, int]] = []
+        self.timers: list[tuple[int, int]] | None = None
         #: sender -> seqs already delivered to the wrapped node.
-        self.seen: dict[int, set[int]] = {}
+        self.seen: dict[int, set[int]] | None = None
         #: rounds with an engine wakeup already scheduled.
-        self.armed: set[int] = set()
+        self.armed: set[int] | None = None
         #: rounds at which the wrapped node asked to be woken.
-        self.inner_wakes: set[int] = set()
-        self._rctx: _ReliableContext | None = None
+        self.inner_wakes: set[int] | None = None
+        #: the engine's context of this vertex (set in on_start).
+        self._ctx: NodeContext | None = None
+
+    # ------------------------------------- the wrapped node's context API
+
+    @property
+    def now(self) -> int:
+        return self._ctx.now
+
+    @property
+    def neighbors(self) -> tuple[int, ...]:
+        return self._ctx.neighbors
+
+    def send(self, dst: int, kind: str, payload: Any = None) -> Message:
+        """Send ``(kind, payload)`` reliably: envelope, track, arm timer."""
+        ctx = self._ctx
+        shared = self.shared
+        pending = self.pending
+        if pending is None:
+            pending = self.pending = {}
+            self.timers = []
+        seq = self.next_seq
+        self.next_seq = seq + 1
+        timeout = shared.policy.timeout
+        now = ctx.now
+        due = now + timeout
+        pending[seq] = _Pending(dst, kind, payload, timeout, due)
+        heappush(self.timers, (due, seq))
+        if shared.metrics is not None:
+            c = shared.app_sends or shared.bind("app_sends")
+            c.value += 1
+        msg = ctx.send(dst, "rel", (seq, kind, payload))
+        self._arm_timer(ctx, now)
+        return msg
+
+    def complete(self, op_id: Any, result: Any = None) -> None:
+        self._ctx.complete(op_id, result=result)
+
+    def schedule_wakeup(self, round_: int) -> None:
+        inner_wakes = self.inner_wakes
+        if inner_wakes is None:
+            inner_wakes = self.inner_wakes = set()
+        inner_wakes.add(round_)
+        armed = self.armed
+        if armed is None:
+            armed = self.armed = set()
+        if round_ not in armed:
+            armed.add(round_)
+            self._ctx.schedule_wakeup(round_)
 
     # ----------------------------------------------------------- plumbing
 
-    def _proxy(self, ctx: NodeContext) -> _ReliableContext:
-        if self._rctx is None:
-            self._rctx = _ReliableContext(ctx, self)
-        return self._rctx
-
-    def _arm_timer(self, ctx: NodeContext) -> None:
-        """Ensure a wakeup covers the earliest pending retransmission."""
+    def _arm_timer(self, ctx: NodeContext, now: int) -> None:
+        """Ensure a wakeup covers the earliest pending retransmission
+        (``now`` is the current round)."""
         timers = self.timers
+        if timers is None:
+            return  # never sent
         pending = self.pending
         while timers and timers[0][1] not in pending:
             heappop(timers)  # acked since it was armed
         if not timers:
             return
         due = timers[0][0]
-        now = ctx.now
         if due <= now:
             due = now + 1
-        if due not in self.armed:
-            self.armed.add(due)
+        armed = self.armed
+        if armed is None:
+            armed = self.armed = set()
+        if due not in armed:
+            armed.add(due)
             ctx.schedule_wakeup(due)
 
     # ----------------------------------------------------- engine callbacks
 
     def on_start(self, ctx: NodeContext) -> None:
-        self.inner.on_start(self._proxy(ctx))
+        self._ctx = ctx
+        self.inner.on_start(self)
 
     def on_receive(self, msg: Message, ctx: NodeContext) -> None:
         if msg.kind == "rel":
@@ -337,9 +341,12 @@ class ReliableNode(Node):
             if metered:
                 c = shared.acks_sent or shared.bind("acks_sent")
                 c.value += 1
-            seen = self.seen.get(src)
+            seen_by = self.seen
+            if seen_by is None:
+                seen_by = self.seen = {}
+            seen = seen_by.get(src)
             if seen is None:
-                seen = self.seen[src] = set()
+                seen = seen_by[src] = set()
             if seq in seen:
                 if metered:
                     c = shared.duplicates_absorbed or shared.bind("duplicates_absorbed")
@@ -357,21 +364,24 @@ class ReliableNode(Node):
             inner_msg.ready_at = msg.ready_at
             inner_msg.delivered_at = msg.delivered_at
             inner_msg.seq = msg.seq
-            self.inner.on_receive(inner_msg, self._rctx or self._proxy(ctx))
+            self.inner.on_receive(inner_msg, self)
         elif msg.kind == "ack":
+            # An ack answers a rel this node sent, so pending exists.
             self.pending.pop(msg.payload, None)
         else:  # pragma: no cover - defensive
             raise ValueError(f"reliable node got unexpected kind {msg.kind!r}")
 
     def on_wake(self, ctx: NodeContext) -> None:
+        # Every engine wakeup of a wrapper was armed, so armed exists.
         t = ctx.now
         armed = self.armed
         armed.discard(t)
         inner_wakes = self.inner_wakes
-        if not self._deferrable:
-            if t in inner_wakes:
+        crashable = self.shared.crashable
+        if crashable is not None and self.node_id not in crashable:
+            if inner_wakes and t in inner_wakes:
                 inner_wakes.discard(t)
-                self.inner.on_wake(self._rctx or self._proxy(ctx))
+                self.inner.on_wake(self)
         else:
             if armed and min(armed) < t:
                 # The engine deferred a wakeup armed for an earlier round
@@ -389,11 +399,11 @@ class ReliableNode(Node):
                 due_inner = [r for r in inner_wakes if r <= t]
                 if due_inner:
                     inner_wakes.difference_update(due_inner)
-                    self.inner.on_wake(self._rctx or self._proxy(ctx))
+                    self.inner.on_wake(self)
         timers = self.timers
         if timers and timers[0][0] <= t:
             self._retransmit_due(ctx, t)
-        self._arm_timer(ctx)
+        self._arm_timer(ctx, t)
 
     def _retransmit_due(self, ctx: NodeContext, t: int) -> None:
         """Retransmit every pending envelope due by ``t``, in ``seq`` order."""

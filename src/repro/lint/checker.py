@@ -40,10 +40,7 @@ from repro.lint.rules import Finding
 # ---------------------------------------------------------------------------
 
 #: Engine attributes protocol code must never touch, even via ``self``.
-_ENGINE_ONLY_ATTRS = frozenset(
-    {"_network", "_enqueue_send", "_record_completion", "_schedule_wakeup",
-     "_enqueue", "_wakeup"}
-)
+_ENGINE_ONLY_ATTRS = frozenset({"_network", "_record_completion"})
 
 _SIM_DIR = Path(__file__).resolve().parent.parent / "sim"
 
@@ -78,7 +75,8 @@ def _live_engine_names() -> frozenset[str]:
 _ENGINE_PRIVATE_ATTRS = _ENGINE_ONLY_ATTRS | _live_engine_names() | frozenset(
     # names of earlier engine layouts, still flagged: code written
     # against them is just as wrong
-    {"_links", "_outbox", "_ready", "_nodes_l", "_ctx_l"}
+    {"_links", "_outbox", "_ready", "_nodes_l", "_ctx_l", "_enqueue_send",
+     "_schedule_wakeup", "_enqueue", "_wakeup"}
 )
 
 #: The engine callbacks protocol logic is allowed to originate from.

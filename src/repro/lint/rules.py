@@ -9,7 +9,7 @@ tests, and the documentation (``docs/LINT.md``):
 
 R1  engine-internals
     Protocol code reaches into private engine state (``ctx._network``,
-    ``_enqueue_send``, ...) instead of going through the
+    ``_outboxes``, ...) instead of going through the
     :class:`~repro.sim.node.NodeContext` API.  Anything the context does
     not expose is not part of the model.
 

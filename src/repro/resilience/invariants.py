@@ -192,8 +192,9 @@ class ArrowInvariant(InvariantMonitor):
         """The arrow vertices' columns, resolved once per network.
 
         Nodes without a ``link`` attribute (mixed networks) get no row;
-        every arrow node also keeps ``pred_found``, so the per-round scan
-        reads both attributes without ``getattr`` defaults.
+        every arrow node also has ``pred_found`` (``None`` until its first
+        find), so the per-round scan reads both attributes without
+        ``getattr`` defaults.
         """
         if self._rows_net is None or self._rows_net() is not net:
             vs, nodes, nbrs = [], [], []

@@ -66,7 +66,7 @@ class Watchdog:
     def on_round(self, net: Any) -> None:
         self._checked += 1
         inj = net._injector
-        if inj is not None and inj.down_but_recovering(net.now, net._adj):
+        if inj is not None and inj.down_but_recovering(net.now, net._graph.adj):
             # A node is down by schedule but will recover: progress cannot
             # be demanded of this round.  Push both marks so the windows
             # restart at recovery.  Permanent crashes deliberately do NOT

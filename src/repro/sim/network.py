@@ -52,9 +52,6 @@ from repro.sim.node import Node, NodeContext
 from repro.sim.trace import EventTrace
 from repro.topology.base import Graph
 
-#: Builds a bare ``Message`` for the enqueue (see there).
-_new_message = object.__new__
-
 
 @dataclass(slots=True)
 class RunStats:
@@ -98,33 +95,63 @@ _ENGINE_COUNTERS = (
 )
 
 
-def _as_adjacency(graph: Any) -> Mapping[int, tuple[int, ...]]:
-    """Normalize a graph-like input to a sorted adjacency mapping.
+#: hook argument -> (the interface it stands for, the attributes the
+#: engine reads from it).
+_HOOK_INTERFACES = (
+    ("trace", "EventTrace", ("log",)),
+    ("metrics", "MetricsRegistry", ("counter", "gauge", "histogram", "series")),
+    ("profiler", "PhaseProfiler", ("clock", "add", "tick_round", "wall")),
+    ("monitors", "MonitorSet", ("on_round", "on_complete", "on_finish")),
+)
 
-    Accepts a :class:`repro.topology.Graph`, anything else with an
-    ``adj`` mapping, a plain mapping ``{node: neighbors}``, or an
-    iterable of edges ``(u, v)``.  A ``Graph``'s ``adj`` already maps
-    every vertex to a sorted tuple, so it is used as is, not re-sorted.
+
+def _check_hooks(**hooks: Any) -> None:
+    """Reject a hook that lacks an attribute the engine uses, before round 0.
+
+    Raises:
+        TypeError: naming the hook, the interface it must provide, and
+            the attributes it lacks.
+    """
+    for name, interface, attrs in _HOOK_INTERFACES:
+        hook = hooks[name]
+        if hook is None:
+            continue
+        missing = [a for a in attrs if not hasattr(hook, a)]
+        if missing:
+            raise TypeError(
+                f"{name}= expects the {interface} interface "
+                f"({', '.join(attrs)}); got {type(hook).__name__}, which "
+                f"lacks {', '.join(missing)}"
+            )
+
+
+def _as_graph(graph: Any) -> Graph:
+    """Normalize a graph-like input to a :class:`Graph` with sorted adjacency.
+
+    Accepts a :class:`repro.topology.Graph` (used as is: its ``adj``
+    already maps every vertex to a sorted tuple, and its neighbor sets
+    are cached on it), anything else with an ``adj`` mapping, a plain
+    mapping ``{node: neighbors}``, or an iterable of edges ``(u, v)``.
     """
     if isinstance(graph, Graph):
-        return graph.adj
+        return graph
     if hasattr(graph, "adj"):
         raw: Mapping[int, Sequence[int]] = graph.adj
-        return {v: tuple(sorted(raw[v])) for v in raw}
+        return Graph({v: tuple(sorted(raw[v])) for v in raw})
     if isinstance(graph, Mapping):
-        return {v: tuple(sorted(graph[v])) for v in graph}
+        return Graph({v: tuple(sorted(graph[v])) for v in graph})
     adj: dict[int, set[int]] = {}
     for u, v in graph:
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
-    return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+    return Graph({v: tuple(sorted(nbrs)) for v, nbrs in adj.items()})
 
 
 class SynchronousNetwork:
     """A synchronous message-passing network over a fixed graph.
 
     Args:
-        graph: the communication graph (see :func:`_as_adjacency` for the
+        graph: the communication graph (see :func:`_as_graph` for the
             accepted forms); its vertex ids must be ``0..n-1``.
         nodes: mapping from node id to the :class:`Node` protocol object
             for that id; must cover every vertex of the graph and contain
@@ -191,6 +218,9 @@ class SynchronousNetwork:
             ``None`` (the default) each hook site is one ``is not None``
             check, and traces stay byte-identical.
 
+    A hook that lacks an attribute the engine reads raises ``TypeError``
+    here, before round 0, naming the interface it must provide.
+
     Typical use::
 
         net = SynchronousNetwork(graph, nodes)
@@ -217,24 +247,25 @@ class SynchronousNetwork:
             raise CapacityError(f"send_capacity must be >= 1, got {send_capacity}")
         if recv_capacity < 1:
             raise CapacityError(f"recv_capacity must be >= 1, got {recv_capacity}")
-        self._adj = _as_adjacency(graph)
-        n = len(self._adj)
+        _check_hooks(trace=trace, metrics=metrics, profiler=profiler, monitors=monitors)
+        self._graph = _as_graph(graph)
+        adj = self._graph.adj
+        n = len(adj)
         # Keys are unique, so min/max pin the range (the empty graph has none).
-        if n and not (min(self._adj) == 0 and max(self._adj) == n - 1):
-            first = next(v for v in range(n) if v not in self._adj)
+        if n and not (min(adj) == 0 and max(adj) == n - 1):
+            first = next(v for v in range(n) if v not in adj)
             raise ProtocolViolation(
                 f"vertex ids must be 0..{n - 1}; id {first} is missing"
             )
-        missing = set(self._adj) - set(nodes)
+        missing = set(adj) - set(nodes)
         if missing:
             raise ProtocolViolation(f"no Node object for vertices {sorted(missing)[:5]}...")
-        extra = set(nodes) - set(self._adj)
+        extra = set(nodes) - set(adj)
         if extra:
             raise ProtocolViolation(
                 f"Node objects for vertices not in the graph: {sorted(extra)[:5]}"
             )
         self._nodes: list[Node] = [nodes[v] for v in range(n)]
-        self._nbr_sets = {v: frozenset(nbrs) for v, nbrs in self._adj.items()}
         self.send_capacity = send_capacity
         self.recv_capacity = recv_capacity
         self.delay_model = delay_model if delay_model is not None else ConstantDelay(1)
@@ -283,13 +314,16 @@ class SynchronousNetwork:
         self._unit_delay = (
             type(self.delay_model) is ConstantDelay and self.delay_model.delay == 1
         )
-        self._outboxes: list[deque[Message]] = [deque() for _ in range(n)]
+        # Per-vertex containers are made on the vertex's first send (its
+        # outbox) or first incoming link entry (its link table and ready
+        # heap), so a vertex that never acts costs no allocation.
+        self._outboxes: list[deque[Message] | None] = [None] * n
         #: per destination: incoming-link FIFO queues keyed by source.
-        self._in_links: list[dict[int, deque[Message]]] = [{} for _ in range(n)]
+        self._in_links: list[dict[int, deque[Message]] | None] = [None] * n
         #: per node: heap of (eligible round, seq, src) over link heads.
         #: Only heads are in the heap, so arbitration is O(log deg) per
         #: delivery even on the star's hub.
-        self._rheaps: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        self._rheaps: list[list[tuple[int, int, int]] | None] = [None] * n
         # Maintained active sets: a node is listed exactly once while
         # its outbox / ready heap is non-empty (crashed nodes included),
         # so it is appended when that container turns non-empty.
@@ -324,11 +358,11 @@ class SynchronousNetwork:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted neighbors of ``v``."""
-        return self._adj[v]
+        return self._graph.adj[v]
 
     def neighbor_set(self, v: int) -> frozenset[int]:
         """Neighbors of ``v`` as a frozenset (for membership tests)."""
-        return self._nbr_sets[v]
+        return self._graph._nbr_sets[v]
 
     @property
     def node_ids(self) -> list[int]:
@@ -494,7 +528,7 @@ class SynchronousNetwork:
         # breaks the network <-> context cycles, so the finished network
         # is freed by reference counting, not by a cyclic-GC pass.
         for ctx in self._ctx:
-            ctx._network = ctx._enqueue = ctx._wakeup = None
+            ctx._network = None
         return self.stats
 
     def _publish_metrics(self) -> None:
@@ -564,15 +598,15 @@ class SynchronousNetwork:
         """Nodes with unsent outbound or undelivered inbound messages."""
         pending = {u for u, box in enumerate(self._outboxes) if box}
         for dst, links in enumerate(self._in_links):
-            if any(links.values()):
+            if links and any(links.values()):
                 pending.add(dst)
         return tuple(sorted(pending))
 
     def _queued_messages(self) -> tuple[Iterator[deque[Message]], Iterator[deque[Message]]]:
         """(link queues, outboxes) iterators for diagnostics."""
         return (
-            (q for links in self._in_links for q in links.values()),
-            iter(self._outboxes),
+            (q for links in self._in_links if links for q in links.values()),
+            (box for box in self._outboxes if box),
         )
 
     def _oldest_undelivered(self) -> tuple[str, int, int, int] | None:
@@ -594,54 +628,13 @@ class SynchronousNetwork:
 
     # ------------------------------------------------------------ engine
 
-    def _enqueue_send(self, src: int, dst: int, kind: str, payload: Any) -> Message:
-        if self.strict:
-            last_round, count = self._send_budget.get(src, (-1, 0))
-            count = count + 1 if last_round == self.now else 1
-            self._send_budget[src] = (self.now, count)
-            if count > self.send_capacity:
-                raise StrictModeViolation(src, self.now, "send", self.send_capacity)
-        seq = self._msg_seq
-        self._msg_seq = seq + 1
-        # Built without the class call: on CPython 3.11 (timeit, 2-vCPU
-        # VM) Message(...) costs ~390 ns, as does a hand-written
-        # __init__, while a bare object plus the eight slot stores costs
-        # ~225 ns.  Every slot equals Message(src, dst, kind, payload,
-        # -1, -1, -1, seq).
-        msg = _new_message(Message)
-        msg.src = src
-        msg.dst = dst
-        msg.kind = kind
-        msg.payload = payload
-        msg.sent_at = -1
-        msg.ready_at = -1
-        msg.delivered_at = -1
-        msg.seq = seq
-        box = self._outboxes[src]
-        box.append(msg)
-        backlog = len(box)
-        if backlog == 1:
-            self._send_active.append(src)
-        stats = self.stats
-        if backlog > stats.max_send_backlog:
-            stats.max_send_backlog = backlog
-        self._last_outbox = backlog
-        if self.trace is not None:
-            self.trace.log.extend(("enqueue", self.now, src, dst, kind))
-        return msg
-
-    def _schedule_wakeup(self, node_id: int, round_: int) -> None:
-        if round_ <= self.now:
-            raise ProtocolViolation(
-                f"wakeup for node {node_id} at round {round_} is not in the "
-                f"future (now={self.now})"
-            )
-        due = self._wakeups.get(round_)
-        if due is None:
-            self._wakeups[round_] = [node_id]
-            heapq.heappush(self._wake_heap, round_)
-        else:
-            due.append(node_id)
+    def _charge_send(self, src: int) -> None:
+        """Strict mode: count a send against ``src``'s per-round budget."""
+        last_round, count = self._send_budget.get(src, (-1, 0))
+        count = count + 1 if last_round == self.now else 1
+        self._send_budget[src] = (self.now, count)
+        if count > self.send_capacity:
+            raise StrictModeViolation(src, self.now, "send", self.send_capacity)
 
     def _next_wakeup(self) -> int | None:
         """The earliest round with scheduled wakeups, via the event heap.
@@ -858,6 +851,11 @@ class SynchronousNetwork:
                     ready_at = t + 1 if unit else t + delay_model(msg)
                     msg.ready_at = ready_at
                     links_d = in_links[dst]
+                    if links_d is None:
+                        # dst's first incoming message: its link table
+                        # and ready heap are made now.
+                        links_d = in_links[dst] = {}
+                        rheaps[dst] = []
                     q = links_d.get(u)
                     if q is None:
                         q = links_d[u] = deque()

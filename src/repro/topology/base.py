@@ -19,8 +19,9 @@ class Graph:
     neighbor tuples; all the library's graphs are built through
     :meth:`from_edges` which validates simplicity (no loops, no parallel
     edges) and vertex labelling.  Being immutable, a graph is shared
-    rather than copied by :func:`copy.deepcopy`, and it carries a cache
-    of shortest-path routing tables that pickling leaves out.
+    rather than copied by :func:`copy.deepcopy`, and it carries caches
+    (shortest-path routing tables, neighbor sets) that pickling leaves
+    out.
 
     Attributes:
         adj: mapping vertex -> sorted tuple of neighbors.
@@ -88,12 +89,19 @@ class Graph:
         :func:`repro.topology.properties.next_hops_toward`."""
         return {}
 
+    @cached_property
+    def _nbr_sets(self) -> dict[int, frozenset[int]]:
+        """Vertex -> its neighbors as a frozenset, for membership tests;
+        built once per graph, so every run on it shares the sets."""
+        return {v: frozenset(nbrs) for v, nbrs in self.adj.items()}
+
     def __deepcopy__(self, memo: dict) -> "Graph":
         return self
 
     def __getstate__(self) -> dict[str, Any]:
         state = dict(self.__dict__)
         state.pop("_next_hops", None)
+        state.pop("_nbr_sets", None)
         return state
 
     def __repr__(self) -> str:

@@ -51,8 +51,15 @@ class SpanningTree:
         return self.tree.n
 
     def max_degree(self) -> int:
-        """Maximum degree within the tree (drives arrow's expanded steps)."""
-        return self.tree.max_degree()
+        """Maximum degree within the tree (drives arrow's expanded steps).
+
+        Computed once, from the tree's cached graph.
+        """
+        return self._max_degree
+
+    @cached_property
+    def _max_degree(self) -> int:
+        return max(map(len, self._graph.adj.values()))
 
     def as_graph(self) -> Graph:
         """The tree itself as a :class:`Graph` (for running protocols on it).

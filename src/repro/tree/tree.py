@@ -14,9 +14,11 @@ class RootedTree:
     """A rooted tree on vertices ``0 .. n-1``.
 
     Construction is from a parent mapping (``parent[root] == root``).  The
-    class precomputes children lists, depths, and a binary-lifting table,
-    giving ``lca``/``distance`` in O(log n) — distance queries dominate
-    the nearest-neighbour TSP computation (Section 4 of the paper).
+    class precomputes children lists and depths.  A binary-lifting table,
+    built on the first ``ancestor``/``lca``/``distance`` query, gives
+    each query in O(log n) — distance queries dominate the
+    nearest-neighbour TSP computation (Section 4 of the paper), and
+    nothing else reads the table.
 
     Attributes:
         root: the root vertex.
@@ -80,15 +82,9 @@ class RootedTree:
         self.parent = tuple(par)
         self.depth = tuple(depth)
         self.children = tuple(tuple(sorted(c)) for c in children)
-
-        # Binary lifting table: _up[k][v] = 2^k-th ancestor of v.
-        log = max(1, (n - 1).bit_length())
-        up = [list(self.parent)]
-        for k in range(1, log):
-            prev = up[k - 1]
-            up.append([prev[prev[v]] for v in range(n)])
-        self._up = up
-        self._log = log
+        #: binary-lifting table, built by _lifting() on the first query.
+        self._up: list[list[int]] | None = None
+        self._log = max(1, (n - 1).bit_length())
 
     @property
     def n(self) -> int:
@@ -130,13 +126,26 @@ class RootedTree:
             raise TreeError("edge list is not connected")
         return RootedTree(par, root=root)
 
+    def _lifting(self) -> list[list[int]]:
+        """Build the binary-lifting table: ``_up[k][v]`` is v's 2^k-th
+        ancestor."""
+        up = [list(self.parent)]
+        for k in range(1, self._log):
+            prev = up[k - 1]
+            up.append([prev[p] for p in prev])
+        self._up = up
+        return up
+
     def ancestor(self, v: int, k: int) -> int:
         """The k-th ancestor of ``v`` (clamped at the root)."""
+        up = self._up
+        if up is None:
+            up = self._lifting()
         for bit in range(self._log):
             if k <= 0:
                 break
             if k & (1 << bit):
-                v = self._up[bit][v]
+                v = up[bit][v]
                 k &= ~(1 << bit)
         return v
 
@@ -149,10 +158,11 @@ class RootedTree:
         u = self.ancestor(u, du - dv)
         if u == v:
             return u
+        up = self._up
         for k in range(self._log - 1, -1, -1):
-            if self._up[k][u] != self._up[k][v]:
-                u = self._up[k][u]
-                v = self._up[k][v]
+            if up[k][u] != up[k][v]:
+                u = up[k][u]
+                v = up[k][v]
         return self.parent[u]
 
     def distance(self, u: int, v: int) -> int:

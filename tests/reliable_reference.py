@@ -16,10 +16,12 @@ from repro.faults.reliable import ReliableNode, RetryBudgetExceeded
 class LinearScanReliableNode(ReliableNode):
     __slots__ = ()
 
-    def _arm_timer(self, ctx):
+    def _arm_timer(self, ctx, now):
         if not self.pending:
             return
-        due = max(min(p.due for p in self.pending.values()), ctx.now + 1)
+        due = max(min(p.due for p in self.pending.values()), now + 1)
+        if self.armed is None:
+            self.armed = set()
         if due not in self.armed:
             self.armed.add(due)
             ctx.schedule_wakeup(due)
@@ -28,11 +30,11 @@ class LinearScanReliableNode(ReliableNode):
         shared = self.shared
         t = ctx.now
         self.armed.discard(t)
-        due_inner = [r for r in sorted(self.inner_wakes) if r <= t]
+        due_inner = [r for r in sorted(self.inner_wakes or ()) if r <= t]
         if due_inner:
             self.inner_wakes.difference_update(due_inner)
-            self.inner.on_wake(self._proxy(ctx))
-        for seq in sorted(self.pending):
+            self.inner.on_wake(self)
+        for seq in sorted(self.pending or ()):
             p = self.pending[seq]
             if p.due > t:
                 continue
@@ -54,4 +56,4 @@ class LinearScanReliableNode(ReliableNode):
             if shared.metrics is not None:
                 shared.metrics.inc("reliable.retransmits")
             ctx.send(p.dst, "rel", payload=(seq, p.kind, p.payload))
-        self._arm_timer(ctx)
+        self._arm_timer(ctx, t)

@@ -8,6 +8,7 @@ dedup/retry behaviour including budget exhaustion.
 
 from __future__ import annotations
 
+import gc
 import pickle
 from unittest import mock
 
@@ -531,6 +532,36 @@ class TestReliableNodeState:
             node = finished.net.node(v)
             state = (node.armed, node.pending, node.inner_wakes, node.timers)
             assert state == (set(), {}, set(), []), v
+
+    def test_setup_allocates_at_most_5_tracked_objects_per_vertex(self, monkeypatch):
+        """Set-up of a reliable-wrapped arrow run on a 4,096-path makes few
+        GC-tracked objects per vertex: a vertex's containers are made when
+        it first acts, not up front."""
+        n = 4096
+        sp = path_spanning_tree(path_graph(n))
+        sp.as_graph()  # the tree and its graph are inputs, not set-up
+
+        class SetUpDone(Exception):
+            pass
+
+        after = []
+
+        def stop(net, *args, **kwargs):
+            after.append(len(gc.get_objects()))
+            raise SetUpDone
+
+        monkeypatch.setattr(SynchronousNetwork, "run", stop)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            with pytest.raises(SetUpDone):
+                run_arrow_ft(sp, range(0, n, 4), FaultPlan(seed=0, drop_rate=0.05))
+        finally:
+            if enabled:
+                gc.enable()
+        assert (after[0] - before) / n <= 5
 
     def test_restored_checkpoint_counts_into_its_own_registry(self):
         """The counters a wrapper bound before a checkpoint are the restored

@@ -117,7 +117,8 @@ class TestR1EngineInternals:
             assert marked_line(SRC_R1_DENSE, marker) in lines, marker
 
     def test_flags_context_bound_engine_slots(self):
-        """The context's pre-bound enqueue and wakeup skip its checks."""
+        """The context's former bound enqueue and wakeup slots are still
+        flagged: code written against them skips the context's checks."""
         findings = findings_for(SRC_R1_SLOTS)
         lines = {f.line for f in findings if f.rule_id == "R1"}
         assert marked_line(SRC_R1_SLOTS, "MARK-ENQUEUE") in lines

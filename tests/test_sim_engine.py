@@ -393,6 +393,44 @@ class TestGraphInputs:
         assert net.node_ids == [0, 1, 2, 3]
 
 
+class _MetricsWithoutSeries:
+    """A registry look-alike missing ``series``."""
+
+    def counter(self, name): ...
+    def gauge(self, name): ...
+    def histogram(self, name): ...
+
+
+class TestHookTypes:
+    @pytest.mark.parametrize(
+        "hook, value, expected",
+        [
+            ("monitors", [ArrowInvariant()], "MonitorSet interface"),
+            ("metrics", {}, "MetricsRegistry interface"),
+            ("metrics", _MetricsWithoutSeries(), "lacks series"),
+            ("trace", [], "EventTrace interface"),
+            ("profiler", object(), "PhaseProfiler interface"),
+        ],
+        ids=["monitors-list", "metrics-dict", "metrics-no-series", "trace-list",
+             "profiler-object"],
+    )
+    def test_wrong_typed_hook_rejected_before_round_0(self, hook, value, expected):
+        """A hook lacking an attribute the engine uses fails in the
+        constructor, naming the interface, before any node starts."""
+        started = []
+
+        class Starter(Node):
+            def on_start(self, ctx):
+                started.append(self.node_id)
+
+        with pytest.raises(TypeError, match=expected):
+            SynchronousNetwork(path_graph(3), {v: Starter(v) for v in range(3)},
+                               **{hook: value})
+        with pytest.raises(TypeError, match=f"^{hook}= expects"):
+            run_flood_counting(path_graph(6), [1, 4], **{hook: value})
+        assert started == []
+
+
 class TestTraceSliceAndJson:
     """EventTrace windows and the JSON round-trip (resilience evidence)."""
 

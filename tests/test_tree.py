@@ -173,3 +173,57 @@ class TestTraversal:
         t = RootedTree([0])
         assert euler_tour(t) == [0]
         assert dfs_preorder(t) == [0]
+
+
+def _lca_by_walking(t: RootedTree, u: int, v: int) -> int:
+    while t.depth[u] > t.depth[v]:
+        u = t.parent[u]
+    while t.depth[v] > t.depth[u]:
+        v = t.parent[v]
+    while u != v:
+        u, v = t.parent[u], t.parent[v]
+    return u
+
+
+def _lazy_cases():
+    from repro.topology import (
+        bfs_spanning_tree,
+        mesh_graph,
+        path_graph,
+        path_spanning_tree,
+        star_graph,
+        star_spanning_tree,
+    )
+    from repro.topology.spanning import SpanningTree
+
+    rt = random_tree(60, seed=5)
+    return {
+        "path": path_spanning_tree(path_graph(33)),
+        "star": star_spanning_tree(star_graph(17)),
+        "bfs-mesh": bfs_spanning_tree(mesh_graph([6, 7])),
+        "random": SpanningTree(tree_as_graph(rt), rt, label="random"),
+    }
+
+
+class TestLazyTreeWork:
+    """The tree work only some callers read is deferred, not changed."""
+
+    @pytest.mark.parametrize("name", ["path", "star", "bfs-mesh", "random"])
+    def test_max_degree_and_lca_unchanged(self, name):
+        sp = _lazy_cases()[name]
+        t = sp.tree
+        assert sp.max_degree() == max(t.degree(v) for v in range(t.n))
+        assert sp.max_degree() == t.max_degree()
+        assert t._up is None  # built on the first query, not in __init__
+        rng = random.Random(name)
+        for _ in range(200):
+            u, v = rng.randrange(t.n), rng.randrange(t.n)
+            a = _lca_by_walking(t, u, v)
+            assert t.lca(u, v) == a
+            assert t.distance(u, v) == t.depth[u] + t.depth[v] - 2 * t.depth[a]
+            k = rng.randrange(t.n + 2)
+            w = u
+            for _ in range(k):
+                w = t.parent[w]
+            assert t.ancestor(u, k) == w
+        assert t._up is not None
