@@ -24,10 +24,10 @@ def main() -> None:
         "bfs tree": bfs_spanning_tree(g),
     }.items():
         out = run_token_mutex(st, requesters, cs_rounds=cs_rounds)
-        assert out.mutual_exclusion_holds()
+        assert out.exclusive_holding()
         print(f"spanning tree: {label}")
         print(f"  CS order      : {list(out.order)}")
-        entries = [out.entry_rounds[v] for v in out.order]
+        entries = [out.acquire_rounds[v] for v in out.order]
         print(f"  entry rounds  : {entries}")
         print(f"  total waiting : {out.total_waiting}")
         print(f"  mutual exclusion verified: intervals never overlap\n")

@@ -74,6 +74,7 @@ _EXPORTS = {
     # resilience
     "MonitorSet": "repro.resilience",
     "CountingInvariant": "repro.resilience",
+    "QueuingInvariant": "repro.resilience",
     "ArrowInvariant": "repro.resilience",
     "TokenInvariant": "repro.resilience",
     "Watchdog": "repro.resilience",

@@ -8,20 +8,21 @@ arrow points at itself — the operation parked there is the request's
 predecessor in the distributed total order.
 
 :func:`run_arrow` executes the one-shot concurrent scenario of the paper
-on the synchronous simulator and reports per-operation delays, the
+on the synchronous simulator and returns a verified
+:class:`~repro.core.problem.QueuingResult`: per-operation delays, the
 induced total order, and the paper's total-delay cost.
 """
 
-from repro.arrow.protocol import ArrowNode, init_op, op_of
-from repro.arrow.runner import ArrowResult, run_arrow
+from repro.arrow.protocol import ArrowNode
+from repro.arrow.runner import run_arrow
 from repro.arrow.analysis import arrow_vs_tsp, ArrowTspComparison
 from repro.arrow.longlived import LongLivedResult, run_arrow_longlived
+from repro.core.problem import init_op, op_of
 
 __all__ = [
     "ArrowNode",
     "init_op",
     "op_of",
-    "ArrowResult",
     "run_arrow",
     "arrow_vs_tsp",
     "ArrowTspComparison",

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from repro.arrow.runner import ArrowResult, run_arrow
+from repro.arrow.runner import run_arrow
+from repro.core.problem import QueuingResult
 from repro.topology.spanning import SpanningTree
 from repro.tsp.nearest_neighbor import NNTour, nearest_neighbor_tour
 
@@ -19,7 +20,7 @@ class ArrowTspComparison:
     exceed 2 (and the benchmarks assert it doesn't).
     """
 
-    arrow: ArrowResult
+    arrow: QueuingResult
     tour: NNTour
 
     @property

@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Hashable, Mapping
 
-from repro.arrow.protocol import op_of
 from repro.arrow.runner import _run_arrow_nodes
+from repro.core.problem import op_of
+from repro.core.verify import verify_queuing
 from repro.sim import RunStats
 from repro.topology.spanning import SpanningTree
 
@@ -59,7 +60,7 @@ def run_arrow_longlived(
     capacity: int | None = None,
     **options: Any,
 ) -> LongLivedResult:
-    """Run arrow with per-vertex issue rounds.
+    """Run arrow with per-vertex issue rounds; output verified.
 
     Args:
         spanning: the spanning tree to run on.
@@ -73,10 +74,13 @@ def run_arrow_longlived(
     Raises:
         ValueError: if a vertex or ``tail`` is not a tree vertex, or an
             issue time is negative.
+        VerificationError: if the predecessor links do not form one chain
+            over the issuing vertices (a protocol bug).
     """
-    net, predecessors, _ = _run_arrow_nodes(
+    net, predecessors, tail = _run_arrow_nodes(
         spanning, issue_times, tail, capacity, options
     )
+    verify_queuing(issue_times, predecessors, tail)
     return LongLivedResult(
         issue_times=dict(issue_times),
         completion=net.delays.delay_by_op(),

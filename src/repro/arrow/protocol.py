@@ -26,17 +26,8 @@ from __future__ import annotations
 
 from typing import Hashable
 
+from repro.core.problem import init_op, op_of
 from repro.sim import Message, Node, NodeContext
-
-
-def init_op(tail: int) -> tuple[str, int]:
-    """The dummy operation parked at the initial tail node ``tail``."""
-    return ("init", tail)
-
-
-def op_of(v: int) -> tuple[str, int]:
-    """The identifier of the queuing operation issued by node ``v``."""
-    return ("op", v)
 
 
 class ArrowNode(Node):

@@ -2,74 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
-from repro.arrow.protocol import ArrowNode, init_op
-from repro.sim import RunStats, SynchronousNetwork, run_protocol
+from repro.arrow.protocol import ArrowNode
+from repro.core.problem import QueuingResult
+from repro.core.verify import verify_queuing
+from repro.sim import SynchronousNetwork, run_protocol
 from repro.topology.base import Graph
 from repro.topology.spanning import SpanningTree
 from repro.tree import RootedTree
-
-
-@dataclass(frozen=True)
-class ArrowResult:
-    """Outcome of a one-shot arrow execution.
-
-    Attributes:
-        requests: the requesting vertices, sorted.
-        tail: the node holding the initial (dummy) queue tail.
-        delays: operation id -> completion round.  Operation ids are
-            ``("op", v)``; the initial dummy op never appears.
-        predecessors: operation id -> predecessor operation id (the
-            queuing problem's answer; the first real operation's
-            predecessor is ``("init", tail)``).
-        stats: engine accounting for the run.
-    """
-
-    requests: tuple[int, ...]
-    tail: int
-    delays: dict[Hashable, int]
-    predecessors: dict[Hashable, Hashable]
-    stats: RunStats
-
-    @property
-    def total_delay(self) -> int:
-        """The paper's cost: sum of per-operation completion rounds."""
-        return sum(self.delays.values())
-
-    @property
-    def max_delay(self) -> int:
-        """Largest single operation delay."""
-        return max(self.delays.values(), default=0)
-
-    def order(self) -> list[int]:
-        """The induced total order as a list of requesting vertices.
-
-        Reconstructed by chaining predecessor pointers from the initial
-        dummy operation.
-
-        Raises:
-            ValueError: if the predecessor pointers do not form one chain
-                over all requests (a protocol bug — tested never to
-                happen).
-        """
-        succ: dict[Hashable, Hashable] = {}
-        for op, pred in self.predecessors.items():
-            if pred in succ:
-                raise ValueError(f"two operations claim predecessor {pred!r}")
-            succ[pred] = op
-        chain: list[int] = []
-        cur: Hashable = init_op(self.tail)
-        while cur in succ:
-            cur = succ[cur]
-            chain.append(cur[1])
-        if len(chain) != len(self.requests):
-            raise ValueError(
-                f"predecessor chain covers {len(chain)} of "
-                f"{len(self.requests)} operations"
-            )
-        return chain
 
 
 def run_arrow(
@@ -79,8 +20,8 @@ def run_arrow(
     tail: int | None = None,
     capacity: int | None = None,
     **options: Any,
-) -> ArrowResult:
-    """Run the one-shot concurrent arrow protocol.
+) -> QueuingResult:
+    """Run the one-shot concurrent arrow protocol; output verified.
 
     Args:
         spanning: the spanning tree the protocol runs on; messages travel
@@ -96,21 +37,25 @@ def run_arrow(
             ``reliable``, ...), forwarded to :func:`repro.sim.run_protocol`.
 
     Returns:
-        An :class:`ArrowResult` with per-operation delays and the induced
-        total order.
+        A :class:`~repro.core.problem.QueuingResult` (``algorithm="arrow"``)
+        with per-operation delays and the induced total order.
 
     Raises:
         ValueError: if a request vertex or ``tail`` is not a tree vertex.
+        VerificationError: if the predecessor links do not form one chain
+            over the requests (a protocol bug).
     """
     req = tuple(sorted(set(requests)))
     net, predecessors, tail = _run_arrow_nodes(
         spanning, dict.fromkeys(req, 0), tail, capacity, options
     )
-    return ArrowResult(
+    verify_queuing(req, predecessors, tail)
+    return QueuingResult(
+        algorithm="arrow",
         requests=req,
-        tail=tail,
-        delays=net.delays.delay_by_op(),
         predecessors=predecessors,
+        delays=net.delays.delay_by_op(),
+        tail=tail,
         stats=net.stats,
     )
 
@@ -172,7 +117,3 @@ def _run_arrow_nodes(
             predecessors.update(node.pred_found)
     return net, predecessors, tail
 
-
-def arrow_order_positions(result: ArrowResult) -> dict[int, int]:
-    """Vertex -> 1-based rank in the arrow total order (for comparisons)."""
-    return {v: i + 1 for i, v in enumerate(result.order())}

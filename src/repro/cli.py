@@ -219,7 +219,7 @@ def _cmd_protocol(args: argparse.Namespace, name: str) -> int:
     print(f"{g.name}: {getattr(res, 'algorithm', name)}")
     print(f"  total delay : {res.total_delay}")
     print(f"  max delay   : {res.max_delay}")
-    if not PROTOCOLS[name].counting:
+    if PROTOCOLS[name].problem == "queuing":
         print(f"  order       : {res.order()[:12]}{'...' if g.n > 12 else ''}")
     if args.stats:
         _print_stats(res.stats)
@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("complete", "path", "star", "mesh", "hypercube"))
     count.add_argument("--n", type=int, default=32)
     count.add_argument("--algorithm", default="combining",
-                       choices=[n for n, p in PROTOCOLS.items() if p.counting])
+                       choices=[n for n, p in PROTOCOLS.items() if p.problem == "counting"])
     count.add_argument("--sanitize", action="store_true",
                        help="re-run and diff event traces for nondeterminism")
     count.add_argument("--strict", action="store_true",

@@ -1,4 +1,4 @@
-"""Result types for counting and queuing runs."""
+"""Result types for counting and queuing runs, and the queuing op ids."""
 
 from __future__ import annotations
 
@@ -6,6 +6,16 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from repro.sim import RunStats
+
+
+def init_op(tail: int) -> tuple[str, int]:
+    """The dummy operation parked at the initial queue tail ``tail``."""
+    return ("init", tail)
+
+
+def op_of(v: int) -> tuple[str, int]:
+    """The identifier of the queuing operation issued by node ``v``."""
+    return ("op", v)
 
 
 @dataclass(frozen=True)
@@ -45,9 +55,9 @@ class QueuingResult:
     Attributes:
         algorithm: short name of the queuing algorithm.
         requests: the requesting vertices, sorted.
-        predecessors: operation id -> predecessor operation id; the first
-            real operation's predecessor is the initial dummy operation
-            ``("init", tail)``.
+        predecessors: operation id (:func:`op_of`) -> predecessor
+            operation id; the first real operation's predecessor is the
+            initial dummy operation :func:`init_op` of ``tail``.
         delays: operation id -> round in which the operation learned its
             predecessor — the paper's queuing delay ``l_Q``.
         tail: the vertex holding the initial queue tail.
@@ -70,3 +80,14 @@ class QueuingResult:
     def max_delay(self) -> int:
         """Largest single operation delay."""
         return max(self.delays.values(), default=0)
+
+    def order(self) -> list[int]:
+        """The requesting vertices in queue order.
+
+        Raises:
+            VerificationError: if the predecessor links do not form one
+                chain over all requests.
+        """
+        from repro.core.verify import verify_queuing  # verify imports this module
+
+        return [op[1] for op in verify_queuing(self.requests, self.predecessors, self.tail)]

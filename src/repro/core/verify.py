@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping, Sequence
 
+from repro.core.problem import init_op, op_of
+
 
 class VerificationError(AssertionError):
     """A counting or queuing output violated the problem specification."""
@@ -51,8 +53,8 @@ def verify_queuing(
     """Check Section 2.2's queuing condition and return the total order.
 
     The predecessor pointers must form one chain that starts at the
-    initial dummy operation ``("init", tail)`` and covers every
-    requester's operation exactly once.
+    initial dummy operation ``init_op(tail)`` and covers every
+    requester's operation ``op_of(v)`` exactly once.
 
     Returns:
         The operations in queue order (excluding the dummy).
@@ -65,7 +67,7 @@ def verify_queuing(
     req = set(requests)
     if not req:
         raise VerificationError("empty request set: nothing to queue")
-    ops = {("op", v) for v in req}
+    ops = {op_of(v) for v in req}
     if set(predecessors) != ops:
         raise VerificationError(
             f"predecessor map covers {len(predecessors)} ops, expected {len(ops)}"
@@ -76,7 +78,7 @@ def verify_queuing(
             raise VerificationError(f"fork: {pred!r} precedes two operations")
         succ[pred] = op
     chain: list[Hashable] = []
-    cur: Hashable = ("init", tail)
+    cur: Hashable = init_op(tail)
     seen = set()
     while cur in succ:
         cur = succ[cur]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Hashable, Iterable, Mapping
 
-from repro.core.problem import CountingResult, QueuingResult
+from repro.core.problem import CountingResult, QueuingResult, init_op, op_of
 from repro.core.verify import verify_counting, verify_queuing
 from repro.sim import Message, Node, NodeContext, SynchronousNetwork, run_protocol
 from repro.topology.base import Graph
@@ -62,7 +62,7 @@ class _CentralNode(Node):
         self.total = 0
         root = next_hop == node_id
         #: root only: the op served last (queuing's reply).
-        self.last_op: Hashable = ("init", node_id) if root else None
+        self.last_op: Hashable = init_op(node_id) if root else None
         #: root only: origins in the order they were served.
         self.served: list[int] | None = [] if root else None
         #: root only: requester -> path root->...->origin (excluding the root).
@@ -71,7 +71,7 @@ class _CentralNode(Node):
     def _value(self, origin: int, increment: int) -> Hashable:
         """Root-side: the reply to the request served next."""
         if self.queuing:
-            value, self.last_op = self.last_op, ("op", origin)
+            value, self.last_op = self.last_op, op_of(origin)
             return value
         self.total += increment
         return self.total
@@ -181,9 +181,9 @@ def run_central_queuing(
     """
     req = tuple(sorted(set(requests)))
     _, net = _run_central(graph, dict.fromkeys(req, 1), root, True, options)
-    predecessors = {("op", v): pred for v, pred in net.delays.result_by_op().items()}
-    # Delays keyed by op id to match QueuingResult's convention.
-    delays = {("op", v): d for v, d in net.delays.delay_by_op().items()}
+    # Ops complete under their vertex; the result keys them by op id.
+    predecessors = {op_of(v): pred for v, pred in net.delays.result_by_op().items()}
+    delays = {op_of(v): d for v, d in net.delays.delay_by_op().items()}
     # The initial dummy op lives at the root for the central server.
     verify_queuing(req, predecessors, tail=root)
     return QueuingResult(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
-from repro.core.problem import CountingResult, QueuingResult
+from repro.core.problem import CountingResult, QueuingResult, init_op, op_of
 from repro.core.verify import verify_counting, verify_queuing
 from repro.sim import Message, Node, NodeContext, SynchronousNetwork, run_protocol
 from repro.topology.base import Graph
@@ -55,8 +55,9 @@ class _SweepNode(Node):
                 ctx.complete(self.node_id, result=carried)
                 carried += 1
             else:
-                ctx.complete(("op", self.node_id), result=carried)
-                carried = ("op", self.node_id)
+                op = op_of(self.node_id)
+                ctx.complete(op, result=carried)
+                carried = op
         if self.next_on_path is not None:
             ctx.send(self.next_on_path, "token", payload=carried)
 
@@ -76,7 +77,7 @@ class _SweepHead(_SweepNode):
         if self.mode == "count":
             self._pass(1, ctx)
         else:
-            self._pass(("init", self.node_id), ctx)
+            self._pass(init_op(self.node_id), ctx)
 
 
 def _run_sweep(

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable
 
-from repro.arrow.protocol import ArrowNode, init_op, op_of
+from repro.arrow.protocol import ArrowNode
 from repro.arrow.runner import _run_arrow_nodes
+from repro.core.problem import init_op, op_of
 from repro.sim import Message, NodeContext
 from repro.topology.base import Graph
 from repro.topology.spanning import SpanningTree

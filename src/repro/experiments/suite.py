@@ -32,6 +32,7 @@ from repro.bounds import (
     verify_f_bound,
 )
 from repro.core.comparison import growth_exponent
+from repro.core.problem import init_op, op_of
 from repro.counting import (
     run_central_counting,
     run_central_queuing,
@@ -99,9 +100,9 @@ def run_e1_fig1_semantics() -> ExperimentResult:
     order = queuing.order()
 
     for v in requests:
-        op = ("op", v)
+        op = op_of(v)
         pred = queuing.predecessors[op]
-        pred_label = "init" if pred[0] == "init" else f"node {pred[1]}"
+        pred_label = "init" if pred == init_op(queuing.tail) else f"node {pred[1]}"
         res.rows.append(
             {
                 "node": v,

@@ -5,11 +5,12 @@ Each ``run_*_ft`` function runs the corresponding base protocol under a
 reliable-delivery adapter (:mod:`repro.faults.reliable`).  They are
 shorthands: any runner does the same given ``faults=plan`` and
 ``reliable=RetryPolicy()`` (see :func:`repro.sim.run_protocol`); pass
-``reliable=`` to use another retry policy.  The
-outputs go through the same verifiers as the fault-free runners, so a
-returned result is a *correct* one — under an eventually-delivering plan
-the run completes and verifies despite drops, duplicates, outages, and
-(finite) crashes.
+``reliable=`` to use another retry policy.  Each base runner verifies
+its own output (:func:`~repro.core.verify.verify_counting` or
+:func:`~repro.core.verify.verify_queuing`) before returning it, faults or
+not, so a returned result is a *correct* one — under an
+eventually-delivering plan the run completes and verifies despite drops,
+duplicates, outages, and (finite) crashes.
 
 Round budgets: faults stretch executions, so callers should size
 ``max_rounds`` for the retry envelope, roughly ``fault_free_rounds +
@@ -23,8 +24,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.arrow.runner import ArrowResult, run_arrow
-from repro.core.problem import CountingResult
+from repro.arrow.runner import run_arrow
+from repro.core.problem import CountingResult, QueuingResult
 from repro.counting.central import run_central_counting
 from repro.counting.flood import run_flood_counting
 from repro.faults.plan import FaultPlan
@@ -38,11 +39,11 @@ def run_arrow_ft(
     requests: Iterable[int],
     plan: FaultPlan,
     **options: Any,
-) -> ArrowResult:
+) -> QueuingResult:
     """Arrow queuing under ``plan`` with reliable delivery.
 
-    Same contract as :func:`repro.arrow.run_arrow`; the result's
-    predecessor chain is still a single queue over all requests.
+    Same contract as :func:`repro.arrow.run_arrow`: the returned
+    predecessor chain is verified to be one queue over all requests.
     """
     options.setdefault("reliable", RetryPolicy())
     return run_arrow(spanning, requests, faults=plan, **options)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable
 
 from repro.arrow.runner import run_arrow
+from repro.core.problem import init_op, op_of
 from repro.core.verify import verify_total_order_consistency
 from repro.counting.combining import run_combining_counting
 from repro.sim import Message, Node, NodeContext, run_protocol
@@ -235,18 +236,18 @@ def run_queuing_multicast(
     """
     senders_t = tuple(sorted(set(senders)))
     coord = run_arrow(spanning, senders_t, **options)
-    start = {v: coord.delays[("op", v)] for v in senders_t}
+    start = {v: coord.delays[op_of(v)] for v in senders_t}
     meta: dict[int, Hashable] = {}
     for v in senders_t:
-        pred = coord.predecessors[("op", v)]
-        meta[v] = None if pred[0] == "init" else pred[1]
+        pred = coord.predecessors[op_of(v)]
+        meta[v] = None if pred == init_op(coord.tail) else pred[1]
     delivery, order = _run_dissemination(
         graph, "queuing", start, meta, **_round_limit(options)
     )
     return MulticastOutcome(
         flavour="queuing",
         senders=senders_t,
-        coordination_delays={v: coord.delays[("op", v)] for v in senders_t},
+        coordination_delays=start,
         delivery_times=delivery,
         delivery_order=order,
     )

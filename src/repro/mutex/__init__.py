@@ -10,6 +10,6 @@ of :mod:`repro.directory` run on the tree itself; every run checks the
 mutual-exclusion safety property.
 """
 
-from repro.mutex.raymond import MutexOutcome, run_token_mutex
+from repro.mutex.raymond import run_token_mutex
 
-__all__ = ["MutexOutcome", "run_token_mutex"]
+__all__ = ["run_token_mutex"]

@@ -7,40 +7,10 @@ what :func:`repro.directory.run_object_directory` does on ``G = T``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable
 
-from repro.directory.protocol import run_object_directory
+from repro.directory.protocol import DirectoryOutcome, run_object_directory
 from repro.topology.spanning import SpanningTree
-
-
-@dataclass(frozen=True)
-class MutexOutcome:
-    """Result of a token-mutex run.
-
-    Attributes:
-        requests: requesting vertices, sorted.
-        cs_rounds: critical-section duration used.
-        entry_rounds: vertex -> round it entered the critical section.
-        order: vertices in critical-section order.
-    """
-
-    requests: tuple[int, ...]
-    cs_rounds: int
-    entry_rounds: dict[int, int]
-    order: tuple[int, ...]
-
-    @property
-    def total_waiting(self) -> int:
-        """Sum of entry rounds — total time spent waiting for the CS."""
-        return sum(self.entry_rounds.values())
-
-    def mutual_exclusion_holds(self) -> bool:
-        """No two critical sections overlap (entries >= cs_rounds apart)."""
-        entries = sorted(self.entry_rounds.values())
-        return all(
-            b - a >= self.cs_rounds for a, b in zip(entries, entries[1:])
-        )
 
 
 def run_token_mutex(
@@ -51,8 +21,12 @@ def run_token_mutex(
     tail: int | None = None,
     capacity: int | None = None,
     **options: Any,
-) -> MutexOutcome:
+) -> DirectoryOutcome:
     """Run one-shot token-based mutual exclusion over the arrow queue.
+
+    The outcome is the directory's: ``acquire_rounds`` holds the round
+    each requester entered the critical section, ``use_rounds`` is
+    ``cs_rounds``, and ``exclusive_holding()`` is mutual exclusion.
 
     Args:
         spanning: spanning tree carrying both the arrow queue and the
@@ -76,13 +50,7 @@ def run_token_mutex(
     """
     if cs_rounds < 0:
         raise ValueError(f"cs_rounds must be >= 0, got {cs_rounds}")
-    out = run_object_directory(
+    return run_object_directory(
         spanning.as_graph(), spanning, requests,
         use_rounds=cs_rounds, home=tail, capacity=capacity, **options,
-    )
-    return MutexOutcome(
-        requests=out.requests,
-        cs_rounds=cs_rounds,
-        entry_rounds=out.acquire_rounds,
-        order=out.order,
     )

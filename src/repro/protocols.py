@@ -2,7 +2,10 @@
 
 Each :class:`Protocol` runs on a plain graph with every vertex a
 candidate requester, building whatever structure it needs (a spanning
-tree, a Hamilton path, an embedded network) itself.  Run options go
+tree, a Hamilton path, an embedded network) itself, and returns a
+verified :class:`~repro.core.problem.CountingResult` or
+:class:`~repro.core.problem.QueuingResult`.  Each entry names the problem
+it solves and the safety invariant that monitors it.  Run options go
 through unchanged to :func:`repro.sim.run_protocol`, so any entry can run
 with faults and reliable delivery, trace, metrics, profiler or monitors
 attached — which is what keeps the counting-vs-queuing comparison fair.
@@ -16,13 +19,20 @@ from typing import Any, Callable, Iterable
 from repro.arrow.runner import run_arrow
 from repro.counting import (
     run_central_counting,
+    run_central_queuing,
     run_combining_counting,
     run_counting_network,
     run_flood_counting,
     run_periodic_counting,
     run_sweep_counting,
+    run_sweep_queuing,
 )
-from repro.resilience.invariants import ArrowInvariant, CountingInvariant
+from repro.resilience.invariants import (
+    ArrowInvariant,
+    CountingInvariant,
+    InvariantMonitor,
+    QueuingInvariant,
+)
 from repro.topology.base import Graph, TopologyError
 from repro.topology.spanning import bfs_spanning_tree, path_spanning_tree
 
@@ -33,18 +43,21 @@ class Protocol:
 
     Attributes:
         run: ``run(graph, requests, **options)``; returns a verified
-            counting result, or an :class:`~repro.arrow.ArrowResult`.
-        counting: whether the protocol counts (else it queues).
+            counting or queuing result.
+        problem: ``"counting"`` or ``"queuing"``.
+        monitor: ``monitor(k)`` builds the safety invariant for a run
+            with ``k`` requests.
         needs_path: whether it runs only on graphs with a Hamilton path.
     """
 
     run: Callable[..., Any]
-    counting: bool = True
+    problem: str
+    monitor: Callable[[int], InvariantMonitor]
     needs_path: bool = False
 
-    def invariant(self, k: int) -> ArrowInvariant | CountingInvariant:
+    def invariant(self, k: int) -> InvariantMonitor:
         """The safety invariant to monitor a run with ``k`` requests."""
-        return CountingInvariant(expected=k) if self.counting else ArrowInvariant()
+        return self.monitor(k)
 
 
 def _arrow(graph: Graph, requests: Iterable[int], **options: Any) -> Any:
@@ -56,19 +69,27 @@ def _arrow(graph: Graph, requests: Iterable[int], **options: Any) -> Any:
     return run_arrow(spanning, requests, **options)
 
 
+def _arrow_invariant(k: int) -> ArrowInvariant:
+    return ArrowInvariant()
+
+
 def _combining(graph: Graph, requests: Iterable[int], **options: Any) -> Any:
     return run_combining_counting(bfs_spanning_tree(graph), requests, **options)
 
 
 #: name -> protocol, in the order the CLI lists them.
 PROTOCOLS: dict[str, Protocol] = {
-    "arrow": Protocol(_arrow, counting=False),
-    "central": Protocol(run_central_counting),
-    "flood": Protocol(run_flood_counting),
-    "combining": Protocol(_combining),
-    "cnet": Protocol(run_counting_network),
-    "periodic": Protocol(run_periodic_counting),
-    "sweep": Protocol(run_sweep_counting, needs_path=True),
+    "arrow": Protocol(_arrow, "queuing", _arrow_invariant),
+    "central": Protocol(run_central_counting, "counting", CountingInvariant),
+    "flood": Protocol(run_flood_counting, "counting", CountingInvariant),
+    "combining": Protocol(_combining, "counting", CountingInvariant),
+    "cnet": Protocol(run_counting_network, "counting", CountingInvariant),
+    "periodic": Protocol(run_periodic_counting, "counting", CountingInvariant),
+    "sweep": Protocol(run_sweep_counting, "counting", CountingInvariant, needs_path=True),
+    "central_queuing": Protocol(run_central_queuing, "queuing", QueuingInvariant),
+    "sweep_queuing": Protocol(
+        run_sweep_queuing, "queuing", QueuingInvariant, needs_path=True
+    ),
 }
 
 __all__ = ["PROTOCOLS", "Protocol"]

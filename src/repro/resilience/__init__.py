@@ -40,6 +40,7 @@ from repro.resilience.invariants import (
     CountingInvariant,
     InvariantMonitor,
     MonitorSet,
+    QueuingInvariant,
     TokenInvariant,
 )
 from repro.resilience.watchdog import Watchdog
@@ -67,6 +68,7 @@ __all__ = [
     "InvariantMonitor",
     "MonitorSet",
     "PeriodicCheckpointer",
+    "QueuingInvariant",
     "TokenInvariant",
     "Watchdog",
     "chaos_search",

@@ -125,6 +125,52 @@ class CountingInvariant(InvariantMonitor):
             )
 
 
+class QueuingInvariant(InvariantMonitor):
+    """One predecessor per operation, for any queuing protocol.
+
+    Safety (Section 2.2): the predecessor links form one chain over the
+    requests.  Checked from completions alone, keyed only by the op id
+    and its result (the predecessor), so it holds for any op-id scheme
+    and through any node wrapper:
+
+    * each op completes once;
+    * no predecessor is claimed by two ops (the order would fork);
+    * at quiescence, exactly ``expected`` ops have completed.
+
+    Args:
+        expected: the number of requesters ``|R|``; ``None`` skips the
+            completion count.
+    """
+
+    name = "queuing.single-predecessor"
+
+    def __init__(self, expected: int | None = None) -> None:
+        self.expected = expected
+        #: predecessor -> (op that claimed it, node it completed at).
+        self.claimed: dict[Hashable, tuple[Hashable, int]] = {}
+        self.completed: set[Hashable] = set()
+
+    def on_complete(self, net: Any, op_id: Hashable, result: Any, node_id: int) -> None:
+        if op_id in self.completed:
+            self._violate(net, f"operation {op_id!r} completed twice", (node_id,))
+        first = self.claimed.get(result)
+        if first is not None:
+            self._violate(
+                net,
+                f"operations {first[0]!r} (node {first[1]}) and {op_id!r} "
+                f"(node {node_id}) both claim predecessor {result!r}",
+                (first[1], node_id),
+            )
+        self.completed.add(op_id)
+        self.claimed[result] = (op_id, node_id)
+
+    def on_finish(self, net: Any) -> None:
+        if self.expected is not None and len(self.completed) != self.expected:
+            self._violate(
+                net, f"{len(self.completed)} of {self.expected} operations completed"
+            )
+
+
 #: Nodes per block of :class:`ArrowInvariant`'s link column.
 _BLOCK = 64
 
@@ -452,6 +498,7 @@ __all__ = [
     "CountingInvariant",
     "InvariantMonitor",
     "MonitorSet",
+    "QueuingInvariant",
     "TokenInvariant",
     "TRACE_CONTEXT_ROUNDS",
 ]

@@ -7,14 +7,9 @@ protocol analysis (Theorem 4.1) and the nearest-neighbour TSP bounds
 """
 
 from repro.tree.tree import RootedTree, TreeError, random_tree
-from repro.tree.traversal import euler_tour, dfs_preorder, leaves_of, subtree_sizes
 
 __all__ = [
     "RootedTree",
     "TreeError",
     "random_tree",
-    "euler_tour",
-    "dfs_preorder",
-    "leaves_of",
-    "subtree_sizes",
 ]

@@ -72,30 +72,30 @@ class TestMutex:
         st = path_spanning_tree(path_graph(6))
         out = run_token_mutex(st, range(6), cs_rounds=1)
         assert sorted(out.order) == list(range(6))
-        assert out.mutual_exclusion_holds()
+        assert out.exclusive_holding()
 
     def test_cs_duration_spacing(self):
         st = path_spanning_tree(path_graph(5))
         out = run_token_mutex(st, range(5), cs_rounds=4)
-        entries = sorted(out.entry_rounds.values())
+        entries = sorted(out.acquire_rounds.values())
         assert all(b - a >= 4 for a, b in zip(entries, entries[1:]))
 
     def test_zero_length_cs(self):
         st = path_spanning_tree(path_graph(5))
         out = run_token_mutex(st, range(5), cs_rounds=0)
-        assert len(out.entry_rounds) == 5
+        assert len(out.acquire_rounds) == 5
 
     def test_single_requester(self):
         st = path_spanning_tree(path_graph(4))
         out = run_token_mutex(st, [3])
         assert out.order == (3,)
         # token travels from tail 0 to node 3 after its request arrives
-        assert out.entry_rounds[3] >= 3
+        assert out.acquire_rounds[3] >= 3
 
     def test_tail_requester_enters_at_zero(self):
         st = path_spanning_tree(path_graph(4))
         out = run_token_mutex(st, [0, 2])
-        assert out.entry_rounds[0] == 0
+        assert out.acquire_rounds[0] == 0
 
     def test_custom_tail(self):
         st = path_spanning_tree(path_graph(5))
@@ -105,7 +105,7 @@ class TestMutex:
     def test_binary_tree_topology(self):
         st = embedded_binary_tree(complete_graph(15))
         out = run_token_mutex(st, range(15), cs_rounds=2)
-        assert out.mutual_exclusion_holds()
+        assert out.exclusive_holding()
         assert len(out.order) == 15
 
     def test_invalid_cs_rounds(self):
@@ -116,7 +116,7 @@ class TestMutex:
     def test_total_waiting_metric(self):
         st = path_spanning_tree(path_graph(4))
         out = run_token_mutex(st, range(4))
-        assert out.total_waiting == sum(out.entry_rounds.values())
+        assert out.total_waiting == sum(out.acquire_rounds.values())
 
     def test_random_instances_safe(self):
         from helpers import random_tree, tree_as_graph
@@ -132,4 +132,4 @@ class TestMutex:
                 st, req, cs_rounds=rng.randint(0, 3), tail=rng.randrange(n)
             )
             assert sorted(out.order) == sorted(set(req))
-            assert out.mutual_exclusion_holds()
+            assert out.exclusive_holding()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
@@ -9,9 +10,8 @@ import pytest
 from helpers import random_tree, tree_as_graph
 from repro.arrow import arrow_vs_tsp, run_arrow, run_arrow_longlived
 from repro.arrow.longlived import poisson_issue_times
-from repro.arrow.protocol import init_op, op_of
-from repro.arrow.runner import arrow_order_positions
-from repro.core.verify import verify_queuing
+from repro.arrow.protocol import ArrowNode, init_op, op_of
+from repro.core.verify import VerificationError, verify_queuing
 from repro.directory import run_object_directory
 from repro.mutex import run_token_mutex
 from repro.topology import complete_graph, mesh_graph, path_graph, star_graph
@@ -87,8 +87,8 @@ class TestBasics:
         res = run_arrow(st, [1, 3])
         assert res.max_delay == max(res.delays.values())
         assert len(res.requests) == 2
-        pos = arrow_order_positions(res)
-        assert sorted(pos.values()) == [1, 2]
+        assert res.algorithm == "arrow"
+        assert sorted(res.order()) == [1, 3]
 
 
 class TestTotalOrder:
@@ -123,6 +123,25 @@ class TestTotalOrder:
         st = star_spanning_tree(star_graph(9))
         res = run_arrow(st, range(9), capacity=1)
         assert sorted(res.order()) == list(range(9))
+
+    @pytest.mark.parametrize("module, run", [
+        ("repro.arrow.runner", lambda st: run_arrow(st, [1, 3])),
+        ("repro.arrow.longlived", lambda st: run_arrow_longlived(st, {1: 0, 3: 2})),
+    ], ids=["run_arrow", "run_arrow_longlived"])
+    def test_forged_predecessor_is_rejected(self, module, run, monkeypatch):
+        """The runners verify the links their nodes found: a node that
+        records each op as its own predecessor makes them raise."""
+
+        class Forger(ArrowNode):
+            def _found(self, a, ctx):
+                super()._found(a, ctx)
+                self.pred_found[a] = a
+
+        mod = importlib.import_module(module)
+        real = mod._run_arrow_nodes
+        monkeypatch.setattr(mod, "_run_arrow_nodes", lambda *args: real(*args, Forger))
+        with pytest.raises(VerificationError):
+            run(path_spanning_tree(path_graph(4)))
 
 
 class TestDelaysAndTheorem41:

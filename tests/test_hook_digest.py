@@ -1,4 +1,4 @@
-"""Smoke test of ``scripts/hook_digest.py`` on two of its cells."""
+"""Smoke test of ``scripts/hook_digest.py`` on three of its cells."""
 
 from __future__ import annotations
 
@@ -13,7 +13,11 @@ import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "hook_digest.py"
 
-CELLS = [("central", "star", "none"), ("flood", "ring", "lossy")]
+CELLS = [
+    ("central", "star", "none"),
+    ("flood", "ring", "lossy"),
+    ("central_queuing", "star", "lossy"),
+]
 
 
 @pytest.fixture(scope="module")

@@ -10,8 +10,13 @@ they reach every entry too.
 
 from __future__ import annotations
 
+import ast
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.adding import run_central_addition, run_combining_addition
 from repro.arrow import run_arrow_longlived
 from repro.cli import main
@@ -27,6 +32,7 @@ from repro.resilience import (
     ChaosCell,
     CountingInvariant,
     MonitorSet,
+    QueuingInvariant,
     TokenInvariant,
     Watchdog,
     run_cell,
@@ -36,7 +42,8 @@ from repro.sim import EventTrace
 from repro.topology import bfs_spanning_tree, ring_graph
 
 NAMES = sorted(PROTOCOLS)
-COUNTING = sorted(name for name, spec in PROTOCOLS.items() if spec.counting)
+COUNTING = sorted(name for name, spec in PROTOCOLS.items() if spec.problem == "counting")
+QUEUING = sorted(name for name, spec in PROTOCOLS.items() if spec.problem == "queuing")
 REQUESTS = (0, 2, 3, 5, 7)
 K = len(REQUESTS)
 
@@ -45,7 +52,7 @@ def _run(name: str, **options):
     """Run ``name`` on an 8-node ring and check its output from outside."""
     spec = PROTOCOLS[name]
     res = spec.run(ring_graph(8), REQUESTS, **options)
-    if spec.counting:
+    if spec.problem == "counting":
         verify_counting(REQUESTS, res.counts)
     else:
         verify_queuing(REQUESTS, res.predecessors, tail=res.tail)
@@ -108,12 +115,28 @@ class TestEveryProtocolTakesEveryOption:
 
 
 def test_invariants_match_the_problem():
+    assert sorted(COUNTING + QUEUING) == NAMES
     for name, spec in PROTOCOLS.items():
         inv = spec.invariant(K)
-        if spec.counting:
-            assert inv.expected == K, name
+        if spec.problem == "counting":
+            assert isinstance(inv, CountingInvariant) and inv.expected == K, name
+        elif name == "arrow":
+            assert isinstance(inv, ArrowInvariant)
         else:
-            assert inv.name == "arrow.single-sink"
+            assert isinstance(inv, QueuingInvariant) and inv.expected == K, name
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["plain", "lossy"])
+@pytest.mark.parametrize("name", QUEUING)
+def test_queuing_invariant_is_silent_on_every_queuing_entry(name, lossy):
+    """Completions alone check any queuing protocol, arrow included."""
+    inv = QueuingInvariant(expected=K)
+    options = (
+        {"faults": FaultPlan(seed=0, drop_rate=0.1), "reliable": RetryPolicy()}
+        if lossy else {}
+    )
+    _run(name, monitors=MonitorSet(invariants=(inv,)), **options)
+    assert len(inv.completed) == len(inv.claimed) == K
 
 
 @pytest.mark.parametrize("name", COUNTING)
@@ -216,3 +239,55 @@ def test_chaos_default_cells_cover_every_protocol(capsys):
     assert protocols == {f"{name}_ft" for name in PROTOCOLS}
     assert main(["chaos", "--seeds", "1", "--ci"]) == 0
     assert f"over {len(DEFAULT_CELLS)} cells" in capsys.readouterr().out
+
+
+#: Public ``run_*`` functions that are not protocol runners, by module.
+#: The experiment drivers (``run_e<k>_*`` in ``repro.experiments.suite``)
+#: are matched by name instead.
+NOT_PROTOCOL_RUNNERS = {
+    "repro.sim.network": {"run_protocol"},  # the engine call every runner makes
+    "repro.experiments.executor": {"run_cell", "run_suite"},
+    "repro.resilience.chaos": {"run_cell"},
+    "repro.tsp.runs": {"run_decomposition"},  # splits a tour into runs
+    # ``faults=`` plus ``reliable=`` shorthands, imported by perfbench/
+    "repro.faults.runners": {"run_arrow_ft", "run_central_counting_ft", "run_flood_counting_ft"},
+}
+EXPERIMENT_DRIVER = re.compile(r"run_e\d+_\w+")
+
+
+def _public_runs() -> list[tuple[str, str]]:
+    """``(module, name)`` of every top-level public ``run_*`` function in src."""
+    root = Path(repro.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        module = ".".join(path.relative_to(root.parent).with_suffix("").parts)
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("run_"):
+                found.append((module, stmt.name))
+    return found
+
+
+def _runner_names(fn) -> set[str]:
+    """The runner ``fn`` is, or the runners an adapter or lambda calls."""
+    if fn.__name__.startswith("run_"):
+        return {fn.__name__}
+    return {name for name in fn.__code__.co_names if name.startswith("run_")}
+
+
+def test_every_public_runner_is_registered_or_exercised():
+    """Each public runner is a registry entry, an ``OTHER_RUNNERS`` entry
+    (so it takes the run options) or a named non-protocol."""
+    covered = set().union(
+        *(_runner_names(spec.run) for spec in PROTOCOLS.values()),
+        *(_runner_names(run) for run, _ in OTHER_RUNNERS.values()),
+    )
+    runs = _public_runs()
+    unlisted = [
+        f"{module}.{name}" for module, name in runs
+        if name not in covered
+        and name not in NOT_PROTOCOL_RUNNERS.get(module, ())
+        and not (module == "repro.experiments.suite" and EXPERIMENT_DRIVER.fullmatch(name))
+    ]
+    assert unlisted == []
+    stale = {(m, n) for m, names in NOT_PROTOCOL_RUNNERS.items() for n in names} - set(runs)
+    assert stale == set()

@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,18 +31,21 @@ from repro import (
     path_spanning_tree,
     run_arrow,
     run_central_counting,
+    run_central_queuing,
     run_counting_network,
     run_flood_counting,
     run_token_mutex,
     star_graph,
 )
 from repro.arrow.protocol import ArrowNode
+from repro.core.problem import init_op, op_of
 from repro.faults import FaultPlan, NodeCrash
 from repro.resilience import (
     ArrowInvariant,
     Checkpoint,
     CountingInvariant,
     InvariantMonitor,
+    QueuingInvariant,
     TokenInvariant,
 )
 from repro.sim import EventTrace, Node, SynchronousNetwork
@@ -108,6 +112,43 @@ class TestCountingInvariant:
         with pytest.raises(InvariantViolation, match="missing"):
             # only 4 of the promised 7 requesters exist
             run_central_counting(star_graph(7), range(4), monitors=mon)
+
+
+class TestQueuingInvariant:
+    def test_forged_second_claim_caught(self, monkeypatch):
+        """A hub that names the initial dummy as every op's predecessor is
+        caught at the second claim, naming both claimants' nodes."""
+        import repro.counting.central as central_mod
+
+        class ForgedPred(central_mod._CentralNode):
+            def _value(self, origin, increment):
+                super()._value(origin, increment)
+                return init_op(self.node_id)
+
+        monkeypatch.setattr(central_mod, "_CentralNode", ForgedPred)
+        mon = MonitorSet(invariants=(QueuingInvariant(expected=5),))
+        with pytest.raises(InvariantViolation) as ei:
+            run_central_queuing(star_graph(5), range(5), monitors=mon)
+        exc = ei.value
+        assert exc.invariant == "queuing.single-predecessor"
+        assert len(exc.nodes) == 2
+        assert "both claim predecessor ('init', 0)" in str(exc)
+
+    def test_double_completion_caught(self):
+        """The engine refuses a second completion before monitors see it,
+        so the invariant is driven directly."""
+        inv = QueuingInvariant(expected=2)
+        net = SimpleNamespace(now=4)
+        inv.on_complete(net, op_of(1), init_op(0), 1)
+        with pytest.raises(InvariantViolation, match="completed twice") as ei:
+            inv.on_complete(net, op_of(1), op_of(2), 1)
+        assert ei.value.round == 4
+
+    def test_completion_count_checked_at_finish(self):
+        mon = MonitorSet(invariants=(QueuingInvariant(expected=7),))
+        with pytest.raises(InvariantViolation, match="4 of 7 operations"):
+            # only 4 of the promised 7 requesters exist
+            run_central_queuing(star_graph(7), range(4), monitors=mon)
 
 
 class TestArrowInvariant:
@@ -254,7 +295,7 @@ class TestTokenInvariant:
         mon = MonitorSet(invariants=(TokenInvariant(),))
         out = run_token_mutex(bfs_spanning_tree(complete_graph(6)), range(6),
                               monitors=mon)
-        assert out.mutual_exclusion_holds()
+        assert out.exclusive_holding()
 
 
 # ------------------------------------------- monitors do not perturb the run

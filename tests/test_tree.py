@@ -1,4 +1,4 @@
-"""RootedTree: construction, LCA, distances, paths, traversals."""
+"""RootedTree: construction, LCA, distances, paths."""
 
 from __future__ import annotations
 
@@ -8,14 +8,7 @@ import pytest
 
 from helpers import random_tree, tree_as_graph
 from repro.topology.properties import bfs_distances
-from repro.tree import (
-    RootedTree,
-    TreeError,
-    dfs_preorder,
-    euler_tour,
-    leaves_of,
-    subtree_sizes,
-)
+from repro.tree import RootedTree, TreeError
 
 
 class TestConstruction:
@@ -128,51 +121,6 @@ class TestQueries:
             dist = bfs_distances(g, src)
             for v in range(n):
                 assert t.distance(src, v) == dist[v]
-
-
-class TestTraversal:
-    def test_preorder(self):
-        t = RootedTree([0, 0, 0, 1, 1, 2, 3])
-        assert dfs_preorder(t) == [0, 1, 3, 6, 4, 2, 5]
-
-    def test_euler_tour_length_and_endpoints(self):
-        t = random_tree(15, seed=3)
-        tour = euler_tour(t)
-        assert len(tour) == 2 * t.n - 1
-        assert tour[0] == t.root and tour[-1] == t.root
-
-    def test_euler_tour_steps_are_edges(self):
-        t = random_tree(25, seed=4)
-        edge_set = {frozenset(e) for e in t.edges()}
-        tour = euler_tour(t)
-        for a, b in zip(tour, tour[1:]):
-            assert frozenset((a, b)) in edge_set
-
-    def test_euler_tour_each_edge_twice(self):
-        from collections import Counter
-
-        t = random_tree(12, seed=5)
-        tour = euler_tour(t)
-        counts = Counter(frozenset(p) for p in zip(tour, tour[1:]))
-        assert all(c == 2 for c in counts.values())
-        assert len(counts) == t.n - 1
-
-    def test_leaves(self):
-        t = RootedTree([0, 0, 0, 1, 1, 2, 3])
-        assert leaves_of(t) == [4, 5, 6]
-
-    def test_subtree_sizes(self):
-        t = RootedTree([0, 0, 0, 1, 1, 2, 3])
-        sizes = subtree_sizes(t)
-        assert sizes[0] == 7
-        assert sizes[1] == 4
-        assert sizes[2] == 2
-        assert sizes[6] == 1
-
-    def test_single_vertex_tour(self):
-        t = RootedTree([0])
-        assert euler_tour(t) == [0]
-        assert dfs_preorder(t) == [0]
 
 
 def _lca_by_walking(t: RootedTree, u: int, v: int) -> int:
