@@ -75,12 +75,14 @@ def run_arrow_longlived(
         ValueError: if a vertex or ``tail`` is not a tree vertex, or an
             issue time is negative.
         VerificationError: if the predecessor links do not form one chain
-            over the issuing vertices (a protocol bug).
+            over a non-empty set of issuing vertices (a protocol bug).  An
+            empty mapping runs no operation and returns an empty result.
     """
     net, predecessors, tail = _run_arrow_nodes(
         spanning, issue_times, tail, capacity, options
     )
-    verify_queuing(issue_times, predecessors, tail)
+    if issue_times:  # an empty schedule has no chain to verify
+        verify_queuing(issue_times, predecessors, tail)
     return LongLivedResult(
         issue_times=dict(issue_times),
         completion=net.delays.delay_by_op(),

@@ -43,13 +43,15 @@ def run_arrow(
     Raises:
         ValueError: if a request vertex or ``tail`` is not a tree vertex.
         VerificationError: if the predecessor links do not form one chain
-            over the requests (a protocol bug).
+            over a non-empty request set (a protocol bug).  An empty
+            request set runs no operation and returns an empty result.
     """
     req = tuple(sorted(set(requests)))
     net, predecessors, tail = _run_arrow_nodes(
         spanning, dict.fromkeys(req, 0), tail, capacity, options
     )
-    verify_queuing(req, predecessors, tail)
+    if req:  # an empty request set has no chain to verify
+        verify_queuing(req, predecessors, tail)
     return QueuingResult(
         algorithm="arrow",
         requests=req,

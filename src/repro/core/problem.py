@@ -82,7 +82,7 @@ class QueuingResult:
         return max(self.delays.values(), default=0)
 
     def order(self) -> list[int]:
-        """The requesting vertices in queue order.
+        """The requesting vertices in queue order (empty if none requested).
 
         Raises:
             VerificationError: if the predecessor links do not form one
@@ -90,4 +90,6 @@ class QueuingResult:
         """
         from repro.core.verify import verify_queuing  # verify imports this module
 
+        if not self.requests:
+            return []
         return [op[1] for op in verify_queuing(self.requests, self.predecessors, self.tail)]

@@ -45,19 +45,15 @@ class Protocol:
         run: ``run(graph, requests, **options)``; returns a verified
             counting or queuing result.
         problem: ``"counting"`` or ``"queuing"``.
-        monitor: ``monitor(k)`` builds the safety invariant for a run
-            with ``k`` requests.
+        invariant: ``invariant(k)`` builds the safety invariant to monitor
+            a run with ``k`` requests.
         needs_path: whether it runs only on graphs with a Hamilton path.
     """
 
     run: Callable[..., Any]
     problem: str
-    monitor: Callable[[int], InvariantMonitor]
+    invariant: Callable[[int], InvariantMonitor]
     needs_path: bool = False
-
-    def invariant(self, k: int) -> InvariantMonitor:
-        """The safety invariant to monitor a run with ``k`` requests."""
-        return self.monitor(k)
 
 
 def _arrow(graph: Graph, requests: Iterable[int], **options: Any) -> Any:

@@ -138,13 +138,12 @@ class QueuingInvariant(InvariantMonitor):
     * at quiescence, exactly ``expected`` ops have completed.
 
     Args:
-        expected: the number of requesters ``|R|``; ``None`` skips the
-            completion count.
+        expected: the number of requesters ``|R|``.
     """
 
     name = "queuing.single-predecessor"
 
-    def __init__(self, expected: int | None = None) -> None:
+    def __init__(self, expected: int) -> None:
         self.expected = expected
         #: predecessor -> (op that claimed it, node it completed at).
         self.claimed: dict[Hashable, tuple[Hashable, int]] = {}
@@ -165,7 +164,7 @@ class QueuingInvariant(InvariantMonitor):
         self.claimed[result] = (op_id, node_id)
 
     def on_finish(self, net: Any) -> None:
-        if self.expected is not None and len(self.completed) != self.expected:
+        if len(self.completed) != self.expected:
             self._violate(
                 net, f"{len(self.completed)} of {self.expected} operations completed"
             )

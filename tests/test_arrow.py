@@ -143,6 +143,16 @@ class TestTotalOrder:
         with pytest.raises(VerificationError):
             run(path_spanning_tree(path_graph(4)))
 
+    def test_no_requests_gives_an_empty_result(self):
+        """An empty request set (or schedule) runs no operation: the
+        runners return an empty result rather than a verification error."""
+        st = path_spanning_tree(path_graph(4))
+        res = run_arrow(st, [])
+        assert (res.requests, res.delays, res.predecessors) == ((), {}, {})
+        assert res.order() == [] and res.total_delay == 0
+        ll = run_arrow_longlived(st, {})
+        assert (ll.completion, ll.predecessors, ll.total_response_time) == ({}, {}, 0)
+
 
 class TestDelaysAndTheorem41:
     def test_within_twice_tsp_random(self):
