@@ -30,7 +30,7 @@ def main() -> None:
         entries = [out.acquire_rounds[v] for v in out.order]
         print(f"  entry rounds  : {entries}")
         print(f"  total waiting : {out.total_waiting}")
-        print(f"  mutual exclusion verified: intervals never overlap\n")
+        print("  mutual exclusion verified: intervals never overlap\n")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ from repro import (
 from repro.core.comparison import growth_exponent
 from repro.experiments.report import render_table
 from repro.topology.spanning import (
-    bfs_spanning_tree,
     embedded_binary_tree,
     path_spanning_tree,
     star_spanning_tree,

@@ -92,7 +92,6 @@ _EXPORTS = {
     "log_star": "repro.bounds",
     "theorem35_lower_bound": "repro.bounds",
     "theorem36_lower_bound": "repro.bounds",
-    "counting_lower_bound": "repro.bounds",
     # model & results
     "SynchronousNetwork": "repro.sim",
     "ConstantDelay": "repro.sim",

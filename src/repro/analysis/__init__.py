@@ -1,4 +1,4 @@
-"""Post-run analytics: delay profiles, contention maps, text charts.
+"""Post-run analytics: delay profiles, delay histograms, text charts.
 
 The paper's lower-bound argument is *per operation*: the op that outputs
 count ``k`` must have latency growing with ``k`` (Lemma 3.1) and with the
@@ -7,8 +7,7 @@ run results into those curves:
 
 * :func:`latency_by_rank` — measured delay as a function of the rank
   received, against the analytic per-op bounds;
-* :func:`contention_profile` — where the waiting happened (per-node
-  receive-side contention totals);
+* :func:`delay_histogram` — how the delays of a run are spread;
 * :mod:`repro.analysis.charts` — dependency-free ASCII bar charts and
   sparklines so examples and EXPERIMENTS.md can show the curves inline.
 """
@@ -16,7 +15,6 @@ run results into those curves:
 from repro.analysis.profiles import (
     RankLatencyProfile,
     latency_by_rank,
-    contention_profile,
     delay_histogram,
 )
 from repro.analysis.charts import ascii_bars, sparkline
@@ -24,7 +22,6 @@ from repro.analysis.charts import ascii_bars, sparkline
 __all__ = [
     "RankLatencyProfile",
     "latency_by_rank",
-    "contention_profile",
     "delay_histogram",
     "ascii_bars",
     "sparkline",

@@ -1,4 +1,4 @@
-"""Delay and contention profiles from counting/queuing runs."""
+"""Delay profiles and histograms from counting/queuing runs."""
 
 from __future__ import annotations
 
@@ -66,15 +66,6 @@ def latency_by_rank(
     return RankLatencyProfile(
         ranks=ranks, delays=delays, general_bounds=general, diameter_bounds=diam
     )
-
-
-def contention_profile(delays_by_node: Mapping[int, int], top: int = 8) -> list[tuple[int, int]]:
-    """The ``top`` largest entries of a per-node totals mapping.
-
-    Typically fed with per-node receive-wait totals (from a trace) or
-    per-node delays; returns ``(node, value)`` pairs sorted descending.
-    """
-    return sorted(delays_by_node.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
 
 
 def delay_histogram(delays: Mapping[object, int], bins: int = 10) -> list[tuple[str, int]]:

@@ -23,10 +23,8 @@ from repro.bounds.counting_lb import (
     min_latency_for_count,
     theorem35_lower_bound,
     theorem36_lower_bound,
-    counting_lower_bound,
 )
 from repro.bounds.queuing_ub import (
-    arrow_upper_bound,
     list_queuing_bound,
     binary_tree_queuing_bound,
     mary_tree_queuing_bound,
@@ -44,8 +42,6 @@ __all__ = [
     "min_latency_for_count",
     "theorem35_lower_bound",
     "theorem36_lower_bound",
-    "counting_lower_bound",
-    "arrow_upper_bound",
     "list_queuing_bound",
     "binary_tree_queuing_bound",
     "mary_tree_queuing_bound",

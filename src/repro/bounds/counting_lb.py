@@ -15,8 +15,6 @@ them.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from repro.bounds.towers import TOW_MAX_EXACT, log_star, tow
 
 
@@ -25,17 +23,16 @@ def min_latency_for_count(k: int) -> int:
 
     A processor that outputs count ``k`` must have been influenced by at
     least ``k`` processors, and influence spreads no faster than
-    ``a(t) <= tow(2t)``.
+    ``a(t) <= tow(2t)``.  Since ``log*(k) <= 2t`` exactly when
+    ``k <= tow(2t)``, this is ``ceil(log*(k) / 2)``, the paper's
+    ``log*(k) / 2`` per count.
 
     Raises:
         ValueError: for ``k < 1``.
     """
     if k < 1:
         raise ValueError(f"count must be >= 1, got {k}")
-    t = 0
-    while 2 * t <= TOW_MAX_EXACT and tow(2 * t) < k:
-        t += 1
-    return t
+    return (log_star(k) + 1) // 2
 
 
 def theorem35_lower_bound(n: int, requesters: int | None = None) -> int:
@@ -64,21 +61,6 @@ def theorem35_lower_bound(n: int, requesters: int | None = None) -> int:
         hi = min(hi, r)
         total += t * (hi - k + 1)
         k = hi + 1
-    return total
-
-
-def theorem35_paper_form(n: int) -> Fraction:
-    """The form stated in the proof: ``sum over counts k >= n/2 of log*(k)/2``.
-
-    Kept alongside :func:`theorem35_lower_bound` because the proof sums
-    only over the top half of counts; this is the expression the
-    experiment tables print next to measured delays.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    total = Fraction(0)
-    for k in range(max(1, n // 2), n + 1):
-        total += Fraction(log_star(k), 2)
     return total
 
 
@@ -142,14 +124,3 @@ def verify_per_op_bounds(
             return False
     return True
 
-
-def counting_lower_bound(n: int, alpha: int, requesters: int | None = None) -> int:
-    """The better of the two lower bounds for an ``n``-vertex, diameter-``alpha`` graph.
-
-    Theorem 3.6 requires all nodes counting; it is only applied when
-    ``requesters`` is ``None`` or equals ``n``.
-    """
-    general = theorem35_lower_bound(n, requesters)
-    if requesters is None or requesters == n:
-        return max(general, theorem36_lower_bound(alpha))
-    return general

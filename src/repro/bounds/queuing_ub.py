@@ -2,27 +2,12 @@
 
 from __future__ import annotations
 
-import math
-from typing import Iterable
-
-from repro.tree import RootedTree
 from repro.tsp.bounds import (
     binary_tree_tsp_bound,
     list_tsp_bound,
     mary_tree_tsp_bound,
     rosenkrantz_nn_bound,
 )
-from repro.tsp.nearest_neighbor import nearest_neighbor_tour
-
-
-def arrow_upper_bound(tree: RootedTree, requests: Iterable[int]) -> int:
-    """Theorem 4.1: arrow's one-shot total delay <= 2 x NN-TSP cost.
-
-    Computes the nearest-neighbour tour on ``tree`` over ``requests``
-    (started at the tree root, where the initial queue tail lives) and
-    returns twice its cost.
-    """
-    return 2 * nearest_neighbor_tour(tree, requests).cost
 
 
 def list_queuing_bound(n: int) -> int:
@@ -49,14 +34,3 @@ def constant_degree_queuing_bound(n: int, k: int | None = None) -> float:
     """
     return 2 * rosenkrantz_nn_bound(n, n if k is None else k)
 
-
-def queuing_vs_counting_gap(n: int, counting_lb: int, queuing_ub: float) -> float:
-    """The separation factor the comparison experiments report.
-
-    Returns ``counting_lb / queuing_ub`` (``math.inf`` when the queuing
-    bound is 0): a growing value as ``n`` grows is the paper's headline
-    claim, a bounded value is the star-graph counterexample.
-    """
-    if queuing_ub == 0:
-        return math.inf
-    return counting_lb / queuing_ub

@@ -11,7 +11,6 @@ tower — it works downward with ``bit_length``.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 #: Largest tower height this library evaluates exactly (tow(5) has 65537 bits).
 TOW_MAX_EXACT = 5
@@ -69,32 +68,3 @@ def log_star(k: int | float) -> int:
         i += 1
     return i
 
-
-def log_star_table(upto: int) -> list[int]:
-    """``log*`` of every integer ``1..upto`` (vectorised by thresholds).
-
-    Uses the fact that ``log*`` changes value only at ``tow(i)``
-    boundaries: ``log*(k) = i`` exactly for ``tow(i-1) < k <= tow(i)``.
-    """
-    if upto < 1:
-        return []
-    out = [0] * (upto + 1)
-    i = 0
-    prev = 1
-    while prev < upto and i < TOW_MAX_EXACT:
-        i += 1
-        boundary = tow(i)
-        hi = min(boundary, upto)
-        for k in range(prev + 1, hi + 1):
-            out[k] = i
-        prev = boundary
-    if prev < upto:
-        # Everything above tow(TOW_MAX_EXACT) (unreachable in practice).
-        for k in range(prev + 1, upto + 1):
-            out[k] = TOW_MAX_EXACT + 1
-    return out[1:]
-
-
-def half_log_star(k: int) -> Fraction:
-    """``log*(k) / 2`` as an exact fraction (the per-count latency of Thm 3.5)."""
-    return Fraction(log_star(k), 2)

@@ -32,7 +32,6 @@ _LAZY = {
     "random_subset": "repro.core.request",
     "far_half": "repro.core.request",
     "alternating": "repro.core.request",
-    "single_node": "repro.core.request",
     "scenario_suite": "repro.core.request",
     "growth_exponent": "repro.core.comparison",
     "AdversarySearchResult": "repro.core.adversary",
@@ -47,7 +46,6 @@ __all__ = [
     "random_subset",
     "far_half",
     "alternating",
-    "single_node",
     "scenario_suite",
     "VerificationError",
     "verify_counting",

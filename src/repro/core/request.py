@@ -40,11 +40,6 @@ def all_nodes() -> RequestScenario:
     return RequestScenario("all", lambda g: list(g.vertices()))
 
 
-def single_node(v: int = 0) -> RequestScenario:
-    """Only vertex ``v`` requests — the degenerate baseline."""
-    return RequestScenario(f"single({v})", lambda g: [v])
-
-
 def random_subset(p: float, seed: int = 0) -> RequestScenario:
     """Each vertex requests independently with probability ``p`` (seeded).
 

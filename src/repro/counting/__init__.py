@@ -29,8 +29,6 @@ from repro.counting.network import (
     bitonic_network,
     network_depth,
     run_counting_network,
-    traverse_interleaved,
-    traverse_sequentially,
 )
 from repro.counting.periodic import periodic_network, run_periodic_counting
 from repro.counting.sweep import run_sweep_counting, run_sweep_queuing
@@ -43,8 +41,6 @@ __all__ = [
     "bitonic_network",
     "network_depth",
     "run_counting_network",
-    "traverse_interleaved",
-    "traverse_sequentially",
     "periodic_network",
     "run_periodic_counting",
     "run_sweep_counting",

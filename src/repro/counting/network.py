@@ -196,72 +196,6 @@ def network_depth(net: BitonicNetwork) -> int:
     return max((depth_from(e) for e in net.entries), default=0)
 
 
-def traverse_sequentially(net: BitonicNetwork, tokens_per_wire: list[int]) -> list[int]:
-    """Pure (non-distributed) traversal: push tokens one at a time.
-
-    Returns the values handed out, in hand-out order.  Used by tests to
-    validate the construction (step property / exact ``1..x`` outputs)
-    independently of the simulator.
-    """
-    if len(tokens_per_wire) != net.width:
-        raise ValueError("tokens_per_wire must have one entry per input wire")
-    out_counts = [0] * net.width
-    values: list[int] = []
-    for wire, cnt in enumerate(tokens_per_wire):
-        for _ in range(cnt):
-            entity = net.entries[wire]
-            while entity[0] == "bal":
-                entity = net.balancers[entity[1]].step()
-            j = entity[1]
-            values.append(j + 1 + net.width * out_counts[j])
-            out_counts[j] += 1
-    return values
-
-
-def traverse_interleaved(
-    net: BitonicNetwork, tokens_per_wire: list[int], seed: int = 0
-) -> list[int]:
-    """Concurrent traversal: tokens advance one balancer-step at a time in
-    a seeded random interleaving.
-
-    Counting networks must hand out exactly ``1..x`` under *every*
-    interleaving, not just sequential traversals; property tests drive
-    this with many seeds to exercise that guarantee.
-    """
-    import random as _random
-
-    if len(tokens_per_wire) != net.width:
-        raise ValueError("tokens_per_wire must have one entry per input wire")
-    rng = _random.Random(seed)
-    tokens: list[Entity] = []
-    for wire, cnt in enumerate(tokens_per_wire):
-        tokens.extend([net.entries[wire]] * cnt)
-    out_counts = [0] * net.width
-    values: list[int] = []
-    active = list(range(len(tokens)))
-    while active:
-        i = active[rng.randrange(len(active))]
-        entity = tokens[i]
-        if entity[0] == "bal":
-            tokens[i] = net.balancers[entity[1]].step()
-        else:
-            j = entity[1]
-            values.append(j + 1 + net.width * out_counts[j])
-            out_counts[j] += 1
-            active.remove(i)
-    return values
-
-
-def output_counts_have_step_property(out_counts: list[int]) -> bool:
-    """The defining property of counting networks: wire loads differ by <= 1
-    and are non-increasing in wire index."""
-    return all(
-        out_counts[i] - out_counts[j] in (0, 1)
-        for i in range(len(out_counts))
-        for j in range(i + 1, len(out_counts))
-    )
-
-
 # --------------------------------------------------------------------------
 # Distributed execution on a communication graph
 # --------------------------------------------------------------------------

@@ -11,10 +11,9 @@ network has depth ``(log2 w)^2`` — deeper than bitonic's
 (the property that made it attractive in the original paper).
 
 The construction reuses :class:`~repro.counting.network.Balancer` /
-:class:`~repro.counting.network.BitonicNetwork` containers, the
-sequential traversal checker, and the distributed embedding runner, so
-``run_periodic_counting`` behaves exactly like ``run_counting_network``
-with the other wiring.
+:class:`~repro.counting.network.BitonicNetwork` containers and the
+distributed embedding runner, so ``run_periodic_counting`` behaves
+exactly like ``run_counting_network`` with the other wiring.
 """
 
 from __future__ import annotations
@@ -86,8 +85,7 @@ def periodic_network(width: int) -> BitonicNetwork:
     """Construct ``Periodic[width]`` = ``log2(width)`` cascaded blocks.
 
     Returns the same container type as :func:`bitonic_network`, so depth
-    computation, sequential traversal, and the distributed runner all
-    apply unchanged.
+    computation and the distributed runner apply unchanged.
     """
     if width < 1 or width & (width - 1):
         raise ValueError(f"width must be a power of two, got {width}")

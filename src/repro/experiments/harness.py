@@ -108,11 +108,3 @@ def suite_metrics(
         "total_elapsed_s": round(sum(e for _, e in runs), 3),
     }
 
-
-def fit_slope(rows: Sequence[Mapping[str, Any]], x_col: str, y_col: str) -> float:
-    """Log-log growth exponent of ``y_col`` against ``x_col`` over the rows."""
-    from repro.core.comparison import growth_exponent
-
-    xs = [row[x_col] for row in rows]
-    ys = [row[y_col] for row in rows]
-    return growth_exponent(xs, ys)

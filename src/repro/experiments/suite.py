@@ -559,8 +559,6 @@ def run_e9_thm45_hamilton(
     )
     sizes, arrows = [], []
     ok_linear_bound = True
-    gap_grows = True
-    prev_gap = 0.0
     graphs = (
         [complete_graph(n) for n in complete_sizes]
         + [mesh_graph([k, k]) for k in mesh_sides]
@@ -1056,8 +1054,6 @@ def run_e18_network_duel(
     sizes: Sequence[int] = (8, 16, 32),
 ) -> ExperimentResult:
     """Bitonic (depth log w (log w+1)/2) vs periodic (depth log^2 w)."""
-    import math
-
     from repro.counting import (
         bitonic_network,
         network_depth,

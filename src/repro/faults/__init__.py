@@ -22,7 +22,6 @@ from repro.faults.reliable import (
     ReliableRun,
     RetryBudgetExceeded,
     RetryPolicy,
-    unwrap,
 )
 from repro.faults.runners import (
     run_arrow_ft,
@@ -39,7 +38,6 @@ __all__ = [
     "ReliableRun",
     "RetryBudgetExceeded",
     "RetryPolicy",
-    "unwrap",
     "run_arrow_ft",
     "run_central_counting_ft",
     "run_flood_counting_ft",

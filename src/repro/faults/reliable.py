@@ -449,15 +449,9 @@ class ReliableNode(Node):
             ctx.send(p.dst, "rel", (seq, p.kind, p.payload))
 
 
-def unwrap(node: Node) -> Node:
-    """The protocol node behind a possibly-wrapped ``node``."""
-    return node.inner if isinstance(node, ReliableNode) else node
-
-
 __all__ = [
     "ReliableNode",
     "ReliableRun",
     "RetryPolicy",
     "RetryBudgetExceeded",
-    "unwrap",
 ]

@@ -47,7 +47,6 @@ from repro.sim.network import (
     run_protocol,
 )
 from repro.sim.metrics import DelayRecorder, OperationRecord
-from repro.sim.timeline import message_flow_summary, render_timeline
 from repro.sim.trace import EventTrace, TraceEvent
 
 __all__ = [
@@ -71,6 +70,4 @@ __all__ = [
     "OperationRecord",
     "EventTrace",
     "TraceEvent",
-    "render_timeline",
-    "message_flow_summary",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any
 
 from repro.sim.errors import ProtocolViolation
 from repro.sim.message import Message
@@ -172,10 +172,3 @@ class Node:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(node_id={self.node_id})"
 
-
-def make_nodes(factory: Callable[[int], Node], node_ids: Iterable[int]) -> dict[int, Node]:
-    """Build a node map ``{id: factory(id)}`` for all ``node_ids``.
-
-    A small convenience used by protocol runners.
-    """
-    return {v: factory(v) for v in node_ids}

@@ -48,7 +48,6 @@ from repro.topology.properties import (
     diameter,
     max_degree,
     is_connected,
-    degree_histogram,
 )
 
 __all__ = [
@@ -85,5 +84,4 @@ __all__ = [
     "diameter",
     "max_degree",
     "is_connected",
-    "degree_histogram",
 ]

@@ -136,11 +136,3 @@ def is_connected(graph: Graph) -> bool:
     """Whether the graph is connected."""
     return not (bfs_distances(graph, 0) < 0).any()
 
-
-def degree_histogram(graph: Graph) -> dict[int, int]:
-    """Mapping degree -> number of vertices with that degree."""
-    hist: dict[int, int] = {}
-    for nbrs in graph.adj.values():
-        d = len(nbrs)
-        hist[d] = hist.get(d, 0) + 1
-    return dict(sorted(hist.items()))

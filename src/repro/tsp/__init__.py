@@ -11,27 +11,22 @@ Section 4's upper bounds are statements about this tour:
 * Corollary 4.2: on any tree it costs ``O(n log n)`` (Rosenkrantz).
 
 This package computes the tour exactly (deterministic tie-breaking),
-decomposes list tours into the "runs" of Lemma 4.4, evaluates every
-closed-form bound, and provides exact/2-approximate optima for
-cross-checks.
+decomposes list tours into the "runs" of Lemma 4.4 and evaluates every
+closed-form bound.
 """
 
-from repro.tsp.nearest_neighbor import NNTour, nearest_neighbor_tour, tour_cost
+from repro.tsp.nearest_neighbor import NNTour, nearest_neighbor_tour
 from repro.tsp.runs import Run, run_decomposition, lemma44_legs
 from repro.tsp.bounds import (
     list_tsp_bound,
     binary_tree_tsp_bound,
     mary_tree_tsp_bound,
     rosenkrantz_nn_bound,
-    steiner_subtree_edges,
-    tsp_path_lower_bound,
 )
-from repro.tsp.optimal import held_karp_optimal, doubled_tree_tour
 
 __all__ = [
     "NNTour",
     "nearest_neighbor_tour",
-    "tour_cost",
     "Run",
     "run_decomposition",
     "lemma44_legs",
@@ -39,8 +34,4 @@ __all__ = [
     "binary_tree_tsp_bound",
     "mary_tree_tsp_bound",
     "rosenkrantz_nn_bound",
-    "steiner_subtree_edges",
-    "tsp_path_lower_bound",
-    "held_karp_optimal",
-    "doubled_tree_tour",
 ]

@@ -8,17 +8,12 @@ benchmarks can assert ``measured <= bound`` for every instance:
   proof of Theorem 4.7;
 * :func:`mary_tree_tsp_bound` — the m-ary generalisation (Theorem 4.12);
 * :func:`rosenkrantz_nn_bound` — Corollary 4.2's ``O(n log n)`` envelope
-  via the Rosenkrantz–Stearns–Lewis ``log k`` approximation ratio;
-* :func:`tsp_path_lower_bound` — a per-instance lower bound on *any* tour
-  visiting R (for sanity-checking that NN is not absurdly wasteful).
+  via the Rosenkrantz–Stearns–Lewis ``log k`` approximation ratio.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
-
-from repro.tree import RootedTree
 
 
 def list_tsp_bound(n: int) -> int:
@@ -70,63 +65,3 @@ def rosenkrantz_nn_bound(n: int, k: int) -> float:
     if k < 1:
         return 0.0
     return (math.ceil(math.log2(k)) + 1 if k > 1 else 1) * (n - 1)
-
-
-def steiner_subtree_edges(tree: RootedTree, requests: Iterable[int], start: int | None = None) -> int:
-    """Number of edges of the minimal subtree spanning ``requests`` and ``start``.
-
-    This is the Steiner tree of R on the tree metric; every tour visiting
-    R from ``start`` must traverse each of its edges at least once.
-    """
-    if start is None:
-        start = tree.root
-    terminals = set(requests) | {start}
-    # Mark all vertices on paths from terminals up to the root, then count
-    # edges of the minimal connecting subtree via LCA-closure: the union
-    # of root-paths of terminals, trimmed above the top-most branching.
-    marked = set()
-    for t in terminals:
-        v = t
-        while v not in marked:
-            marked.add(v)
-            if v == tree.root:
-                break
-            v = tree.parent[v]
-    # Trim the chain above the highest vertex that is a terminal or a
-    # branching point of the marked subtree.
-    children_count = {v: 0 for v in marked}
-    for v in marked:
-        if v != tree.root and tree.parent[v] in children_count:
-            children_count[tree.parent[v]] += 1
-    top = tree.root
-    while top not in terminals and children_count.get(top, 0) == 1:
-        top = next(c for c in tree.children[top] if c in marked)
-    # Count edges of the subtree rooted at `top` induced by `marked`.
-    edges = 0
-    stack = [top]
-    while stack:
-        v = stack.pop()
-        for c in tree.children[v]:
-            if c in marked:
-                edges += 1
-                stack.append(c)
-    return edges
-
-
-def tsp_path_lower_bound(tree: RootedTree, requests: Iterable[int], start: int | None = None) -> int:
-    """A lower bound on the cost of *any* tour visiting ``requests``.
-
-    An open tour over a Steiner subtree with ``E`` edges must traverse
-    every edge and can avoid re-traversing only the edges on one
-    root-to-end path, so it costs at least ``2E - ecc`` where ``ecc`` is
-    the largest distance from ``start`` to a requester.  (Also at least
-    ``ecc`` itself.)
-    """
-    if start is None:
-        start = tree.root
-    req = list(set(requests))
-    if not req:
-        return 0
-    e = steiner_subtree_edges(tree, req, start)
-    ecc = max(tree.distance(start, v) for v in req)
-    return max(ecc, 2 * e - ecc)

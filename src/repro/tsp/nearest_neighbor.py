@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.tree import RootedTree
 
@@ -130,14 +130,3 @@ def nearest_neighbor_tour(
 
     return NNTour(start=start, order=tuple(order), legs=tuple(legs))
 
-
-def tour_cost(tree: RootedTree, order: Sequence[int], start: int | None = None) -> int:
-    """Cost of visiting ``order`` from ``start`` along tree distances."""
-    if start is None:
-        start = tree.root
-    cost = 0
-    cur = start
-    for v in order:
-        cost += tree.distance(cur, v)
-        cur = v
-    return cost

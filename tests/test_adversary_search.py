@@ -16,7 +16,10 @@ from repro.topology.spanning import path_spanning_tree, star_spanning_tree
 class TestAdversarialSearch:
     def test_matches_exhaustive_on_tiny_star(self):
         g = star_graph(6)
-        cost = lambda req: run_central_counting(g, req).total_delay
+
+        def cost(req):
+            return run_central_counting(g, req).total_delay
+
         truth = max(cost(r) for r in exhaustive_request_sets(6))
         found = adversarial_search(g, cost, max_evaluations=200)
         assert found.best_total == truth
@@ -24,7 +27,10 @@ class TestAdversarialSearch:
     def test_matches_exhaustive_on_tiny_path_arrow(self):
         g = path_graph(6)
         st = path_spanning_tree(g)
-        cost = lambda req: run_arrow(st, req, capacity=1).total_delay
+
+        def cost(req):
+            return run_arrow(st, req, capacity=1).total_delay
+
         truth = max(cost(r) for r in exhaustive_request_sets(6))
         found = adversarial_search(g, cost, max_evaluations=250)
         assert found.best_total == truth
@@ -32,14 +38,20 @@ class TestAdversarialSearch:
     def test_structured_scenarios_are_strong_on_star(self):
         """On the star, all-nodes should already be (near) worst-case."""
         g = star_graph(12)
-        cost = lambda req: run_central_counting(g, req).total_delay
+
+        def cost(req):
+            return run_central_counting(g, req).total_delay
+
         found = adversarial_search(g, cost, max_evaluations=120)
         all_total = cost(list(range(12)))
         assert found.best_total <= all_total * 1.05  # no big win over R=V
 
     def test_deterministic(self):
         g = complete_graph(8)
-        cost = lambda req: run_central_counting(g, req).total_delay
+
+        def cost(req):
+            return run_central_counting(g, req).total_delay
+
         a = adversarial_search(g, cost, max_evaluations=60)
         b = adversarial_search(g, cost, max_evaluations=60)
         assert a == b
@@ -58,7 +70,10 @@ class TestAdversarialSearch:
 
     def test_custom_seeds(self):
         g = path_graph(6)
-        cost = lambda req: sum(req)
+
+        def cost(req):
+            return sum(req)
+
         found = adversarial_search(g, cost, seeds=[[0], [5]], max_evaluations=50)
         assert found.best_total >= 5
 

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import (
     ascii_bars,
-    contention_profile,
     delay_histogram,
     latency_by_rank,
     sparkline,
@@ -52,10 +49,6 @@ class TestRankLatency:
 
 
 class TestContentionAndHistogram:
-    def test_contention_top_k(self):
-        prof = contention_profile({0: 5, 1: 9, 2: 9, 3: 1}, top=2)
-        assert prof == [(1, 9), (2, 9)]
-
     def test_histogram_sums_to_count(self):
         rows = delay_histogram({i: i for i in range(25)}, bins=5)
         assert sum(c for _, c in rows) == 25

@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 
+from repro.arrow import arrow_vs_tsp
 from repro.bounds import (
     ab_trajectory,
-    arrow_upper_bound,
     binary_tree_queuing_bound,
     constant_degree_queuing_bound,
-    counting_lower_bound,
     f_recurrence,
     list_queuing_bound,
     log_star,
@@ -23,10 +20,9 @@ from repro.bounds import (
     verify_ab_tower_bound,
     verify_f_bound,
 )
-from repro.bounds.counting_lb import theorem35_paper_form
-from repro.bounds.queuing_ub import queuing_vs_counting_gap
-from repro.bounds.towers import TOW_MAX_EXACT, half_log_star, log_star_table
-from repro.tree import RootedTree
+from repro.bounds.towers import TOW_MAX_EXACT
+from repro.topology import path_graph
+from repro.topology.spanning import path_spanning_tree
 
 
 class TestTow:
@@ -78,16 +74,6 @@ class TestLogStar:
             log_star(0)
         with pytest.raises(ValueError):
             log_star(-3.0)
-
-    def test_table_matches_pointwise(self):
-        table = log_star_table(300)
-        assert table == [log_star(k) for k in range(1, 301)]
-
-    def test_table_empty(self):
-        assert log_star_table(0) == []
-
-    def test_half_log_star(self):
-        assert half_log_star(16) == Fraction(3, 2)
 
 
 class TestRecurrences:
@@ -163,11 +149,6 @@ class TestCountingLowerBounds:
         lb_big = theorem35_lower_bound(128)
         assert lb_big > 2 * lb_small * 0.9  # ~linear or a bit more
 
-    def test_paper_form(self):
-        val = theorem35_paper_form(8)
-        expected = sum(Fraction(log_star(k), 2) for k in range(4, 9))
-        assert val == expected
-
     def test_theorem36(self):
         assert theorem36_lower_bound(0) == 0
         assert theorem36_lower_bound(2) == 1
@@ -179,30 +160,15 @@ class TestCountingLowerBounds:
         with pytest.raises(ValueError):
             theorem36_lower_bound(-1)
 
-    def test_combined_bound_picks_max(self):
-        # High diameter: Thm 3.6 dominates.
-        n, alpha = 100, 99
-        assert counting_lower_bound(n, alpha) == theorem36_lower_bound(alpha)
-        # Diameter 1 (complete graph): Thm 3.5 dominates.
-        assert counting_lower_bound(100, 1) == theorem35_lower_bound(100)
-
-    def test_combined_bound_partial_requesters_skips_36(self):
-        assert counting_lower_bound(100, 99, requesters=10) == theorem35_lower_bound(
-            100, 10
-        )
-
 
 class TestQueuingUpperBounds:
     def test_arrow_upper_bound_is_twice_tour(self):
-        t = RootedTree.from_path(list(range(16)))
-        assert arrow_upper_bound(t, range(16)) == 2 * 15
+        cmp = arrow_vs_tsp(path_spanning_tree(path_graph(16)), range(16))
+        assert cmp.tsp_cost == 15
+        assert cmp.within_theorem41
 
     def test_family_bounds(self):
         assert list_queuing_bound(10) == 60
         assert binary_tree_queuing_bound(15) == 2 * (24 + 120)
         assert mary_tree_queuing_bound(13, 3) > 0
         assert constant_degree_queuing_bound(16) == 2 * 5 * 15
-
-    def test_gap_helper(self):
-        assert queuing_vs_counting_gap(10, 100, 50) == 2.0
-        assert queuing_vs_counting_gap(10, 100, 0) == float("inf")

@@ -12,7 +12,6 @@ from repro.core import (
     growth_exponent,
     random_subset,
     scenario_suite,
-    single_node,
     verify_counting,
     verify_queuing,
     verify_total_order_consistency,
@@ -110,9 +109,6 @@ class TestOrderConsistency:
 class TestScenarios:
     def test_all_nodes(self):
         assert all_nodes()(path_graph(5)) == [0, 1, 2, 3, 4]
-
-    def test_single(self):
-        assert single_node(3)(path_graph(5)) == [3]
 
     def test_random_subset_seeded(self):
         s = random_subset(0.5, seed=3)

@@ -21,7 +21,6 @@ from repro.counting import (
 )
 from repro.topology import (
     complete_graph,
-    diameter,
     hypercube_graph,
     mesh_graph,
     path_graph,

@@ -6,6 +6,11 @@ import math
 import random
 
 import pytest
+from network_reference import (
+    output_counts_have_step_property,
+    traverse_interleaved,
+    traverse_sequentially,
+)
 
 from repro.counting import (
     bitonic_network,
@@ -13,10 +18,7 @@ from repro.counting import (
     periodic_network,
     run_counting_network,
     run_periodic_counting,
-    traverse_interleaved,
-    traverse_sequentially,
 )
-from repro.counting.network import output_counts_have_step_property
 from repro.topology import complete_graph, hypercube_graph, mesh_graph
 
 

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro.faults import FaultPlan, NodeCrash
 from repro.sim import EventTrace, Message, Node, SynchronousNetwork, UniformDelay
-from repro.sim.timeline import message_flow_summary, render_timeline
 from repro.topology.base import Graph
 
 
@@ -183,90 +182,3 @@ class TestEngineBookkeeping:
         net.run(max_rounds=100_000)
         assert monitor.rounds_checked >= 2  # round 0 and the finish
         assert net._in_flight == 0
-
-
-class TestTimeline:
-    def test_render_small_run(self):
-        from repro.topology import path_graph
-
-        class Ping(Node):
-            def on_start(self, ctx):
-                if self.node_id == 0:
-                    ctx.send(1, "ping")
-
-            def on_receive(self, msg, ctx):
-                ctx.complete("done")
-
-        g = path_graph(2)
-        trace = EventTrace()
-        net = SynchronousNetwork(g, {0: Ping(0), 1: Ping(1)}, trace=trace)
-        net.run()
-        text = render_timeline(trace)
-        assert "0->1 ping" in text
-        assert "1!done" in text
-
-    def test_render_empty(self):
-        assert render_timeline(EventTrace()) == "(no events)"
-
-    def test_render_fault_events(self):
-        trace = EventTrace()
-        trace.record("drop", 3, src=0, dst=1, kind="req", reason="drop")
-        trace.record("drop", 4, src=1, dst=2, kind="req", reason="outage")
-        trace.record("duplicate", 5, src=2, dst=3, kind="ack")
-        trace.record("crash", 6, node=4)
-        trace.record("recover", 9, node=4)
-        text = render_timeline(trace)
-        assert "0-x>1 req" in text
-        assert "1-x>2 req (outage)" in text
-        assert "2=>3 ack x2" in text
-        assert "crash 4" in text
-        assert "recover 4" in text
-
-    def test_render_faulty_run(self):
-        from repro.faults import FaultPlan, LinkOutage, run_flood_counting_ft
-        from repro.topology import path_graph
-
-        trace = EventTrace()
-        plan = FaultPlan(outages=(LinkOutage(0, 1, 0, 2),))
-        run_flood_counting_ft(path_graph(4), range(4), plan, trace=trace)
-        text = render_timeline(trace)
-        assert "-x>" in text and "(outage)" in text
-
-    def test_truncation(self):
-        from repro.topology import path_graph
-
-        class Chain(Node):
-            def on_start(self, ctx):
-                if self.node_id == 0:
-                    ctx.send(1, "hop", payload=10)
-
-            def on_receive(self, msg, ctx):
-                if msg.payload > 0:
-                    ctx.send(msg.src, "hop", payload=msg.payload - 1)
-
-        g = path_graph(2)
-        trace = EventTrace()
-        SynchronousNetwork(g, {0: Chain(0), 1: Chain(1)}, trace=trace).run()
-        text = render_timeline(trace, max_rounds=3)
-        assert "more rounds" in text
-
-    def test_flow_summary(self):
-        from repro.arrow import run_arrow  # smoke: summary over a real run
-        from repro.sim.trace import EventTrace as ET
-        from repro.topology import path_graph as pg
-        from repro.topology.spanning import path_spanning_tree
-
-        # run a tiny arrow manually with a trace
-        from repro.arrow.protocol import ArrowNode
-
-        g = pg(4)
-        trace = ET()
-        nodes = {
-            v: ArrowNode(v, link=(v - 1 if v else 0), issue_at=0)
-            for v in range(4)
-        }
-        net = SynchronousNetwork(g, nodes, trace=trace)
-        net.run()
-        summary = message_flow_summary(trace)
-        assert set(summary) == {"queue"}
-        assert summary["queue"] >= 1

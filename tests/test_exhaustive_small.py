@@ -9,9 +9,9 @@ produce valid outputs and respect the bounds.
 from __future__ import annotations
 
 import pytest
+from tsp_reference import tsp_path_lower_bound
 
-from repro.arrow import run_arrow
-from repro.bounds import arrow_upper_bound
+from repro.arrow import arrow_vs_tsp, run_arrow
 from repro.core.request import exhaustive_request_sets
 from repro.core.verify import verify_counting, verify_queuing
 from repro.counting import (
@@ -25,7 +25,7 @@ from repro.topology.spanning import (
     path_spanning_tree,
     star_spanning_tree,
 )
-from repro.tsp import nearest_neighbor_tour, tsp_path_lower_bound
+from repro.tsp import nearest_neighbor_tour
 
 
 class TestArrowExhaustive:
@@ -34,14 +34,9 @@ class TestArrowExhaustive:
         st = path_spanning_tree(g)
         for req in exhaustive_request_sets(5):
             for tail in range(5):
-                res = run_arrow(st, req, tail=tail)
-                verify_queuing(req, res.predecessors, tail=tail)
-                assert res.total_delay <= arrow_upper_bound(st.tree, req) or (
-                    # the bound's NN tour starts at the tree root; re-check
-                    # against the tour from the actual tail
-                    res.total_delay
-                    <= 2 * nearest_neighbor_tour(st.tree, req, start=tail).cost
-                )
+                cmp = arrow_vs_tsp(st, req, tail=tail)
+                verify_queuing(req, cmp.arrow.predecessors, tail=tail)
+                assert cmp.within_theorem41
 
     def test_star5_every_request_set(self):
         g = star_graph(5)
@@ -56,9 +51,9 @@ class TestArrowExhaustive:
         g = complete_graph(5)
         st = embedded_binary_tree(g)
         for req in exhaustive_request_sets(5):
-            res = run_arrow(st, req)
-            verify_queuing(req, res.predecessors, tail=0)
-            assert res.total_delay <= arrow_upper_bound(st.tree, req)
+            cmp = arrow_vs_tsp(st, req)
+            verify_queuing(req, cmp.arrow.predecessors, tail=0)
+            assert cmp.within_theorem41
 
 
 class TestCountingExhaustive:

@@ -37,7 +37,7 @@ from repro import (
 from repro.core.verify import VerificationError
 from repro.faults import run_flood_counting_ft
 from repro.faults.injector import DELIVER, DROP, DUPLICATE, OUTAGE, FaultInjector
-from repro.faults.reliable import ReliableNode, RetryBudgetExceeded, unwrap
+from repro.faults.reliable import ReliableNode, RetryBudgetExceeded
 from repro.obs import MetricsRegistry
 from repro.protocols import PROTOCOLS
 from repro.resilience import InvariantMonitor
@@ -386,15 +386,6 @@ class TestReliableWrapper:
             )
         }
         assert all(reg.counters[n].value > 0 for n in looked_up)
-
-    def test_unwrap_round_trips(self):
-        from repro.sim import Node
-
-        inner = Node(7)
-        wrapped = ReliableNode(inner)
-        assert unwrap(wrapped) is inner
-        assert unwrap(inner) is inner
-        assert wrapped.node_id == 7
 
     def test_wrapper_is_transparent_without_faults(self):
         sp = path_spanning_tree(path_graph(6))

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.arrow import run_arrow
+from repro.arrow import arrow_vs_tsp, run_arrow
 from repro.bounds import (
-    arrow_upper_bound,
     list_queuing_bound,
     theorem35_lower_bound,
     theorem36_lower_bound,
@@ -120,9 +119,9 @@ class TestQueuingUpperBoundsRespected:
     @pytest.mark.parametrize("n", [8, 32, 128])
     def test_list_envelope(self, n):
         st = path_spanning_tree(path_graph(n))
-        res = run_arrow(st, range(n))
-        assert res.total_delay <= list_queuing_bound(n)
-        assert res.total_delay <= arrow_upper_bound(st.tree, range(n))
+        cmp = arrow_vs_tsp(st, range(n))
+        assert cmp.arrow_total <= list_queuing_bound(n)
+        assert cmp.within_theorem41
 
     @pytest.mark.parametrize("n", [15, 63])
     def test_binary_tree_envelope(self, n):

@@ -1,22 +1,22 @@
 """Coverage for the smaller utility surfaces.
 
-Metrics reduction, node helpers, table formatting, figure generation,
-graph-property edge cases, and the harness slope fitter.
+Metrics reduction, node helpers, table formatting, figure generation and
+graph-property edge cases.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.experiments.figures import ALL_FIGURES, figure_latency_profiles, figure_separation_curve
-from repro.experiments.harness import fit_slope
 from repro.sim.metrics import DelayRecorder
-from repro.sim.node import Node, make_nodes
+from repro.sim.node import Node
 from repro.topology import (
     all_pairs_distances,
     bfs_distances,
     complete_graph,
-    degree_histogram,
     eccentricity,
     mesh_graph,
     path_graph,
@@ -39,11 +39,6 @@ class TestMetrics:
 
 
 class TestNodeHelpers:
-    def test_make_nodes(self):
-        nodes = make_nodes(lambda v: Node(v), range(4))
-        assert sorted(nodes) == [0, 1, 2, 3]
-        assert all(nodes[v].node_id == v for v in nodes)
-
     def test_node_repr(self):
         assert "node_id=3" in repr(Node(3))
 
@@ -71,13 +66,8 @@ class TestGraphProperties:
         assert (d.diagonal() == 0).all()
 
     def test_degree_histogram_complete(self):
-        assert degree_histogram(complete_graph(5)) == {4: 5}
-
-
-class TestHarnessHelpers:
-    def test_fit_slope(self):
-        rows = [{"n": 10, "y": 100}, {"n": 20, "y": 400}, {"n": 40, "y": 1600}]
-        assert abs(fit_slope(rows, "n", "y") - 2.0) < 1e-9
+        degrees = Counter(len(nbrs) for nbrs in complete_graph(5).adj.values())
+        assert degrees == {4: 5}
 
 
 class TestFigures:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tsp_reference import held_karp_optimal, tsp_path_lower_bound
 
 from repro.arrow import arrow_vs_tsp, run_arrow
 from repro.bounds import log_star, min_latency_for_count, theorem35_lower_bound, tow
@@ -41,12 +42,10 @@ from repro.topology.base import Graph
 from repro.topology.spanning import SpanningTree
 from repro.tree import RootedTree
 from repro.tsp import (
-    held_karp_optimal,
     lemma44_legs,
     list_tsp_bound,
     nearest_neighbor_tour,
     rosenkrantz_nn_bound,
-    tsp_path_lower_bound,
 )
 from repro.tsp.runs import satisfies_lemma44
 

@@ -86,7 +86,7 @@ class TestEngineUnderDelays:
         g = path_graph(2)
         nodes = {0: Sender(0, [(1, "x")]), 1: Sender(1)}
         net = SynchronousNetwork(g, nodes, delay_model=ConstantDelay(1000))
-        stats = net.run(max_rounds=2000)
+        net.run(max_rounds=2000)
         assert nodes[1].recv_rounds == [1000]
 
     def test_fifo_preserved_under_variable_delays(self):

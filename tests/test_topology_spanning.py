@@ -12,7 +12,7 @@ from repro.topology import (
     perfect_mary_tree,
     star_graph,
 )
-from repro.topology.base import Graph, TopologyError
+from repro.topology.base import TopologyError
 from repro.topology.spanning import (
     SpanningTree,
     bfs_spanning_tree,

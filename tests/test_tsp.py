@@ -7,20 +7,17 @@ import random
 import pytest
 
 from helpers import random_tree
+from tsp_reference import held_karp_optimal, steiner_subtree_edges, tsp_path_lower_bound
+
 from repro.tree import RootedTree
 from repro.tsp import (
     binary_tree_tsp_bound,
-    doubled_tree_tour,
-    held_karp_optimal,
     lemma44_legs,
     list_tsp_bound,
     mary_tree_tsp_bound,
     nearest_neighbor_tour,
     rosenkrantz_nn_bound,
     run_decomposition,
-    steiner_subtree_edges,
-    tour_cost,
-    tsp_path_lower_bound,
 )
 from repro.tsp.runs import satisfies_lemma44
 
@@ -71,7 +68,8 @@ class TestNearestNeighborTour:
             req = rng.sample(range(n), rng.randint(1, n))
             start = rng.randrange(n)
             tour = nearest_neighbor_tour(t, req, start=start)
-            assert tour.cost == tour_cost(t, tour.order, start=start)
+            stops = (start, *tour.order)
+            assert tour.cost == sum(t.distance(u, v) for u, v in zip(stops, stops[1:]))
             assert sorted(tour.order) == sorted(set(req))
 
     def test_greedy_invariant_each_leg_is_nearest(self):
@@ -249,17 +247,3 @@ class TestSteinerAndOptimal:
             nn = nearest_neighbor_tour(t, req)
             opt = held_karp_optimal(t, req)
             assert opt <= nn.cost <= rosenkrantz_nn_bound(n, k)
-
-    def test_doubled_tree_two_approx(self):
-        rng = random.Random(10)
-        for trial in range(25):
-            n = rng.randint(2, 30)
-            t = random_tree(n, seed=trial + 400)
-            k = rng.randint(1, n)
-            req = rng.sample(range(n), k)
-            order, cost = doubled_tree_tour(t, req)
-            assert sorted(order) == sorted(set(req))
-            assert cost <= 2 * steiner_subtree_edges(t, set(req) | {t.root})
-
-    def test_doubled_tree_empty(self):
-        assert doubled_tree_tour(list_tree(4), []) == ([], 0)
