@@ -17,7 +17,8 @@ The code says the same: the runners here drive the counting package's
 central-server and combining-tree nodes with arbitrary increments.  Each
 requester receives its *inclusive* prefix sum (its rank, for unit
 increments) and the runner subtracts its increment to report the prior
-sum.  Only :class:`AdditionResult` and its verifier live here.
+sum.  Only :class:`AdditionResult`, which verifies itself when built,
+lives here.
 """
 
 from repro.adding.combining import AdditionResult, run_combining_addition

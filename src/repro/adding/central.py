@@ -22,7 +22,7 @@ def run_central_addition(
     options, forwarded to :func:`repro.sim.run_protocol`.
     """
     root_node, net = _run_central(graph, increments, root, False, options)
-    result = AdditionResult(
+    return AdditionResult(
         algorithm=f"central-add(root={root})",
         increments=dict(increments),
         prior_sums={
@@ -32,5 +32,3 @@ def run_central_addition(
         delays=net.delays.delay_by_op(),
         stats=net.stats,
     )
-    result.verify()
-    return result

@@ -22,7 +22,7 @@ from repro.topology.spanning import SpanningTree
 
 @dataclass(frozen=True)
 class AdditionResult:
-    """Outcome of a one-shot fetch-and-add execution.
+    """Outcome of a one-shot fetch-and-add execution, verified when built.
 
     Attributes:
         algorithm: short name of the adding algorithm.
@@ -32,6 +32,13 @@ class AdditionResult:
         order: the induced total order of the requesters.
         delays: vertex -> round the prior sum arrived back.
         stats: engine accounting.
+
+    Raises:
+        AssertionError: if the result breaks the fetch-and-add
+            specification: ``order`` must be a permutation of the
+            participants (the keys of ``increments``), ``prior_sums`` must
+            hold exactly those keys, and along ``order`` every prior sum
+            must equal the prefix sum of the increments ordered before it.
     """
 
     algorithm: str
@@ -41,27 +48,7 @@ class AdditionResult:
     delays: dict[int, int]
     stats: RunStats
 
-    @property
-    def total_delay(self) -> int:
-        """The paper's cost metric: sum of per-operation delays."""
-        return sum(self.delays.values())
-
-    @property
-    def max_delay(self) -> int:
-        """Largest single operation delay."""
-        return max(self.delays.values(), default=0)
-
-    def verify(self) -> None:
-        """Check the fetch-and-add specification.
-
-        ``order`` must be a permutation of the participants (the keys of
-        ``increments``), ``prior_sums`` must hold exactly those keys, and
-        along ``order`` every prior sum must equal the prefix sum of the
-        increments ordered before it.
-
-        Raises:
-            AssertionError: on any mismatch.
-        """
+    def __post_init__(self) -> None:
         participants = sorted(self.increments)
         if sorted(self.order) != participants or sorted(self.prior_sums) != participants:
             raise AssertionError(
@@ -75,6 +62,16 @@ class AdditionResult:
                     f"vertex {v}: prior sum {self.prior_sums[v]} != prefix {running}"
                 )
             running += self.increments[v]
+
+    @property
+    def total_delay(self) -> int:
+        """The paper's cost metric: sum of per-operation delays."""
+        return sum(self.delays.values())
+
+    @property
+    def max_delay(self) -> int:
+        """Largest single operation delay."""
+        return max(self.delays.values(), default=0)
 
 
 def run_combining_addition(
@@ -110,7 +107,7 @@ def run_combining_addition(
         stack.extend(
             c for c in reversed(spanning.tree.children[v]) if nodes[c].requesters
         )
-    result = AdditionResult(
+    return AdditionResult(
         algorithm=f"combining-add[{spanning.label}]",
         increments=dict(increments),
         prior_sums=prior,
@@ -118,5 +115,3 @@ def run_combining_addition(
         delays=net.delays.delay_by_op(),
         stats=net.stats,
     )
-    result.verify()
-    return result

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.bounds.counting_lb import per_op_diameter_bound, per_op_general_bound
+from repro.bounds.counting_lb import min_latency_for_count, per_op_diameter_bound
 from repro.core.problem import CountingResult
 
 
@@ -58,7 +58,7 @@ def latency_by_rank(
     by_rank = sorted((rank, result.delays[v]) for v, rank in result.counts.items())
     ranks = tuple(r for r, _ in by_rank)
     delays = tuple(d for _, d in by_rank)
-    general = tuple(per_op_general_bound(r) for r in ranks)
+    general = tuple(min_latency_for_count(r) for r in ranks)
     if diameter is not None and n is not None and len(ranks) == n:
         diam = tuple(per_op_diameter_bound(r, n, diameter) for r in ranks)
     else:

@@ -16,7 +16,7 @@ induced total order, and the paper's total-delay cost.
 from repro.arrow.protocol import ArrowNode
 from repro.arrow.runner import run_arrow
 from repro.arrow.analysis import arrow_vs_tsp, ArrowTspComparison
-from repro.arrow.longlived import LongLivedResult, run_arrow_longlived
+from repro.arrow.longlived import run_arrow_longlived
 from repro.core.problem import init_op, op_of
 
 __all__ = [
@@ -26,6 +26,5 @@ __all__ = [
     "run_arrow",
     "arrow_vs_tsp",
     "ArrowTspComparison",
-    "LongLivedResult",
     "run_arrow_longlived",
 ]

@@ -1,4 +1,11 @@
-"""One-shot concurrent execution of the arrow protocol."""
+"""Executions of the arrow protocol: one-shot and long-lived.
+
+The one-shot run of the paper issues every operation in round 0; the
+long-lived run (:mod:`repro.arrow.longlived`) issues each at its own
+round.  Both return a :class:`~repro.core.problem.QueuingResult` whose
+delays are counted from each operation's issue round, so the one-shot
+run is the long-lived run with every issue round 0.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +13,6 @@ from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from repro.arrow.protocol import ArrowNode
 from repro.core.problem import QueuingResult
-from repro.core.verify import verify_queuing
 from repro.sim import SynchronousNetwork, run_protocol
 from repro.topology.base import Graph
 from repro.topology.spanning import SpanningTree
@@ -46,17 +52,52 @@ def run_arrow(
             over a non-empty request set (a protocol bug).  An empty
             request set runs no operation and returns an empty result.
     """
-    req = tuple(sorted(set(requests)))
-    net, predecessors, tail = _run_arrow_nodes(
-        spanning, dict.fromkeys(req, 0), tail, capacity, options
+    return run_arrow_longlived(
+        spanning, dict.fromkeys(sorted(requests), 0),
+        tail=tail, capacity=capacity, **options,
     )
-    if req:  # an empty request set has no chain to verify
-        verify_queuing(req, predecessors, tail)
+
+
+def run_arrow_longlived(
+    spanning: SpanningTree,
+    issue_times: Mapping[int, int],
+    *,
+    tail: int | None = None,
+    capacity: int | None = None,
+    **options: Any,
+) -> QueuingResult:
+    """Run arrow with per-vertex issue rounds; output verified.
+
+    Args:
+        spanning: the spanning tree to run on.
+        issue_times: mapping vertex -> issue round (>= 0); vertices absent
+            from the mapping issue nothing.
+        tail: initial tail node (default: tree root).
+        capacity: per-round message budget (default: tree max degree).
+        **options: run options, forwarded to
+            :func:`repro.sim.run_protocol`.
+
+    Returns:
+        A :class:`~repro.core.problem.QueuingResult`
+        (``algorithm="arrow"``) whose ``delays`` are response times: the
+        round each op's ``queue()`` message terminated minus its issue
+        round.
+
+    Raises:
+        ValueError: if a vertex or ``tail`` is not a tree vertex, or an
+            issue time is negative.
+        VerificationError: as for :func:`run_arrow`.
+    """
+    net, predecessors, tail = _run_arrow_nodes(
+        spanning, issue_times, tail, capacity, options
+    )
     return QueuingResult(
         algorithm="arrow",
-        requests=req,
+        requests=tuple(sorted(issue_times)),
         predecessors=predecessors,
-        delays=net.delays.delay_by_op(),
+        delays={
+            op: r - issue_times[op[1]] for op, r in net.delays.delay_by_op().items()
+        },
         tail=tail,
         stats=net.stats,
     )

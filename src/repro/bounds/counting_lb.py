@@ -77,17 +77,6 @@ def theorem36_lower_bound(alpha: int) -> int:
     return m * (m + 1) // 2
 
 
-def per_op_general_bound(count: int) -> int:
-    """Lemma 3.1 + 3.4 per-operation bound: the op that outputs ``count``
-    needs latency at least ``min t: tow(2t) >= count``.
-
-    This is the fine-grained form behind Theorem 3.5; the test suite
-    checks every implemented counting algorithm's *individual* delays
-    against it.
-    """
-    return min_latency_for_count(count)
-
-
 def per_op_diameter_bound(count: int, n: int, alpha: int) -> int:
     """Theorem 3.6's per-operation bound (all ``n`` nodes counting).
 
@@ -97,30 +86,4 @@ def per_op_diameter_bound(count: int, n: int, alpha: int) -> int:
     if count < 1 or count > n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
     return max(0, alpha // 2 + count - n)
-
-
-def verify_per_op_bounds(
-    counts: "dict[int, int]",
-    delays: "dict[int, int]",
-    n: int,
-    alpha: int,
-    all_counting: bool,
-) -> bool:
-    """Whether every operation's delay dominates both per-op bounds.
-
-    Args:
-        counts: vertex -> rank received.
-        delays: vertex -> measured delay.
-        n: number of vertices in the graph.
-        alpha: graph diameter.
-        all_counting: whether every vertex requested (Theorem 3.6's
-            hypothesis; its bound is skipped otherwise).
-    """
-    for v, k in counts.items():
-        need = per_op_general_bound(k)
-        if all_counting:
-            need = max(need, per_op_diameter_bound(k, n, alpha))
-        if delays[v] < need:
-            return False
-    return True
 

@@ -18,8 +18,8 @@ achievable counting gets to them:
   Herlihy, Shavit 1994 — the paper's reference [1]) embedded on the
   communication graph.
 
-All runners return a :class:`repro.core.problem.CountingResult` and are
-validated with :func:`repro.core.verify.verify_counting`.
+All runners return a :class:`repro.core.problem.CountingResult`, which
+checks the counting condition when it is built.
 """
 
 from repro.counting.central import run_central_counting, run_central_queuing

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Any, Hashable, Iterable, Mapping
 
 from repro.core.problem import CountingResult, QueuingResult, init_op, op_of
-from repro.core.verify import verify_counting, verify_queuing
 from repro.sim import Message, Node, NodeContext, SynchronousNetwork, run_protocol
 from repro.topology.base import Graph
 from repro.topology.properties import check_vertices, next_hops_toward
@@ -154,15 +153,7 @@ def run_central_counting(
     """
     req = tuple(sorted(set(requests)))
     _, net = _run_central(graph, dict.fromkeys(req, 1), root, False, options)
-    counts = {v: int(c) for v, c in net.delays.result_by_op().items()}
-    verify_counting(req, counts)
-    return CountingResult(
-        algorithm=f"central(root={root})",
-        requests=req,
-        counts=counts,
-        delays=net.delays.delay_by_op(),
-        stats=net.stats,
-    )
+    return CountingResult.of(f"central(root={root})", req, net)
 
 
 def run_central_queuing(
@@ -185,7 +176,6 @@ def run_central_queuing(
     predecessors = {op_of(v): pred for v, pred in net.delays.result_by_op().items()}
     delays = {op_of(v): d for v, d in net.delays.delay_by_op().items()}
     # The initial dummy op lives at the root for the central server.
-    verify_queuing(req, predecessors, tail=root)
     return QueuingResult(
         algorithm=f"central(root={root})",
         requests=req,

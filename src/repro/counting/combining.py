@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Any, Iterable, Mapping
 
 from repro.core.problem import CountingResult
-from repro.core.verify import verify_counting
 from repro.sim import Message, Node, NodeContext, SynchronousNetwork, run_protocol
 from repro.topology.properties import check_vertices
 from repro.topology.spanning import SpanningTree
@@ -147,12 +146,4 @@ def run_combining_counting(
     """
     req = tuple(sorted(set(requests)))
     _, net = _run_combining(spanning, dict.fromkeys(req, 1), capacity, options)
-    counts = {v: int(c) for v, c in net.delays.result_by_op().items()}
-    verify_counting(req, counts)
-    return CountingResult(
-        algorithm=f"combining[{spanning.label}]",
-        requests=req,
-        counts=counts,
-        delays=net.delays.delay_by_op(),
-        stats=net.stats,
-    )
+    return CountingResult.of(f"combining[{spanning.label}]", req, net)

@@ -43,7 +43,6 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from repro.core.problem import CountingResult
-from repro.core.verify import verify_counting
 from repro.sim import Message, Node, NodeContext, run_protocol
 from repro.topology.base import Graph
 from repro.topology.properties import check_vertices
@@ -154,12 +153,4 @@ def run_flood_counting(
     req_set = set(req)
     nodes = {v: _FloodNode(v, requesting=(v in req_set)) for v in graph.vertices()}
     net = run_protocol(graph, nodes, send_capacity=1, recv_capacity=1, **options)
-    counts = {v: int(c) for v, c in net.delays.result_by_op().items()}
-    verify_counting(req, counts)
-    return CountingResult(
-        algorithm="flood",
-        requests=req,
-        counts=counts,
-        delays=net.delays.delay_by_op(),
-        stats=net.stats,
-    )
+    return CountingResult.of("flood", req, net)

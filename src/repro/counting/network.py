@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.core.problem import CountingResult
-from repro.core.verify import verify_counting
 from repro.sim import Message, Node, NodeContext, run_protocol
 from repro.topology.base import Graph
 from repro.topology.properties import check_vertices, next_hops_toward
@@ -339,12 +338,4 @@ def _run_embedded_network(
         for v in graph.vertices()
     }
     net = run_protocol(graph, nodes, send_capacity=1, recv_capacity=1, **options)
-    counts = {v: int(c) for v, c in net.delays.result_by_op().items()}
-    verify_counting(req, counts)
-    return CountingResult(
-        algorithm=algorithm,
-        requests=req,
-        counts=counts,
-        delays=net.delays.delay_by_op(),
-        stats=net.stats,
-    )
+    return CountingResult.of(algorithm, req, net)

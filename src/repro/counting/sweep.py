@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Any, Iterable, Sequence
 
 from repro.core.problem import CountingResult, QueuingResult, init_op, op_of
-from repro.core.verify import verify_counting, verify_queuing
 from repro.sim import Message, Node, NodeContext, SynchronousNetwork, run_protocol
 from repro.topology.base import Graph
 from repro.topology.hamilton import hamilton_path_of, is_hamilton_path
@@ -126,15 +125,7 @@ def run_sweep_counting(
             :func:`repro.sim.run_protocol`.
     """
     req, _, net = _run_sweep(graph, requests, order, "count", options)
-    counts = {v: int(c) for v, c in net.delays.result_by_op().items()}
-    verify_counting(req, counts)
-    return CountingResult(
-        algorithm="sweep",
-        requests=req,
-        counts=counts,
-        delays=net.delays.delay_by_op(),
-        stats=net.stats,
-    )
+    return CountingResult.of("sweep", req, net)
 
 
 def run_sweep_queuing(
@@ -155,12 +146,10 @@ def run_sweep_queuing(
     Returns a :class:`repro.core.problem.QueuingResult` (verified).
     """
     req, order, net = _run_sweep(graph, requests, order, "queue", options)
-    predecessors = net.delays.result_by_op()
-    verify_queuing(req, predecessors, tail=order[0])
     return QueuingResult(
         algorithm="sweep",
         requests=req,
-        predecessors=predecessors,
+        predecessors=net.delays.result_by_op(),
         delays=net.delays.delay_by_op(),
         tail=order[0],
         stats=net.stats,

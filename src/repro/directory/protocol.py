@@ -162,19 +162,32 @@ class _TokenNode(ArrowNode):
 
 @dataclass(frozen=True)
 class DirectoryOutcome:
-    """Result of one directory run.
+    """Result of one directory run, verified when built.
 
     Attributes:
         requests: requesting vertices, sorted.
         use_rounds: rounds each holder keeps the object.
         acquire_rounds: vertex -> round it received the object.
         order: vertices in acquisition order.
+
+    Raises:
+        AssertionError: if some requester never obtained the object or
+            exclusivity is violated (two holds overlap).
     """
 
     requests: tuple[int, ...]
     use_rounds: int
     acquire_rounds: dict[int, int]
     order: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if set(self.acquire_rounds) != set(self.requests):
+            raise AssertionError(
+                f"{len(self.acquire_rounds)} of {len(self.requests)} requesters "
+                "obtained the object"
+            )
+        if not self.exclusive_holding():
+            raise AssertionError("object exclusivity violated")
 
     @property
     def total_waiting(self) -> int:
@@ -230,14 +243,7 @@ def run_object_directory(
         spanning, dict.fromkeys(req, 0), home, capacity, options, make_node, graph
     )
     acquire = {op[1]: r for op, r in net.delays.delay_by_op().items()}
-    if set(acquire) != set(req):
-        raise AssertionError(
-            f"{len(acquire)} of {len(req)} requesters obtained the object"
-        )
     order = tuple(sorted(acquire, key=lambda v: acquire[v]))
-    out = DirectoryOutcome(
+    return DirectoryOutcome(
         requests=req, use_rounds=use_rounds, acquire_rounds=acquire, order=order
     )
-    if not out.exclusive_holding():
-        raise AssertionError("object exclusivity violated")
-    return out

@@ -144,7 +144,7 @@ def run_e2_thm35_general_lower_bound(
         title="General counting lower bound on the complete graph",
         paper_ref="Theorem 3.5",
     )
-    from repro.bounds.counting_lb import verify_per_op_bounds
+    from repro.analysis.profiles import latency_by_rank
 
     min_margin = float("inf")
     arrow_beats_all = True
@@ -184,7 +184,7 @@ def run_e2_thm35_general_lower_bound(
             if lb > 0:
                 min_margin = min(min_margin, total / lb)
         for r in (combining, flood, cnet, central):
-            per_op_ok &= verify_per_op_bounds(r.counts, r.delays, n, 1, True)
+            per_op_ok &= latency_by_rank(r, n=n, diameter=1).respects_bounds()
         if n >= 16 and arrow.total_delay >= best_counting:
             arrow_beats_all = False
     res.check(
@@ -254,7 +254,7 @@ def run_e4_thm36_diameter_lower_bound(
         title="Diameter lower bound: list Omega(n^2), mesh Omega(n sqrt n)",
         paper_ref="Theorem 3.6",
     )
-    from repro.bounds.counting_lb import verify_per_op_bounds
+    from repro.analysis.profiles import latency_by_rank
 
     ok_lb = True
     per_op_ok = True
@@ -265,9 +265,7 @@ def run_e4_thm36_diameter_lower_bound(
         alpha = n - 1
         lb = theorem36_lower_bound(alpha)
         counting = run_central_counting(g, list(range(n)), root=0)
-        per_op_ok &= verify_per_op_bounds(
-            counting.counts, counting.delays, n, alpha, True
-        )
+        per_op_ok &= latency_by_rank(counting, n=n, diameter=alpha).respects_bounds()
         arrow = run_arrow(path_spanning_tree(g), list(range(n)))
         res.rows.append(
             {
@@ -955,19 +953,18 @@ def run_e16_longlived(
     for horizon in horizons:
         times = poisson_issue_times(n, rate=1.0, horizon=horizon, seed=seed)
         ll = run_arrow_longlived(st, times)
-        responses = ll.response_times()
-        ok_complete &= len(responses) == len(times)
+        ok_complete &= len(ll.delays) == len(times)
         # A queue() message follows a simple path on the tree, so each
         # response is at most the path length plus contention; 2n is a
         # generous per-operation envelope on the list.
-        ok_per_op &= max(responses.values()) <= 2 * n
+        ok_per_op &= ll.max_delay <= 2 * n
         res.rows.append(
             {
                 "n": n,
                 "horizon": horizon,
                 "requesters": len(times),
-                "total_response": ll.total_response_time,
-                "max_response": max(responses.values()),
+                "total_response": ll.total_delay,
+                "max_response": ll.max_delay,
                 "one_shot_total": one_shot.total_delay,
             }
         )

@@ -5,10 +5,11 @@ Each ``run_*_ft`` function runs the corresponding base protocol under a
 reliable-delivery adapter (:mod:`repro.faults.reliable`).  They are
 shorthands: any runner does the same given ``faults=plan`` and
 ``reliable=RetryPolicy()`` (see :func:`repro.sim.run_protocol`); pass
-``reliable=`` to use another retry policy.  Each base runner verifies
-its own output (:func:`~repro.core.verify.verify_counting` or
-:func:`~repro.core.verify.verify_queuing`) before returning it, faults or
-not, so a returned result is a *correct* one — under an
+``reliable=`` to use another retry policy.  Each base runner returns a
+:class:`~repro.core.problem.CountingResult` or
+:class:`~repro.core.problem.QueuingResult`, which checks its problem's
+condition when built, faults or not, so a returned result is a
+*correct* one — under an
 eventually-delivering plan the run completes and verifies despite drops,
 duplicates, outages, and (finite) crashes.
 

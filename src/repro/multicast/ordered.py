@@ -12,7 +12,7 @@ comparable with the theorems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Hashable, Iterable
 
 from repro.arrow.runner import run_arrow
 from repro.core.problem import init_op, op_of
@@ -189,14 +189,12 @@ def run_counting_multicast(
     graph: Graph,
     spanning: SpanningTree,
     senders: Iterable[int],
-    *,
-    counting_runner: Callable[..., object] | None = None,
     **options: Any,
 ) -> MulticastOutcome:
     """Ordered multicast via distributed counting (the conventional solution).
 
     Phase 1: the senders obtain sequence numbers from a combining-tree
-    counter on ``spanning`` (or any runner with the same signature).
+    counter on ``spanning``.
     Phase 2: each sender floods its message — tagged with its sequence
     number — starting the round its number arrived; receivers deliver in
     sequence order.  ``options`` are run options for phase 1, the
@@ -204,8 +202,7 @@ def run_counting_multicast(
     :func:`repro.sim.run_protocol`; phase 2 shares only ``max_rounds``.
     """
     senders_t = tuple(sorted(set(senders)))
-    runner = counting_runner or run_combining_counting
-    coord = runner(spanning, senders_t, **options)
+    coord = run_combining_counting(spanning, senders_t, **options)
     start = {v: coord.delays[v] for v in senders_t}
     meta: dict[int, Hashable] = {v: coord.counts[v] for v in senders_t}
     delivery, order = _run_dissemination(

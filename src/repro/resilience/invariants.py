@@ -215,15 +215,11 @@ class ArrowInvariant(InvariantMonitor):
     adapter-wrapped nodes the monitor checks the wrapper-independent
     parts: pointer targets, at least one sink, and predecessor-link
     consistency.
-
-    Args:
-        queue_kind: message kind carrying queue-find requests.
     """
 
     name = "arrow.single-sink"
 
-    def __init__(self, queue_kind: str = "queue") -> None:
-        self.queue_kind = queue_kind
+    def __init__(self) -> None:
         #: Weak reference to the network :attr:`_rows` were resolved for
         #: (compared by identity, so a restored checkpoint's copy
         #: re-resolves).  Weak, because the network holds this monitor:
@@ -268,11 +264,11 @@ class ArrowInvariant(InvariantMonitor):
         count = 0
         for q in links:
             for m in q:
-                if m.kind == self.queue_kind:
+                if m.kind == "queue":
                     count += 1
         for box in outboxes:
             for m in box:
-                if m.kind == self.queue_kind:
+                if m.kind == "queue":
                     count += 1
         return count
 
@@ -355,7 +351,10 @@ class TokenInvariant(InvariantMonitor):
     is never duplicated and never destroyed.
 
     Holders keep a truthy ``has_token`` and the token travels as
-    ``token`` messages.
+    ``token`` messages.  Like :class:`ArrowInvariant`, under
+    adapter-wrapped nodes the monitor checks only the part that holds
+    through the wrapper — at most one holder — since the token then
+    travels inside envelopes that may be retransmitted or duplicated.
 
     Args:
         name: invariant name for raised violations.
@@ -365,11 +364,23 @@ class TokenInvariant(InvariantMonitor):
         self.name = name
 
     def on_round(self, net: Any) -> None:
-        holders = [
-            v
-            for v in net.node_ids
-            if getattr(_protocol_node(net.node(v)), "has_token", False)
-        ]
+        holders = []
+        wrapped = False
+        for v in net.node_ids:
+            raw = net.node(v)
+            node = _protocol_node(raw)
+            wrapped = wrapped or node is not raw
+            if getattr(node, "has_token", False):
+                holders.append(v)
+        if wrapped:
+            if len(holders) > 1:
+                self._violate(
+                    net,
+                    f"token duplicated: {len(holders)} holders (at most 1 "
+                    "under wrapped delivery)",
+                    holders,
+                )
+            return
         links, outboxes = net._queued_messages()
         in_flight = sum(
             1 for q in links for m in q if m.kind == "token"

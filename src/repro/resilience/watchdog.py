@@ -15,8 +15,10 @@ a :class:`~repro.sim.errors.StallDetected` carrying a diagnosis instead:
 
 The watchdog is crash-aware: rounds in which the fault plan has a node
 down do not count against the windows — scheduled unavailability is not
-a hang.  Retry-budget state is scanned off reliable-adapter nodes
-(anything with ``pending``/``policy``) and attached to the diagnosis.
+a hang.  Retry-budget state is scanned off the reliable-delivery
+wrappers (the nodes whose ``shared`` is a
+:class:`~repro.faults.reliable.ReliableRun`) and attached to the
+diagnosis.
 """
 
 from __future__ import annotations
@@ -120,13 +122,16 @@ class Watchdog:
 
     @staticmethod
     def _retry_state(net: Any) -> dict[int, tuple[int, int]]:
-        """Per-node ``(pending_envelopes, max_attempts)`` retry summaries."""
+        """Per-node ``(pending_envelopes, max_attempts)`` retry summaries,
+        for the reliable-delivery wrappers with unacked envelopes."""
+        from repro.faults.reliable import ReliableRun  # loading resilience loads no faults
+
         state: dict[int, tuple[int, int]] = {}
         for v in net.node_ids:
             node = net.node(v)
-            pending = getattr(node, "pending", None)
-            if pending is None or not hasattr(node, "policy"):
+            if not isinstance(getattr(node, "shared", None), ReliableRun):
                 continue
+            pending = node.pending  # None until the wrapper's first send
             if pending:
                 state[v] = (
                     len(pending),

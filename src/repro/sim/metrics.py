@@ -3,8 +3,8 @@
 The metric of the paper (Section 2.2) is the *total delay*: the sum over
 all requesters of the round in which their operation completed, maximized
 over request sets.  :class:`DelayRecorder` collects per-operation
-completion rounds during a run and reduces them to the totals the
-experiments report.
+completion rounds during a run; the result a runner builds from them
+(:mod:`repro.core.problem`) totals them.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ class DelayRecorder:
     def __contains__(self, op_id: Hashable) -> bool:
         return op_id in self._records
 
-    def record_for(self, op_id: Hashable) -> OperationRecord:
-        """The full completion record of one operation."""
-        return self._records[op_id]
-
     def delay_by_op(self) -> dict[Hashable, int]:
         """Mapping operation id -> completion round."""
         return {op: rec.round for op, rec in self._records.items()}
@@ -66,14 +62,6 @@ class DelayRecorder:
     def result_by_op(self) -> dict[Hashable, Any]:
         """Mapping operation id -> protocol result value."""
         return {op: rec.result for op, rec in self._records.items()}
-
-    def total_delay(self) -> int:
-        """Sum of completion rounds — the paper's cost of this execution."""
-        return sum(rec.round for rec in self._records.values())
-
-    def max_delay(self) -> int:
-        """Largest single completion round (0 if no operations)."""
-        return max((rec.round for rec in self._records.values()), default=0)
 
     def records(self) -> list[OperationRecord]:
         """All completion records, sorted by (round, op id repr)."""

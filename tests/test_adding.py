@@ -44,7 +44,6 @@ class TestCombiningAddition:
     def test_prefix_sums_along_order(self):
         st = embedded_binary_tree(complete_graph(7))
         r = run_combining_addition(st, {v: 10 * (v + 1) for v in range(7)})
-        r.verify()
         running = 0
         for v in r.order:
             assert r.prior_sums[v] == running
@@ -81,7 +80,6 @@ class TestCombiningAddition:
     def test_negative_and_zero_increments(self):
         st = path_spanning_tree(path_graph(6))
         r = run_combining_addition(st, {1: -3, 3: 0, 5: 7})
-        r.verify()
         assert set(r.order) == {1, 3, 5}
 
     def test_partial_participation(self):
@@ -110,7 +108,7 @@ class TestCombiningAddition:
                 v: rng.randint(-9, 9)
                 for v in rng.sample(range(n), rng.randint(1, n))
             }
-            run_combining_addition(st, incs).verify()
+            run_combining_addition(st, incs)  # verified when built
 
     def test_max_delay_property(self):
         st = path_spanning_tree(path_graph(8))
@@ -124,7 +122,6 @@ class TestCentralAddition:
     def test_arrival_order_prefix_sums(self):
         g = star_graph(6)
         r = run_central_addition(g, {v: v for v in range(6)})
-        r.verify()
         assert len(r.order) == 6
 
     def test_matches_combining_total_sum(self):
@@ -142,7 +139,6 @@ class TestCentralAddition:
     def test_root_choice(self):
         g = path_graph(5)
         r = run_central_addition(g, {0: 1, 4: 2}, root=2)
-        r.verify()
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -157,12 +153,13 @@ class TestCentralAddition:
                 v: rng.randint(-5, 5)
                 for v in rng.sample(range(n), rng.randint(1, n))
             }
-            run_central_addition(g, incs, root=rng.randrange(n)).verify()
+            run_central_addition(g, incs, root=rng.randrange(n))  # verified when built
 
 
 class TestVerify:
-    """``AdditionResult.verify`` checks the order and the prior-sum keys
-    against the participants, not just the prefix sums along ``order``."""
+    """Building an ``AdditionResult`` checks the order and the prior-sum
+    keys against the participants, not just the prefix sums along
+    ``order``: a wrong answer raises at construction."""
 
     @staticmethod
     def result(order, prior_sums):
@@ -171,7 +168,7 @@ class TestVerify:
         )
 
     def test_accepts_a_correct_result(self):
-        self.result((1, 2), {1: 0, 2: 5}).verify()
+        assert self.result((1, 2), {1: 0, 2: 5}).total_delay == 2
 
     @pytest.mark.parametrize(
         "order, prior_sums, match",
@@ -182,15 +179,16 @@ class TestVerify:
             ((1, 2, 3), {1: 0, 2: 5}, "must each hold the participants"),
             ((1, 2), {1: 0}, "must each hold the participants"),
             ((1, 2), {1: 0, 2: 5, 3: 8}, "must each hold the participants"),
+            ((1, 2), {1: 0, 2: 4}, "prior sum 4 != prefix 5"),
         ],
         ids=[
             "order-missing", "order-duplicate", "order-duplicate-extra-length",
-            "order-extra", "prior-missing", "prior-extra",
+            "order-extra", "prior-missing", "prior-extra", "wrong-prefix-sum",
         ],
     )
     def test_rejects(self, order, prior_sums, match):
         with pytest.raises(AssertionError, match=match):
-            self.result(order, prior_sums).verify()
+            self.result(order, prior_sums)
 
 
 class TestDeepTrees:
@@ -199,5 +197,4 @@ class TestDeepTrees:
         the order reconstruction must be iterative."""
         st = path_spanning_tree(path_graph(2500))
         r = run_combining_addition(st, {v: 1 for v in range(0, 2500, 5)})
-        r.verify()
         assert len(r.order) == 500

@@ -124,20 +124,20 @@ class TestTotalOrder:
         res = run_arrow(st, range(9), capacity=1)
         assert sorted(res.order()) == list(range(9))
 
-    @pytest.mark.parametrize("module, run", [
-        ("repro.arrow.runner", lambda st: run_arrow(st, [1, 3])),
-        ("repro.arrow.longlived", lambda st: run_arrow_longlived(st, {1: 0, 3: 2})),
+    @pytest.mark.parametrize("run", [
+        lambda st: run_arrow(st, [1, 3]),
+        lambda st: run_arrow_longlived(st, {1: 0, 3: 2}),
     ], ids=["run_arrow", "run_arrow_longlived"])
-    def test_forged_predecessor_is_rejected(self, module, run, monkeypatch):
-        """The runners verify the links their nodes found: a node that
-        records each op as its own predecessor makes them raise."""
+    def test_forged_predecessor_is_rejected(self, run, monkeypatch):
+        """The runners' result checks the links their nodes found: a node
+        that records each op as its own predecessor makes them raise."""
 
         class Forger(ArrowNode):
             def _found(self, a, ctx):
                 super()._found(a, ctx)
                 self.pred_found[a] = a
 
-        mod = importlib.import_module(module)
+        mod = importlib.import_module("repro.arrow.runner")
         real = mod._run_arrow_nodes
         monkeypatch.setattr(mod, "_run_arrow_nodes", lambda *args: real(*args, Forger))
         with pytest.raises(VerificationError):
@@ -150,8 +150,7 @@ class TestTotalOrder:
         res = run_arrow(st, [])
         assert (res.requests, res.delays, res.predecessors) == ((), {}, {})
         assert res.order() == [] and res.total_delay == 0
-        ll = run_arrow_longlived(st, {})
-        assert (ll.completion, ll.predecessors, ll.total_response_time) == ({}, {}, 0)
+        assert run_arrow_longlived(st, {}) == res
 
 
 class TestDelaysAndTheorem41:
@@ -187,29 +186,33 @@ class TestDelaysAndTheorem41:
 
 class TestLongLived:
     def test_matches_one_shot_at_horizon_zero(self):
-        st = path_spanning_tree(path_graph(16))
-        one = run_arrow(st, range(16))
-        ll = run_arrow_longlived(st, {v: 0 for v in range(16)})
-        assert ll.total_response_time == one.total_delay
-        assert ll.completion == one.delays
+        """The one-shot run is the long-lived run with every issue round 0,
+        on a path tree and a binary tree."""
+        for st in (
+            path_spanning_tree(path_graph(16)),
+            embedded_binary_tree(complete_graph(15)),
+        ):
+            for requests in (range(st.n), [11, 0, 5, 3]):
+                one = run_arrow(st, requests)
+                assert run_arrow_longlived(st, dict.fromkeys(requests, 0)) == one
 
     def test_staggered_pair(self):
         st = path_spanning_tree(path_graph(4))
         ll = run_arrow_longlived(st, {3: 0, 0: 10})
         # node 3's op travels to tail 0 (3 hops); node 0 issues later and
         # chases the flipped arrows to node 3's origin.
-        r = ll.response_times()
-        assert r[3] == 3
-        assert r[0] >= 1
-        assert sorted(ll.completion) == [op_of(0), op_of(3)]
+        assert ll.delays[op_of(3)] == 3
+        assert ll.delays[op_of(0)] >= 1
+        assert sorted(ll.delays) == [op_of(0), op_of(3)]
+        assert ll.order() == [3, 0]
 
     def test_sequential_requests_chain(self):
         st = path_spanning_tree(path_graph(8))
         times = {v: 20 * v for v in range(8)}
         ll = run_arrow_longlived(st, times)
-        assert len(ll.completion) == 8
+        assert len(ll.delays) == 8
         # with requests far apart each one terminates before the next starts
-        assert all(resp <= 2 * 8 for resp in ll.response_times().values())
+        assert ll.max_delay <= 2 * 8
 
     def test_invalid_inputs(self):
         st = path_spanning_tree(path_graph(4))

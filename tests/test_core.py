@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core import (
+    CountingResult,
+    QueuingResult,
     VerificationError,
     all_nodes,
     alternating,
@@ -16,7 +22,10 @@ from repro.core import (
     verify_queuing,
     verify_total_order_consistency,
 )
+from repro.core.problem import init_op, op_of
 from repro.core.request import exhaustive_request_sets, request_sets_of_size
+from repro.counting import run_central_counting, run_central_queuing, run_sweep_queuing
+from repro.sim import RunStats
 from repro.topology import complete_graph, path_graph
 
 
@@ -92,6 +101,61 @@ class TestVerifyQueuing:
         preds = {("op", 1): ("init", 0), ("op", 2): ("op", 2)}
         with pytest.raises(VerificationError):
             verify_queuing([1, 2], preds, tail=0)
+
+
+class TestResultsVerifyThemselves:
+    """A result type checks its problem's condition when built, so no
+    runner can return a wrong answer."""
+
+    def test_counting_result_rejects_a_repeated_rank(self):
+        with pytest.raises(VerificationError, match="not exactly 1..2"):
+            CountingResult("x", (1, 2), {1: 1, 2: 1}, {1: 1, 2: 1}, RunStats())
+
+    def test_queuing_result_rejects_a_forked_chain(self):
+        preds = {op_of(1): init_op(0), op_of(2): init_op(0)}
+        with pytest.raises(VerificationError, match="fork"):
+            QueuingResult("x", (1, 2), preds, {op_of(1): 1, op_of(2): 1}, 0, RunStats())
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: run_central_queuing(path_graph(4), []),
+            lambda: run_sweep_queuing(path_graph(4), []),
+        ],
+        ids=["central", "sweep"],
+    )
+    def test_queuing_runners_return_the_empty_result_on_no_requests(self, run):
+        """As ``run_arrow`` does (``tests/test_arrow.py``)."""
+        r = run()
+        assert (r.requests, r.predecessors, r.delays, r.order()) == ((), {}, {}, [])
+
+    def test_counting_on_no_requests_still_raises(self):
+        with pytest.raises(VerificationError, match="empty request set"):
+            run_central_counting(path_graph(4), [])
+
+    def test_no_module_outside_core_calls_a_verifier(self):
+        """Runners build result types instead of calling the validators:
+        no ``src`` module outside ``repro/core/`` calls or imports
+        ``verify_counting`` or ``verify_queuing``."""
+        names = {"verify_counting", "verify_queuing"}
+        root = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root.parent).as_posix()
+            if rel.startswith("repro/core/"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    hit = called in names
+                elif isinstance(node, ast.ImportFrom):
+                    hit = any(alias.name in names for alias in node.names)
+                else:
+                    continue
+                if hit:
+                    offenders.append(f"{rel}:{node.lineno}")
+        assert offenders == [], "verifier used outside repro/core: " + ", ".join(offenders)
 
 
 class TestOrderConsistency:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.directory import run_object_directory
+from repro.directory import DirectoryOutcome, run_object_directory
 from repro.mutex import run_token_mutex
 from repro.sim import EventTrace, UniformDelay
 from repro.topology import complete_graph, mesh_graph, path_graph, ring_graph
@@ -36,6 +36,19 @@ class TestBasics:
         out = run_object_directory(g, path_spanning_tree(g), range(6), use_rounds=3)
         entries = sorted(out.acquire_rounds.values())
         assert all(b - a >= 3 for a, b in zip(entries, entries[1:]))
+
+    @pytest.mark.parametrize(
+        "acquire, match",
+        [
+            ({1: 3, 2: 4}, "exclusivity violated"),
+            ({1: 3}, "1 of 2 requesters obtained the object"),
+        ],
+        ids=["overlapping-holds", "missing-requester"],
+    )
+    def test_outcome_rejects_a_wrong_answer_when_built(self, acquire, match):
+        with pytest.raises(AssertionError, match=match):
+            DirectoryOutcome(requests=(1, 2), use_rounds=2, acquire_rounds=acquire,
+                             order=tuple(acquire))
 
     def test_invalid_use_rounds(self):
         g = path_graph(3)

@@ -29,13 +29,8 @@ class TestMetrics:
         rec = DelayRecorder()
         rec.record("x", 5, result=42, at_node=1)
         assert "x" in rec and len(rec) == 1
-        assert rec.record_for("x").result == 42
-        assert rec.total_delay() == 5
-        assert rec.max_delay() == 5
+        assert rec.delay_by_op() == {"x": 5} and rec.result_by_op() == {"x": 42}
         assert rec.records()[0].at_node == 1
-
-    def test_recorder_empty_max(self):
-        assert DelayRecorder().max_delay() == 0
 
 
 class TestNodeHelpers:

@@ -68,7 +68,6 @@ class TestAdditionProperties:
         st_, req, _seed = data
         incs = {v: deltas[i % len(deltas)] for i, v in enumerate(req)}
         r = run_combining_addition(st_, incs)
-        r.verify()
         last = r.order[-1]
         assert r.prior_sums[last] + incs[last] == sum(incs.values())
 

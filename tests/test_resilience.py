@@ -297,6 +297,33 @@ class TestTokenInvariant:
                               monitors=mon)
         assert out.exclusive_holding()
 
+    @pytest.mark.parametrize("plan", [None, FaultPlan(seed=4, drop_rate=0.2)],
+                             ids=["no-faults", "lossy"])
+    def test_wrapped_mutex_passes(self, plan):
+        """The token travels inside ``rel`` envelopes under reliable
+        delivery, so the monitor checks only that at most one node holds it."""
+        from repro.faults import RetryPolicy
+
+        mon = MonitorSet(invariants=(TokenInvariant(),))
+        out = run_token_mutex(path_spanning_tree(path_graph(6)), range(6),
+                              faults=plan, reliable=RetryPolicy(), monitors=mon)
+        assert sorted(out.order) == list(range(6))
+
+    def test_second_holder_caught_when_wrapped(self, monkeypatch):
+        import repro.directory.protocol as directory_mod
+        from repro.faults import RetryPolicy
+
+        class KeepToken(directory_mod._TokenNode):
+            def _send_token(self, dest, ctx):
+                self.has_token = True  # BUG: the sender keeps the token
+                super()._send_token(dest, ctx)
+
+        monkeypatch.setattr(directory_mod, "_TokenNode", KeepToken)
+        mon = MonitorSet(invariants=(TokenInvariant(),))
+        with pytest.raises(InvariantViolation, match="token duplicated: 2 holders"):
+            run_token_mutex(path_spanning_tree(path_graph(6)), range(6),
+                            reliable=RetryPolicy(), monitors=mon)
+
 
 # ------------------------------------------- monitors do not perturb the run
 
@@ -377,6 +404,25 @@ class TestWatchdog:
         with pytest.raises(StallDetected) as ei:
             run_central_counting(path_graph(4), range(4), faults=plan, monitors=mon)
         assert ei.value.oldest is not None
+
+    def test_retry_state_names_the_retrying_wrappers(self):
+        """Under reliable delivery the diagnosis carries each wrapper's
+        ``(pending envelopes, max attempts)``: node 2 keeps retrying
+        toward the crashed relay 1."""
+        from repro.faults import RetryPolicy
+
+        plan = FaultPlan(seed=3, crashes=(NodeCrash(1, 0, None),))
+        mon = MonitorSet(watchdog=Watchdog(
+            stall_window=50, livelock_window=200, expected_completions=6
+        ))
+        with pytest.raises(StallDetected) as ei:
+            run_central_counting(
+                path_graph(6), range(6), faults=plan,
+                reliable=RetryPolicy(max_retries=1000, max_interval=8), monitors=mon,
+            )
+        assert ei.value.round == 56
+        assert ei.value.retry_state == {1: (1, 1), 2: (4, 8)}
+        assert "worst retry budget: node 2" in str(ei.value)
 
     def test_windows_validated(self):
         with pytest.raises(ValueError):
